@@ -7,11 +7,10 @@ probabilities, soft labels, and majority-vote hard labels. A scorer for
 the character-IoU and Spearman metrics is included.
 """
 
-from .aggregate import AnnotationRun, RunSet, aggregate, to_hard_labels, to_soft_labels
+from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
 from .alignment import AlignmentResult, align, project_spans, validate_run
 from .cache import JsonFileCache
 from .core import (
-    CharProbVector,
     GoldRecord,
     PredictionRecord,
     QAItem,
@@ -39,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignmentResult",
     "AnnotationRun",
-    "CharProbVector",
     "CompletionRequest",
     "EvalReport",
     "GoldRecord",
@@ -56,7 +54,6 @@ __all__ = [
     "ProviderConfig",
     "QAItem",
     "RateLimiter",
-    "RunSet",
     "SpanLabel",
     "WikipediaClient",
     "aggregate",

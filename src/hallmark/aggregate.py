@@ -9,8 +9,9 @@ broken rewrite carries no signal about content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import CharProbVector, SpanLabel, charset_to_spans, spans_to_charset
+from .core import SpanLabel, charset_to_spans, spans_to_charset
 from .errors import AggregationError
 
 
@@ -25,37 +26,25 @@ class AnnotationRun:
     role: str = ""
 
 
-@dataclass(frozen=True)
-class RunSet:
-    """All runs produced for one item, plus the original answer length."""
-
-    item_id: str
-    runs: tuple[AnnotationRun, ...]
-    answer_len: int
-
-    @property
-    def valid_runs(self) -> tuple[AnnotationRun, ...]:
-        return tuple(r for r in self.runs if r.valid)
-
-
-def aggregate(runs: RunSet) -> CharProbVector:
+def aggregate(runs: Sequence[AnnotationRun], answer_len: int) -> list[float]:
     """Count span coverage over valid runs into per-character fractions.
 
-    Raises AggregationError when no run survived; the caller reports the
-    item as unannotated instead of failing the batch.
+    Overlapping spans within one run cover a character once. Raises
+    AggregationError when no run survived; the caller reports the item as
+    unannotated instead of failing the batch.
     """
-    valid = runs.valid_runs
+    valid = [r for r in runs if r.valid]
     if not valid:
-        raise AggregationError(f"item {runs.item_id}: no valid annotation runs")
-    counts = [0] * runs.answer_len
+        raise AggregationError("no valid annotation runs")
+    counts = [0] * answer_len
     for run in valid:
-        for idx in spans_to_charset(run.spans, runs.answer_len):
+        for idx in spans_to_charset(run.spans, answer_len):
             counts[idx] += 1
     n = len(valid)
-    return CharProbVector(c / n for c in counts)
+    return [c / n for c in counts]
 
 
-def to_soft_labels(probs: CharProbVector) -> list[SpanLabel]:
+def to_soft_labels(probs: Sequence[float]) -> list[SpanLabel]:
     """Collapse equal-probability runs of characters into labeled spans.
 
     Zero-probability characters produce no label.
@@ -75,7 +64,7 @@ def to_soft_labels(probs: CharProbVector) -> list[SpanLabel]:
     return labels
 
 
-def to_hard_labels(probs: CharProbVector, threshold: float = 0.5) -> list[SpanLabel]:
+def to_hard_labels(probs: Sequence[float], threshold: float = 0.5) -> list[SpanLabel]:
     """Keep characters whose probability reaches ``threshold`` (inclusive)."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1]")

@@ -63,7 +63,6 @@ CONFIG_KEYS = {
     "temperature": float,
     "max_tokens": int,
     "max_parallel_items": int,
-    "max_parallel_runs": int,
 }
 
 
@@ -92,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--no-external", action="store_true", help="disable Wikipedia knowledge")
     annotate.add_argument("--min-similarity", type=float, default=None, help="run acceptance gate (default 0.7)")
     annotate.add_argument("--cache-dir", default=None, help=f"response cache (default {DEFAULT_CACHE_DIR})")
-    annotate.add_argument("--max-parallel", type=int, default=None, help="items processed concurrently")
+    annotate.add_argument("--max-parallel", type=int, default=None, help="items, and so provider requests, in flight")
     annotate.add_argument("--config", default=None, help="JSON config file (CLI flags win)")
     annotate.add_argument("--base-url", default=None, help="override provider base URL")
     annotate.add_argument("--api-key-env", default=None, help="override API key env var name")

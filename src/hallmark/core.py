@@ -8,7 +8,7 @@ across every script the tool handles. Spans are half-open ``[start, end)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import SpanError
 
@@ -88,43 +88,6 @@ def charset_to_spans(chars: Iterable[int]) -> list[SpanLabel]:
     if run_start is not None:
         spans.append(SpanLabel(run_start, prev + 1))
     return spans
-
-
-class CharProbVector(Sequence[float]):
-    """Per-character hallucination probabilities over an answer."""
-
-    __slots__ = ("_probs",)
-
-    def __init__(self, probs: Iterable[float]):
-        probs = tuple(float(p) for p in probs)
-        for p in probs:
-            if not 0.0 <= p <= 1.0:
-                raise SpanError(f"probability {p} outside [0, 1]")
-        object.__setattr__(self, "_probs", probs)
-
-    @property
-    def probs(self) -> tuple[float, ...]:
-        return self._probs
-
-    def __len__(self) -> int:
-        return len(self._probs)
-
-    def __getitem__(self, index):  # type: ignore[override]
-        return self._probs[index]
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._probs)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CharProbVector):
-            return self._probs == other._probs
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._probs)
-
-    def __repr__(self) -> str:
-        return f"CharProbVector({list(self._probs)!r})"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import requests
 
 from .cache import JsonFileCache, make_key
 from .core import QAItem
-from .errors import KnowledgeError
+from .errors import AuthError, KnowledgeError, ProviderError
 from .llm import CompletionRequest, LLMClient
 from .prompts import DEFAULT_ROLE, load_template, render
 
@@ -122,12 +122,13 @@ class WikipediaClient:
 
 
 class KnowledgeService:
-    """Produces KnowledgeBundles, caching every step.
+    """Produces KnowledgeBundles.
 
-    Each operation is cached under (operation name, canonical inputs), so
-    repeating a call performs no LLM or network traffic. Retries of
-    JSON-producing prompts use distinct seed tags, otherwise the response
-    cache would replay the same malformed reply.
+    The LLM steps rely on ``LLMClient``'s response cache and parse their
+    replies deterministically, so a repeated call replays the same result;
+    ``cache`` holds only Wikipedia fetches, the one step that goes to the
+    network on its own. Retries of JSON-producing prompts use distinct seed
+    tags, otherwise the response cache would replay the same malformed reply.
     """
 
     def __init__(
@@ -151,15 +152,6 @@ class KnowledgeService:
         self._keyword_template = load_template("extract_keyword")
         self._summary_template = load_template("summarize_knowledge")
 
-    def _cached(self, operation: str, payload: dict) -> dict | None:
-        if self.cache is None:
-            return None
-        return self.cache.get(make_key(operation, payload))
-
-    def _store(self, operation: str, payload: dict, value: dict) -> None:
-        if self.cache is not None:
-            self.cache.put(make_key(operation, payload), value)
-
     def _complete(self, prompt: str, seed_tag: str) -> str:
         return self.llm.complete(
             CompletionRequest(
@@ -172,25 +164,24 @@ class KnowledgeService:
         )
 
     def assign_roles(self, item: QAItem) -> list[str]:
-        """Ask for up to 5 distinct expert identities for this QA pair."""
-        payload = {
-            "item_id": item.id,
-            "lang": item.lang,
-            "question": item.question,
-            "answer": item.answer,
-            "model": self.model,
-        }
-        hit = self._cached("assign_roles", payload)
-        if hit is not None:
-            return list(hit["roles"])
+        """Ask for up to 5 distinct expert identities for this QA pair.
 
+        Falls back to the single default role when the replies do not parse
+        or the provider gives up; an authentication failure still raises.
+        """
         prompt = render(
             self._roles_template,
             {"lang": item.lang, "question": item.question, "answer": item.answer},
         )
         roles: list[str] | None = None
         for attempt in range(self.json_attempts):
-            reply = self._complete(prompt, seed_tag=f"roles-attempt-{attempt}")
+            try:
+                reply = self._complete(prompt, seed_tag=f"roles-attempt-{attempt}")
+            except AuthError:
+                raise
+            except ProviderError as exc:
+                logger.warning("item %s: role assignment call failed (%s)", item.id, exc)
+                break
             try:
                 obj = _extract_json(reply)
                 identities = obj["Identities"]
@@ -207,16 +198,10 @@ class KnowledgeService:
         if roles is None:
             logger.warning("item %s: role assignment failed, using fallback role", item.id)
             roles = [DEFAULT_ROLE]
-        self._store("assign_roles", payload, {"roles": roles})
         return roles
 
     def extract_keyword(self, item: QAItem) -> str:
         """Pull the Wikipedia query keyword out of the question."""
-        payload = {"item_id": item.id, "question": item.question, "model": self.model}
-        hit = self._cached("extract_keyword", payload)
-        if hit is not None:
-            return hit["keyword"]
-
         prompt = render(self._keyword_template, {"question": item.question})
         reply = self._complete(prompt, seed_tag="keyword")
         for line in reply.splitlines():
@@ -224,7 +209,6 @@ class KnowledgeService:
             if stripped.lower().startswith("keyword:"):
                 keyword = stripped[len("keyword:") :].strip()
                 if keyword:
-                    self._store("extract_keyword", payload, {"keyword": keyword})
                     return keyword
         raise KnowledgeError(f"item {item.id}: reply contains no 'Keyword:' line")
 
@@ -240,7 +224,8 @@ class KnowledgeService:
         if self.wiki is None:
             raise KnowledgeError("no wikipedia client configured")
         payload = {"keyword": keyword, "lang": lang, "max_chars": self.max_raw_chars}
-        hit = self._cached("fetch_wikipedia", payload)
+        key = make_key("fetch_wikipedia", payload)
+        hit = self.cache.get(key) if self.cache is not None else None
         if hit is not None:
             return hit["text"], hit["provenance"]
 
@@ -256,7 +241,8 @@ class KnowledgeService:
                 continue
             text = extract[: self.max_raw_chars]
             provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
-            self._store("fetch_wikipedia", payload, {"text": text, "provenance": provenance})
+            if self.cache is not None:
+                self.cache.put(key, {"text": text, "provenance": provenance})
             return text, provenance
         raise KnowledgeError(f"no wikipedia results for {keyword!r} in {tried}")
 
@@ -268,17 +254,6 @@ class KnowledgeService:
         """
         if not raw:
             raise KnowledgeError("nothing to summarize")
-        payload = {
-            "item_id": item.id,
-            "question": item.question,
-            "answer": item.answer,
-            "raw": raw,
-            "model": self.model,
-        }
-        hit = self._cached("summarize_knowledge", payload)
-        if hit is not None:
-            return hit["refined"]
-
         prompt = render(
             self._summary_template,
             {
@@ -303,7 +278,6 @@ class KnowledgeService:
         if refined is None:
             logger.warning("item %s: summarization failed, using truncated raw text", item.id)
             refined = raw[: self.fallback_chars]
-        self._store("summarize_knowledge", payload, {"refined": refined})
         return refined
 
     def build_bundle(self, item: QAItem, use_roles: bool = True, use_external: bool = True) -> KnowledgeBundle:
@@ -315,7 +289,9 @@ class KnowledgeService:
                 keyword = self.extract_keyword(item)
                 raw, provenance = self.fetch_wikipedia(keyword, item.lang)
                 refined = self.summarize_knowledge(item, raw)
-            except KnowledgeError as exc:
+            except AuthError:
+                raise
+            except (KnowledgeError, ProviderError) as exc:
                 logger.warning("item %s: proceeding without external knowledge (%s)", item.id, exc)
         return KnowledgeBundle(
             roles=tuple(roles),

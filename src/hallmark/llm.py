@@ -149,9 +149,12 @@ class OpenAIChatProvider:
         if response.status_code != 200:
             raise ProviderError(f"provider {self.name} returned HTTP {response.status_code}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError) as exc:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion payload from {self.name}: {exc}") from exc
+        if not isinstance(content, str):
+            raise ProviderError(f"provider {self.name} returned no text content ({content!r})")
+        return content
 
 
 @dataclass(frozen=True)
@@ -317,6 +320,8 @@ class LLMClient:
                 self._sleep(delay)
                 attempt += 1
 
+        if not isinstance(text, str):
+            raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
         if self.cache is not None and key is not None:
             self.cache.put(key, {"text": text})
         return text

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .aggregate import AnnotationRun, RunSet, aggregate, to_hard_labels, to_soft_labels
+from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import AggregationError, AuthError, MarkerError, ProviderError
@@ -48,7 +48,6 @@ class PipelineConfig:
     temperature: float = 1.0
     max_tokens: int = 2048
     max_parallel_items: int = 1
-    max_parallel_runs: int = 1
 
     def __post_init__(self) -> None:
         if self.runs_n < 1:
@@ -57,8 +56,8 @@ class PipelineConfig:
             raise ValueError("threshold must be in (0, 1]")
         if not 0.0 <= self.min_similarity <= 1.0:
             raise ValueError("min_similarity must be in [0, 1]")
-        if self.max_parallel_items < 1 or self.max_parallel_runs < 1:
-            raise ValueError("parallelism bounds must be >= 1")
+        if self.max_parallel_items < 1:
+            raise ValueError("max_parallel_items must be >= 1")
 
 
 def build_main_prompt(item: QAItem, role: str, knowledge: str | None) -> str:
@@ -182,20 +181,14 @@ def annotate_item(
         bundle = KnowledgeBundle(roles=(DEFAULT_ROLE,))
     roles = bundle.roles or (DEFAULT_ROLE,)
 
-    def one_run(i: int) -> AnnotationRun:
+    runs = []
+    for i in range(cfg.runs_n):
         role = roles[i % len(roles)]
         prompt = build_main_prompt(item, role, bundle.refined_external)
-        return _execute_run(item, role, prompt, f"run-{i}", cfg, llm)
+        runs.append(_execute_run(item, role, prompt, f"run-{i}", cfg, llm))
 
-    if cfg.max_parallel_runs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel_runs) as pool:
-            runs = tuple(pool.map(one_run, range(cfg.runs_n)))
-    else:
-        runs = tuple(one_run(i) for i in range(cfg.runs_n))
-
-    run_set = RunSet(item_id=item.id, runs=runs, answer_len=len(item.answer))
     try:
-        probs = aggregate(run_set)
+        probs = aggregate(runs, len(item.answer))
     except AggregationError:
         logger.warning("item %s: no valid runs, emitting empty labels", item.id)
         return _empty_record(item)
@@ -205,7 +198,7 @@ def annotate_item(
         lang=item.lang,
         hard_labels=tuple(to_hard_labels(probs, cfg.threshold)),
         soft_labels=tuple(to_soft_labels(probs)),
-        runs_used=len(run_set.valid_runs),
+        runs_used=sum(r.valid for r in runs),
         answer=item.answer,
     )
 
@@ -219,25 +212,15 @@ def annotate_dataset(
 ) -> list[PredictionRecord]:
     """Annotate a dataset, preserving input order in the output.
 
-    Items run concurrently up to ``cfg.max_parallel_items``; all
-    completions land in the shared response cache, so an interrupted batch
-    resumes from where it stopped when rerun.
+    Up to ``cfg.max_parallel_items`` items run at once, and each item makes
+    its provider calls one after another, so that bound is also the number
+    of provider requests in flight. All completions land in the shared
+    response cache, so an interrupted batch resumes from where it stopped
+    when rerun.
     """
-
-    def one_item(item: QAItem) -> PredictionRecord:
-        return annotate_item(item, cfg, llm, knowledge_svc)
-
     records: list[PredictionRecord] = []
-    if cfg.max_parallel_items > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_parallel_items) as pool:
-            iterator = pool.map(one_item, items)
-            for record in iterator:
-                records.append(record)
-                if progress is not None:
-                    progress(record)
-    else:
-        for item in items:
-            record = one_item(item)
+    with ThreadPoolExecutor(max_workers=cfg.max_parallel_items) as pool:
+        for record in pool.map(lambda item: annotate_item(item, cfg, llm, knowledge_svc), items):
             records.append(record)
             if progress is not None:
                 progress(record)

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
-from .core import (
-    CharProbVector,
-    GoldRecord,
-    PredictionRecord,
-    SpanLabel,
-    spans_to_charset,
-)
+from .core import GoldRecord, PredictionRecord, SpanLabel, spans_to_charset
 from .errors import EvaluationError, SpanError
 
 
@@ -35,6 +28,13 @@ def iou(pred: Sequence[SpanLabel], gold: Sequence[SpanLabel], length: int) -> fl
     if not union:
         return 1.0
     return len(pred_chars & gold_chars) / len(union)
+
+
+def average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, each tie group given the mean of its first and last rank."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return ((last - counts + 1 + last) / 2.0)[inverse]
 
 
 def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
@@ -54,14 +54,14 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
         return 1.0
     if a_const or b_const:
         return 0.0
-    ranks_a = rankdata(a, method="average")
-    ranks_b = rankdata(b, method="average")
+    ranks_a = average_ranks(a)
+    ranks_b = average_ranks(b)
     if np.array_equal(ranks_a, ranks_b):
         return 1.0  # monotone-equivalent inputs correlate exactly
     return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
 
 
-def expand_soft(labels: Sequence[SpanLabel], length: int) -> CharProbVector:
+def expand_soft(labels: Sequence[SpanLabel], length: int) -> list[float]:
     """Expand soft labels into one probability per character.
 
     Uncovered characters get 0. Labels must not overlap.
@@ -77,7 +77,7 @@ def expand_soft(labels: Sequence[SpanLabel], length: int) -> CharProbVector:
         for i in range(span.start, span.end):
             probs[i] = value
         prev_end = span.end
-    return CharProbVector(probs)
+    return probs
 
 
 @dataclass(frozen=True)

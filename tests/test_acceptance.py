@@ -24,7 +24,6 @@ from hallmark import (
     MockProvider,
     ProviderConfig,
     QAItem,
-    RunSet,
     SpanLabel,
     aggregate,
     align,
@@ -128,7 +127,7 @@ def test_aggregation_formula():
 
     for k in range(13):
         runs = runs_marking(k, (0, 1))
-        probs = aggregate(RunSet("x", tuple(runs), 5))
+        probs = aggregate(runs, 5)
         assert probs[0] == k / 12
 
     rng = random.Random(20250811)
@@ -139,8 +138,7 @@ def test_aggregation_formula():
         for _ in range(n_runs):
             spans = tuple(SpanLabel(s, e) for s, e in random_nonadjacent_spans(rng, length))
             run_list.append(AnnotationRun("", spans, 1.0, True))
-        rs = RunSet("x", tuple(run_list), length)
-        probs = aggregate(rs)
+        probs = aggregate(run_list, length)
 
         expected = recount_probs(
             [[(s.start, s.end) for s in r.spans] for r in run_list], length
@@ -148,16 +146,14 @@ def test_aggregation_formula():
         assert list(probs) == expected
 
         char = rng.randrange(length)
-        grown = RunSet(
-            "x", tuple(run_list) + (AnnotationRun("", (SpanLabel(char, char + 1),), 1.0, True),), length
-        )
-        assert aggregate(grown)[char] >= probs[char]
-        silent = RunSet("x", tuple(run_list) + (AnnotationRun("", (), 1.0, True),), length)
-        assert aggregate(silent)[char] <= probs[char]
+        grown = run_list + [AnnotationRun("", (SpanLabel(char, char + 1),), 1.0, True)]
+        assert aggregate(grown, length)[char] >= probs[char]
+        silent = run_list + [AnnotationRun("", (), 1.0, True)]
+        assert aggregate(silent, length)[char] <= probs[char]
 
         shuffled = list(run_list)
         rng.shuffle(shuffled)
-        assert aggregate(RunSet("x", tuple(shuffled), length)) == probs
+        assert aggregate(shuffled, length) == probs
     record_pass("aggregation formula: k/12 exact, monotone, permutation-invariant (1000 cases)")
 
 
@@ -247,14 +243,9 @@ def test_threshold_semantics():
             assert record.soft_labels[0].prob == 7 / 12
 
     probs = aggregate(
-        RunSet(
-            "x",
-            tuple(
-                [AnnotationRun("", (SpanLabel(*span),), 1.0, True)] * 7
-                + [AnnotationRun("", (), 1.0, True)] * 5
-            ),
-            len(SWIMMER_ANSWER),
-        )
+        [AnnotationRun("", (SpanLabel(*span),), 1.0, True)] * 7
+        + [AnnotationRun("", (), 1.0, True)] * 5,
+        len(SWIMMER_ANSWER),
     )
     assert to_hard_labels(probs, 0.5) == [SpanLabel(*span)]
     assert to_hard_labels(probs, 0.6) == []

@@ -12,6 +12,7 @@ from hallmark import MockProvider, read_items, read_predictions
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "sample"
 SAMPLE_ITEMS = SAMPLE_DIR / "items.jsonl"
 SAMPLE_FIXTURE = SAMPLE_DIR / "mock_fixture.json"
+GOLDEN_PREDICTIONS = Path(__file__).resolve().parent / "data" / "sample_predictions.jsonl"
 
 PREDICTION_LINE_SCHEMA = {
     "type": "object",
@@ -212,6 +213,12 @@ class TestAnnotateCommand:
         first = (tmp_path / "a" / "pred.jsonl").read_bytes()
         second = (tmp_path / "b" / "pred.jsonl").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("parallel", ["1", "4"])
+    def test_sample_predictions_match_golden(self, tmp_path, parallel):
+        # README quick start; the golden file pins its output byte for byte
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--max-parallel", parallel)) == 0
+        assert (tmp_path / "pred.jsonl").read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
 
     def test_max_parallel_flag(self, tmp_path):
         serial = annotate_args(tmp_path / "s", "pred.jsonl")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hallmark import CharProbVector, PredictionRecord, SpanLabel, charset_to_spans, spans_to_charset
+from hallmark import PredictionRecord, SpanLabel, charset_to_spans, spans_to_charset
 from hallmark.errors import SpanError
 
 from .reference import runs_to_spans
@@ -80,21 +80,6 @@ def test_offsets_count_unicode_scalars():
     assert answer.index("a") == 3
     assert spans_to_charset([SpanLabel(3, 6)], len(answer)) == {3, 4, 5}
     assert answer[3:6] == "abc"
-
-
-class TestCharProbVector:
-    def test_sequence_protocol(self):
-        v = CharProbVector([0.0, 0.5, 1.0])
-        assert len(v) == 3
-        assert v[1] == 0.5
-        assert list(v) == [0.0, 0.5, 1.0]
-        assert v == CharProbVector((0.0, 0.5, 1.0))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(SpanError):
-            CharProbVector([0.0, 1.2])
-        with pytest.raises(SpanError):
-            CharProbVector([-0.1])
 
 
 class TestPredictionRecord:

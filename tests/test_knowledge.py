@@ -6,10 +6,20 @@ from pathlib import Path
 import pytest
 import requests
 
-from hallmark import JsonFileCache, LLMClient, MockProvider, QAItem
-from hallmark.errors import KnowledgeError
+from hallmark import (
+    JsonFileCache,
+    LLMClient,
+    MarkingRule,
+    MockProvider,
+    PipelineConfig,
+    ProviderConfig,
+    QAItem,
+    annotate_dataset,
+)
+from hallmark.errors import AuthError, KnowledgeError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
-from hallmark.prompts import DEFAULT_ROLE, load_template, render
+from hallmark.llm import TransientProviderError
+from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION
 
@@ -280,6 +290,21 @@ class TestCaching:
         assert len(session.calls) == wiki_calls
 
 
+    def test_only_wikipedia_fetch_is_cached_here(self, item, tmp_path):
+        # the three LLM steps live in LLMClient's response cache, which this
+        # client does not have; the service itself stores only the fetch
+        cache = JsonFileCache(tmp_path)
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
+        client = LLMClient(MockProvider(), sleep=lambda _: None)
+        svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
+        assert svc.build_bundle(item).refined_external is not None
+        (entry,) = tmp_path.iterdir()
+        assert json.loads(entry.read_text(encoding="utf-8")) == {
+            "text": "t",
+            "provenance": "https://en.wikipedia.org/wiki/Hit",
+        }
+
+
 class TestBuildBundle:
     def test_full_chain(self, item, tmp_path):
         session = FakeWikiSession(
@@ -314,3 +339,68 @@ class TestBuildBundle:
         bundle = svc.build_bundle(item, use_roles=False, use_external=False)
         assert bundle.roles == (DEFAULT_ROLE,)
         assert provider.call_count == 0
+
+
+class FailingOn(MockProvider):
+    """Mock provider that raises ``error`` for prompts containing ``phrase``."""
+
+    def __init__(self, phrase, error, **kwargs):
+        super().__init__(**kwargs)
+        self.phrase = phrase
+        self.error = error
+
+    def send(self, req):
+        if self.phrase in req.user_prompt:
+            with self._lock:
+                self.calls.append(req)
+            raise self.error
+        return super().send(req)
+
+
+class TestProviderFailures:
+    """A provider failure in the knowledge chain costs knowledge, never the batch."""
+
+    def annotate(self, provider, **cfg):
+        item = QAItem(id="k-1", lang="EN", question=SWIMMER_QUESTION, answer=SWIMMER_ANSWER)
+        llm = LLMClient(provider, max_retries=1, sleep=lambda _: None)
+        wiki = WikipediaClient(
+            session=FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "text"})
+        )
+        svc = KnowledgeService(llm, wiki, "m")
+        config = PipelineConfig(model="m", provider=ProviderConfig("mock"), runs_n=3, **cfg)
+        return annotate_dataset([item], config, llm, svc), svc, item
+
+    def test_roles_failure_falls_back_to_default_role(self):
+        provider = FailingOn(
+            "expert identities",
+            TransientProviderError("HTTP 503"),
+            rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+        )
+        (record,), svc, item = self.annotate(provider, use_external=False)
+        assert record.runs_used == 3
+        assert [(s.start, s.end) for s in record.hard_labels] == [(0, 5)]
+        roles_calls = [c for c in provider.calls if "expert identities" in c.user_prompt]
+        assert len(roles_calls) == 2  # one call, retried once, then the fallback
+        runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
+        assert all(c.user_prompt.startswith(f"You are a {DEFAULT_ROLE}.") for c in runs)
+        assert svc.assign_roles(item) == [DEFAULT_ROLE]
+
+    def test_external_chain_failure_leaves_item_without_knowledge(self):
+        provider = FailingOn(
+            "refine the given knowledge",
+            TransientProviderError("HTTP 429"),
+            rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+        )
+        (record,), svc, item = self.annotate(provider)
+        assert record.runs_used == 3
+        runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
+        assert runs and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
+        assert svc.build_bundle(item).refined_external is None
+
+    @pytest.mark.parametrize("phrase", ["expert identities", "extract a keyword"])
+    def test_auth_error_still_propagates(self, phrase):
+        provider = FailingOn(
+            phrase, AuthError("key rejected"), rules=[MarkingRule(SWIMMER_ANSWER, ())]
+        )
+        with pytest.raises(AuthError):
+            self.annotate(provider)

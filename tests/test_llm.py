@@ -113,6 +113,13 @@ class TestLLMClientCache:
         assert first.complete(req("p")) == "from a"
         assert second.complete(req("p")) == "from b"
 
+    def test_non_text_reply_is_not_cached(self, tmp_path):
+        cache = JsonFileCache(tmp_path)
+        client = LLMClient(MockProvider(script={"p": None}), cache=cache)
+        with pytest.raises(ProviderError):
+            client.complete(req("p"))
+        assert list(tmp_path.iterdir()) == []
+
 
 class FakeResponse:
     def __init__(self, status_code, payload=None):
@@ -191,6 +198,13 @@ class TestOpenAIChatProvider:
         with pytest.raises(ProviderError):
             client.complete(req("p"))
         assert len(session.requests) == 4
+
+    def test_null_content_is_a_provider_error(self, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session = FakeSession([FakeResponse(200, completion_payload(None))])
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        with pytest.raises(ProviderError):
+            provider.send(req("p"))
 
     def test_non_retryable_status(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from hallmark import (
     JsonFileCache,
+    OpenAIChatProvider,
     LLMClient,
     MarkingRule,
     MockProvider,
@@ -20,6 +23,7 @@ from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, swimmer_spans
 from .test_knowledge import FakeWikiSession
+from .test_llm import FakeResponse, completion_payload
 
 
 def config(**kwargs):
@@ -187,6 +191,33 @@ class TestAnnotateItem:
         strong_soft = [s for s in record.soft_labels if s.prob >= cfg.threshold]
         assert hard_chars <= spans_to_charset(strong_soft, n)
 
+    def test_null_content_rejects_one_run(self, tmp_path, monkeypatch):
+        # an OpenAI-compatible endpoint may answer ``"content": null`` (a
+        # refusal or a content filter); that run is rejected, uncached
+        class NullFirstSession:
+            def __init__(self):
+                self.posts = 0
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.posts += 1
+                content = None if self.posts == 1 else "Petra van Stoveren won a ⟨⟨silver⟩⟩ medal"
+                return FakeResponse(200, completion_payload(content))
+
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        provider = OpenAIChatProvider(
+            ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
+            session=NullFirstSession(),
+        )
+        cache = JsonFileCache(tmp_path)
+        llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
+        item = QAItem(id="n", lang="EN", question="q", answer="Petra van Stoveren won a silver medal")
+        (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, None)
+        assert record.runs_used == 3
+        assert [item.answer[s.start : s.end] for s in record.hard_labels] == ["silver"]
+        entries = [json.loads(p.read_text(encoding="utf-8")) for p in tmp_path.iterdir()]
+        assert len(entries) == 3
+        assert all(isinstance(e["text"], str) for e in entries)
+
     def test_auth_error_propagates(self):
         class AngryProvider:
             name = "angry"
@@ -234,9 +265,7 @@ class TestAnnotateDataset:
         provider = MockProvider(rules=self.rules_for(items))
         llm, svc = service(provider)
         serial = annotate_dataset(items, config(), llm, svc)
-        parallel = annotate_dataset(
-            items, config(max_parallel_items=3, max_parallel_runs=4), llm, svc
-        )
+        parallel = annotate_dataset(items, config(max_parallel_items=3), llm, svc)
         assert parallel == serial
 
     def test_no_external_means_no_wiki_traffic(self):
