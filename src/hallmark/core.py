@@ -94,8 +94,9 @@ def charset_to_spans(chars: Iterable[int]) -> list[SpanLabel]:
 class PredictionRecord:
     """Aggregated labels for one item, ready for serialization.
 
-    ``answer`` is optional and only used for human inspection; the label
-    offsets always refer to it (or to the gold answer with the same id).
+    ``answer`` is optional; the label offsets always refer to it (or to
+    the gold answer with the same id), and evaluation refuses a record
+    whose ``answer`` differs from gold's.
     """
 
     id: str

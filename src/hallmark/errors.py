@@ -56,7 +56,7 @@ class ConfigError(HallmarkError):
 
 
 class EvaluationError(HallmarkError):
-    """Prediction and gold files do not describe the same set of items."""
+    """Prediction and gold files do not describe the same items or answers."""
 
     def __init__(self, message: str, ids: list[str] | None = None):
         super().__init__(message)

@@ -3,7 +3,9 @@
 Annotators rewrite the answer and wrap every hallucinated term in double
 angle brackets. Three delimiter alphabets are accepted because models
 substitute typographic variants; the first alphabet that occurs in the
-text is used for the whole text, so variants never mix.
+text is used for the whole text, so variants never mix. An alphabet whose
+open or close token already occurs in the original answer is never used,
+so a verbatim copy of a French title in « » or of C++ ``<<`` stays text.
 """
 
 from __future__ import annotations
@@ -32,21 +34,25 @@ class ParsedMarking:
     marked_spans: tuple[SpanLabel, ...]
 
 
-def _pick_alphabet(marked: str) -> tuple[str, str] | None:
+def _pick_alphabet(marked: str, original: str) -> tuple[str, str] | None:
     for open_tok, close_tok in DELIMITER_ALPHABETS:
+        if open_tok in original or close_tok in original:
+            continue
         if open_tok in marked or close_tok in marked:
             return open_tok, close_tok
     return None
 
 
-def parse_marked(marked: str) -> ParsedMarking:
+def parse_marked(marked: str, original: str = "") -> ParsedMarking:
     """Strip marker delimiters from ``marked`` and return the covered spans.
 
-    Spans are expressed over the returned clean text. Empty marked regions
-    are dropped. Raises MarkerError on unbalanced or nested delimiters; the
-    caller discards the single run, not the item.
+    ``original`` is the answer the annotator rewrote; alphabets whose
+    tokens occur in it are treated as text. Spans are expressed over the
+    returned clean text. Empty marked regions are dropped. Raises
+    MarkerError on unbalanced or nested delimiters; the caller discards
+    the single run, not the item.
     """
-    alphabet = _pick_alphabet(marked)
+    alphabet = _pick_alphabet(marked, original)
     if alphabet is None:
         return ParsedMarking(marked, ())
     open_tok, close_tok = alphabet

@@ -134,7 +134,7 @@ def _execute_run(
         return AnnotationRun(raw_text="", valid=False, role=role)
 
     try:
-        parsed = parse_marked(extract_final_marked(reply))
+        parsed = parse_marked(extract_final_marked(reply), item.answer)
     except MarkerError as exc:
         logger.debug("item %s %s: rejected run (%s)", item.id, seed_tag, exc)
         return AnnotationRun(raw_text=reply, valid=False, role=role)

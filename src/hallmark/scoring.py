@@ -106,7 +106,9 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
     """Score predictions against gold annotations.
 
     Prediction and gold files must cover exactly the same item ids; the
-    answer text (and therefore every label offset) is taken from gold.
+    answer text (and therefore every label offset) is taken from gold. A
+    prediction that carries an ``answer`` must carry gold's, since its
+    offsets would otherwise be scored against a different text.
     """
     golds_by_id = {g.id: g for g in golds}
     missing = [p.id for p in preds if p.id not in golds_by_id]
@@ -118,6 +120,14 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
             + (f"; predictions without gold: {missing}" if missing else "")
             + (f"; gold without prediction: {extra}" if extra else ""),
             ids=missing + extra,
+        )
+
+    drifted = [
+        p.id for p in preds if p.answer is not None and p.answer != golds_by_id[p.id].answer
+    ]
+    if drifted:
+        raise EvaluationError(
+            f"prediction answer differs from gold answer: {drifted}", ids=drifted
         )
 
     per_item = []

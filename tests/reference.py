@@ -1,13 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is deliberately brute force and shares no code with the
-package: plain loops, recursion, and explicit formulas.
+package: plain loops, recursion, and explicit formulas. The one exception
+is ``reference_align``, the package's earlier full-table alignment, kept
+to pin the bit-parallel ``align`` to the same tie-break.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 
 def lcs_length(a: str, b: str) -> int:
@@ -20,6 +24,53 @@ def lcs_length(a: str, b: str) -> int:
             else:
                 rows[i][j] = max(rows[i - 1][j], rows[i][j - 1])
     return rows[len(a)][len(b)]
+
+
+def reference_align(clean: str, original: str) -> tuple[tuple[int | None, ...], float]:
+    """Full int32 score table, then traceback; returns (mapping, similarity).
+
+    Ties are broken preferring match, then substitution, then deleting a
+    character of ``clean``, then skipping a character of ``original``.
+    Memory is one int32 per cell.
+    """
+    m, n = len(clean), len(original)
+    if m == 0 and n == 0:
+        return (), 1.0
+    if m == 0 or n == 0:
+        return (None,) * m, 0.0
+
+    a = np.fromiter((ord(c) for c in clean), dtype=np.int64, count=m)
+    b = np.fromiter((ord(c) for c in original), dtype=np.int64, count=n)
+
+    score = np.zeros((m + 1, n + 1), dtype=np.int32)
+    for i in range(1, m + 1):
+        candidates = np.maximum(
+            score[i - 1, :-1] + (b == a[i - 1]),
+            score[i - 1, 1:],
+        )
+        np.maximum.accumulate(candidates, out=candidates)
+        score[i, 1:] = candidates
+
+    mapping: list[int | None] = [None] * m
+    i, j = m, n
+    while i > 0 and j > 0:
+        cur = score[i, j]
+        diag = score[i - 1, j - 1]
+        if a[i - 1] == b[j - 1] and cur == diag + 1:
+            mapping[i - 1] = j - 1
+            i -= 1
+            j -= 1
+        elif a[i - 1] != b[j - 1] and cur == diag:
+            mapping[i - 1] = j - 1
+            i -= 1
+            j -= 1
+        elif cur == score[i - 1, j]:
+            i -= 1
+        else:
+            j -= 1
+
+    similarity = float(score[m, n]) / float(max(m, n))
+    return tuple(mapping), similarity
 
 
 def best_alignment_matches(a: str, b: str) -> int:

@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallmark import align, parse_marked, project_spans, validate_run
+from hallmark.alignment import AlignmentResult
 from hallmark.marking import ParsedMarking
 from hallmark.core import SpanLabel
 
-from .reference import best_alignment_matches, lcs_length
+from .reference import best_alignment_matches, lcs_length, reference_align
 
 
 def assert_valid_alignment(clean, original, result):
@@ -150,3 +152,92 @@ class TestValidateRun:
         assert validate_run(Stub(), 0.7) is True
         Stub.similarity = 0.69
         assert validate_run(Stub(), 0.7) is False
+
+
+# Differential oracle: the bit-parallel ``align`` against the full-table DP
+# it replaced, which fixes the tie-break as well as the score.
+
+# Non-BMP letters and combining marks are one code point each, like any
+# other character.
+DRIFT_ALPHABET = "ab \u00e9e\u0301\U0001d518\U0001f600\u05d0"
+
+
+def drift(rng: random.Random, text: str, rate: float) -> str:
+    """Apply random substitutions, insertions and deletions to ``text``."""
+    out = []
+    for ch in text:
+        r = rng.random()
+        if r < rate / 3:
+            continue
+        if r < 2 * rate / 3:
+            out.append(rng.choice(DRIFT_ALPHABET))
+            continue
+        out.append(ch)
+        if r < rate:
+            out.append(rng.choice(DRIFT_ALPHABET))
+    return "".join(out)
+
+
+def assert_same_as_reference(clean, original):
+    assert align(clean, original) == AlignmentResult(*reference_align(clean, original))
+
+
+def test_matches_reference_exhaustively():
+    strings = ["".join(t) for n in range(5) for t in itertools.product("abc", repeat=n)]
+    for a, b in itertools.product(strings, strings):
+        assert_same_as_reference(a, b)
+
+
+@st.composite
+def drifted_pairs(draw):
+    original = draw(st.text(alphabet=DRIFT_ALPHABET, max_size=40))
+    chars = list(original)
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["sub", "ins", "del"]),
+                st.integers(0, 40),
+                st.sampled_from(DRIFT_ALPHABET),
+            ),
+            max_size=8,
+        )
+    )
+    for op, pos, ch in edits:
+        if op == "ins":
+            chars.insert(pos % (len(chars) + 1), ch)
+        elif chars and op == "sub":
+            chars[pos % len(chars)] = ch
+        elif chars:
+            del chars[pos % len(chars)]
+    return "".join(chars), original
+
+
+@given(drifted_pairs())
+@settings(max_examples=300)
+def test_matches_reference_on_drifted_pairs(pair):
+    clean, original = pair
+    assert_same_as_reference(clean, original)
+    assert_same_as_reference(original, clean)
+
+
+def long_drifted_pair(length: int = 5000) -> tuple[str, str]:
+    rng = random.Random(5000)
+    original = "".join(rng.choice("abcdefghij klmnop,." + DRIFT_ALPHABET) for _ in range(length))
+    return drift(rng, original, 0.05), original
+
+
+def test_matches_reference_on_long_drifted_pair():
+    assert_same_as_reference(*long_drifted_pair())
+
+
+def test_long_alignment_memory_bound():
+    # m*n bits for the score rows: about 3 MB at 5000 x 5000, where one
+    # int32 per cell took 100 MB
+    clean, original = long_drifted_pair()
+    tracemalloc.start()
+    try:
+        align(clean, original)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 1024 * 1024

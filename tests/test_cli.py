@@ -275,6 +275,22 @@ class TestEvaluateCommand:
         assert "extra" in capsys.readouterr().err
 
 
+    def test_answer_mismatch_exits_4(self, tmp_path, capsys):
+        cli.main(annotate_args(tmp_path))
+        gold_path = tmp_path / "gold.jsonl"
+        gold_from_predictions(tmp_path / "pred.jsonl", SAMPLE_ITEMS, gold_path)
+        lines = gold_path.read_text(encoding="utf-8").splitlines()
+        first = json.loads(lines[0])
+        first["model_output_text"] += " (edited)"
+        lines[0] = json.dumps(first, ensure_ascii=False)
+        gold_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = cli.main([
+            "evaluate", "--pred", str(tmp_path / "pred.jsonl"), "--gold", str(gold_path),
+        ])
+        assert code == 4
+        assert first["id"] in capsys.readouterr().err
+
+
 class TestInspectCommand:
     def annotate(self, tmp_path):
         cli.main(annotate_args(tmp_path))

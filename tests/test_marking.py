@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,12 @@ from hallmark import insert_markers, parse_marked
 from hallmark.errors import MarkerError
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_HALLUCINATED
+
+MARKER_LIKE_CASES = json.loads(
+    (Path(__file__).resolve().parent / "fixtures" / "marker_like_answers.json").read_text(
+        encoding="utf-8"
+    )
+)
 
 
 def covered_substrings(parsed):
@@ -67,6 +76,34 @@ def test_first_seen_alphabet_wins():
     parsed = parse_marked("«x» and ⟨⟨y⟩⟩")
     assert parsed.clean_text == "«x» and y"
     assert covered_substrings(parsed) == ["y"]
+
+
+def hallucinated_spans(case) -> list[tuple[int, int]]:
+    answer = case["answer"]
+    return [(answer.index(h), answer.index(h) + len(h)) for h in case["hallucinated"]]
+
+
+@pytest.mark.parametrize("case", MARKER_LIKE_CASES, ids=lambda c: c["id"])
+def test_marker_like_text_in_answer_stays_text(case):
+    # the annotator copies the answer verbatim and marks with ⟨⟨ ⟩⟩
+    marked = insert_markers(case["answer"], hallucinated_spans(case))
+    parsed = parse_marked(marked, case["answer"])
+    assert parsed.clean_text == case["answer"]
+    assert covered_substrings(parsed) == case["hallucinated"]
+
+
+def test_alphabet_absent_from_answer_still_parses():
+    answer = "Le roman « Les Misérables » est de Zola."
+    parsed = parse_marked("Le roman « Les Misérables » est de <<Zola>>.", answer)
+    assert parsed.clean_text == answer
+    assert covered_substrings(parsed) == ["Zola"]
+
+
+def test_every_alphabet_in_answer_means_no_markers():
+    answer = "⟨⟨a⟩⟩ «b» <<c>>"
+    parsed = parse_marked(answer, answer)
+    assert parsed.clean_text == answer
+    assert parsed.marked_spans == ()
 
 
 def test_adjacent_spans_stay_distinct():

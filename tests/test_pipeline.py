@@ -22,6 +22,7 @@ from hallmark.pipeline import PipelineConfig, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, swimmer_spans
+from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
 from .test_llm import FakeResponse, completion_payload
 
@@ -190,6 +191,18 @@ class TestAnnotateItem:
         hard_chars = spans_to_charset(record.hard_labels, n)
         strong_soft = [s for s in record.soft_labels if s.prob >= cfg.threshold]
         assert hard_chars <= spans_to_charset(strong_soft, n)
+
+    @pytest.mark.parametrize("case", MARKER_LIKE_CASES, ids=lambda c: c["id"])
+    def test_marker_like_answer_labels_only_marked_terms(self, case):
+        # « » and << in the answer itself are text, not markers: a verbatim
+        # copy is a valid run that labels nothing the annotator left unmarked
+        answer = case["answer"]
+        rule = MarkingRule(answer, tuple(hallucinated_spans(case)))
+        llm, svc = service(MockProvider(rules=[rule]))
+        item = QAItem(id=case["id"], lang=case["lang"], question="q", answer=answer)
+        record = annotate_item(item, config(use_roles=False, runs_n=3), llm, svc)
+        assert record.runs_used == 3
+        assert [answer[s.start : s.end] for s in record.hard_labels] == case["hallucinated"]
 
     def test_null_content_rejects_one_run(self, tmp_path, monkeypatch):
         # an OpenAI-compatible endpoint may answer ``"content": null`` (a

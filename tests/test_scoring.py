@@ -201,6 +201,22 @@ class TestEvaluate:
         assert "a" in excinfo.value.ids
         assert "b" in excinfo.value.ids
 
+    def test_prediction_answer_differing_from_gold_is_refused(self):
+        same = PredictionRecord("a", "EN", (), (), 12, answer="xyz")
+        drifted = PredictionRecord("b", "EN", (SpanLabel(0, 2),), (), 12, answer="xy z")
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate([same, drifted], [gold("a", "EN", "xyz"), gold("b", "EN", "xyz")])
+        assert excinfo.value.ids == ["b"]
+        assert "b" in str(excinfo.value)
+
+    def test_prediction_with_gold_answer_or_none_is_scored(self):
+        same = PredictionRecord("a", "EN", (SpanLabel(0, 2),), (), 12, answer="xyz")
+        report = evaluate(
+            [same, pred("b", "EN", [(0, 2)])],
+            [gold("a", "EN", "xyz", hard=[(0, 2)]), gold("b", "EN", "xyz", hard=[(0, 2)])],
+        )
+        assert [s.iou for s in report.per_item] == [1.0, 1.0]
+
     def test_three_language_means_match_recount(self):
         rng = random.Random(5)
         preds, golds = [], []
