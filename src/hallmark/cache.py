@@ -40,10 +40,8 @@ class JsonFileCache:
         try:
             with path.open("r", encoding="utf-8") as fh:
                 return json.load(fh)
-        except FileNotFoundError:
-            return None
-        except json.JSONDecodeError:
-            return None  # truncated write from a killed process; treat as miss
+        except (FileNotFoundError, json.JSONDecodeError):
+            return None  # a missing entry, or a truncated write from a killed process
 
     def put(self, key: str, value: dict[str, Any]) -> None:
         path = self._path(key)

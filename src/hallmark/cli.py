@@ -144,22 +144,24 @@ def _provider_config(args: argparse.Namespace, file_cfg: dict) -> ProviderConfig
 def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: ProviderConfig) -> PipelineConfig:
     values: dict = {}
     for key, cast in CONFIG_KEYS.items():
-        if key in file_cfg:
+        if key not in file_cfg:
+            continue
+        if cast is bool and not isinstance(file_cfg[key], bool):  # bool("false") is True
+            raise ConfigError(f"config key {key!r} must be true or false")
+        try:
             values[key] = cast(file_cfg[key])
-    if args.model is not None:
-        values["model"] = args.model
-    if args.runs is not None:
-        values["runs_n"] = args.runs
-    if args.threshold is not None:
-        values["threshold"] = args.threshold
-    if args.min_similarity is not None:
-        values["min_similarity"] = args.min_similarity
-    if args.no_roles:
-        values["use_roles"] = False
-    if args.no_external:
-        values["use_external"] = False
-    if args.max_parallel is not None:
-        values["max_parallel_items"] = args.max_parallel
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {key!r}: {exc}") from exc
+    flags = {
+        "model": args.model,
+        "runs_n": args.runs,
+        "threshold": args.threshold,
+        "min_similarity": args.min_similarity,
+        "use_roles": False if args.no_roles else None,
+        "use_external": False if args.no_external else None,
+        "max_parallel_items": args.max_parallel,
+    }
+    values.update((key, value) for key, value in flags.items() if value is not None)
     values.setdefault("model", "mock-model" if provider.name == "mock" else None)
     if values["model"] is None:
         raise ConfigError("a model name is required (--model or config file)")
@@ -188,8 +190,11 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
 def cmd_annotate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     validate_templates()
-    provider_cfg = _provider_config(args, file_cfg)
-    cfg = _pipeline_config(args, file_cfg, provider_cfg)
+    try:  # casts and the config classes' own checks
+        provider_cfg = _provider_config(args, file_cfg)
+        cfg = _pipeline_config(args, file_cfg, provider_cfg)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid setting: {exc}") from exc
 
     items = read_items(args.input)
     cache_dir = args.cache_dir or file_cfg.get("cache_dir") or DEFAULT_CACHE_DIR

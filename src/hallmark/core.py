@@ -41,9 +41,6 @@ class SpanLabel:
         if self.prob is not None and not 0.0 <= self.prob <= 1.0:
             raise SpanError(f"span probability {self.prob} outside [0, 1]")
 
-    def without_prob(self) -> "SpanLabel":
-        return SpanLabel(self.start, self.end)
-
 
 def validate_spans(spans: Sequence[SpanLabel], length: int | None = None) -> None:
     """Check that spans are sorted, pairwise non-overlapping and in range.

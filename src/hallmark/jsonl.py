@@ -32,9 +32,13 @@ def _iter_records(path: str | Path) -> Iterable[tuple[int, dict]]:
             yield line_no, obj
 
 
-def _require(obj: dict, key: str, path: str | Path, line_no: int) -> Any:
+def _require(obj: dict, key: str, path: str | Path, line_no: int, kind: type | None = None) -> Any:
+    """``obj[key]``; with ``kind`` (str or int) it must be exactly that JSON type."""
     if key not in obj:
         raise SchemaError(str(path), line_no, f"missing required key {key!r}")
+    if kind is not None and type(obj[key]) is not kind:  # a bool is no int here
+        reason = f"{key!r} must be {kind.__name__}, got {json.dumps(obj[key])}"
+        raise SchemaError(str(path), line_no, reason)
     return obj[key]
 
 
@@ -62,8 +66,8 @@ def read_items(path: str | Path) -> list[QAItem]:
             QAItem(
                 id=str(_require(obj, "id", path, line_no)),
                 lang=str(_require(obj, "lang", path, line_no)),
-                question=str(_require(obj, "model_input", path, line_no)),
-                answer=str(_require(obj, "model_output_text", path, line_no)),
+                question=_require(obj, "model_input", path, line_no, str),
+                answer=_require(obj, "model_output_text", path, line_no, str),
             )
         )
     return items
@@ -77,7 +81,7 @@ def read_gold(path: str | Path) -> list[GoldRecord]:
             GoldRecord(
                 id=str(_require(obj, "id", path, line_no)),
                 lang=str(_require(obj, "lang", path, line_no)),
-                answer=str(_require(obj, "model_output_text", path, line_no)),
+                answer=_require(obj, "model_output_text", path, line_no, str),
                 hard_labels=_parse_hard_labels(obj.get("hard_labels", []), path, line_no),
                 soft_labels=_parse_soft_labels(obj.get("soft_labels", []), path, line_no),
             )
@@ -100,8 +104,8 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
                 soft_labels=_parse_soft_labels(
                     _require(obj, "soft_labels", path, line_no), path, line_no
                 ),
-                runs_used=int(obj.get("runs_used", 0)),
-                answer=str(answer) if answer is not None else None,
+                runs_used=_require(obj, "runs_used", path, line_no, int) if "runs_used" in obj else 0,
+                answer=None if answer is None else _require(obj, "model_output_text", path, line_no, str),
             )
         )
     return records

@@ -27,6 +27,11 @@ logger = logging.getLogger(__name__)
 
 KNOWLEDGE_TEMPERATURE = 0.0  # knowledge-chain calls should be reproducible
 KNOWLEDGE_MAX_TOKENS = 1024
+JSON_ATTEMPTS = 2  # tries per JSON-producing prompt, each with its own seed tag
+MAX_RAW_CHARS = 8000  # Wikipedia extract kept, and part of its cache key
+FALLBACK_CHARS = 2000  # raw text used when summarization does not parse
+WIKIPEDIA_TIMEOUT_S = 30.0
+WIKIPEDIA_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -58,26 +63,22 @@ class WikipediaClient:
     def __init__(
         self,
         session: requests.Session | None = None,
-        timeout: float = 30.0,
-        retries: int = 2,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self._session = session or requests.Session()
-        self._timeout = timeout
-        self._retries = retries
         self._sleep = sleep
 
     def _get_json(self, url: str, params: dict) -> dict:
         last_exc: Exception | None = None
-        for attempt in range(self._retries + 1):
+        for attempt in range(WIKIPEDIA_RETRIES + 1):
             try:
-                response = self._session.get(url, params=params, timeout=self._timeout)
+                response = self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S)
                 if response.status_code != 200:
                     raise ValueError(f"HTTP {response.status_code}")
                 return response.json()
             except (requests.RequestException, ValueError) as exc:
                 last_exc = exc
-                if attempt < self._retries:
+                if attempt < WIKIPEDIA_RETRIES:
                     self._sleep(1.0 * (attempt + 1))
         raise KnowledgeError(f"wikipedia request failed: {last_exc}")
 
@@ -137,17 +138,11 @@ class KnowledgeService:
         wiki: WikipediaClient | None,
         model: str,
         cache: JsonFileCache | None = None,
-        max_raw_chars: int = 8000,
-        fallback_chars: int = 2000,
-        json_attempts: int = 2,
     ):
         self.llm = llm
         self.wiki = wiki
         self.model = model
         self.cache = cache
-        self.max_raw_chars = max_raw_chars
-        self.fallback_chars = fallback_chars
-        self.json_attempts = json_attempts
         self._roles_template = load_template("assign_roles")
         self._keyword_template = load_template("extract_keyword")
         self._summary_template = load_template("summarize_knowledge")
@@ -174,7 +169,7 @@ class KnowledgeService:
             {"lang": item.lang, "question": item.question, "answer": item.answer},
         )
         roles: list[str] | None = None
-        for attempt in range(self.json_attempts):
+        for attempt in range(JSON_ATTEMPTS):
             try:
                 reply = self._complete(prompt, seed_tag=f"roles-attempt-{attempt}")
             except AuthError:
@@ -223,7 +218,7 @@ class KnowledgeService:
             raise KnowledgeError("empty keyword")
         if self.wiki is None:
             raise KnowledgeError("no wikipedia client configured")
-        payload = {"keyword": keyword, "lang": lang, "max_chars": self.max_raw_chars}
+        payload = {"keyword": keyword, "lang": lang, "max_chars": MAX_RAW_CHARS}
         key = make_key("fetch_wikipedia", payload)
         hit = self.cache.get(key) if self.cache is not None else None
         if hit is not None:
@@ -239,7 +234,7 @@ class KnowledgeService:
             extract = self.wiki.fetch_extract(title, wiki_lang)
             if not extract:
                 continue
-            text = extract[: self.max_raw_chars]
+            text = extract[:MAX_RAW_CHARS]
             provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
             if self.cache is not None:
                 self.cache.put(key, {"text": text, "provenance": provenance})
@@ -264,7 +259,7 @@ class KnowledgeService:
             },
         )
         refined: str | None = None
-        for attempt in range(self.json_attempts):
+        for attempt in range(JSON_ATTEMPTS):
             reply = self._complete(prompt, seed_tag=f"summary-attempt-{attempt}")
             try:
                 obj = _extract_json(reply)
@@ -277,7 +272,7 @@ class KnowledgeService:
                 continue
         if refined is None:
             logger.warning("item %s: summarization failed, using truncated raw text", item.id)
-            refined = raw[: self.fallback_chars]
+            refined = raw[:FALLBACK_CHARS]
         return refined
 
     def build_bundle(self, item: QAItem, use_roles: bool = True, use_external: bool = True) -> KnowledgeBundle:

@@ -24,6 +24,8 @@ from .marking import insert_markers
 
 logger = logging.getLogger(__name__)
 
+PROVIDER_TIMEOUT_S = 120.0  # per chat-completion request
+
 
 class TransientProviderError(ProviderError):
     """Retryable failure: rate limit, server error, or network trouble."""
@@ -104,12 +106,7 @@ class RateLimiter:
 class OpenAIChatProvider:
     """POSTs to ``{base_url}/chat/completions`` with bearer auth."""
 
-    def __init__(
-        self,
-        cfg: ProviderConfig,
-        session: requests.Session | None = None,
-        timeout: float = 120.0,
-    ):
+    def __init__(self, cfg: ProviderConfig, session: requests.Session | None = None):
         if not cfg.api_key_env:
             raise AuthError(f"provider {cfg.name!r} has no api_key_env configured")
         api_key = os.environ.get(cfg.api_key_env)
@@ -122,7 +119,6 @@ class OpenAIChatProvider:
             "Content-Type": "application/json",
         }
         self._session = session or requests.Session()
-        self._timeout = timeout
 
     def send(self, req: CompletionRequest) -> str:
         messages = []
@@ -137,7 +133,7 @@ class OpenAIChatProvider:
         }
         try:
             response = self._session.post(
-                self._url, json=body, headers=self._headers, timeout=self._timeout
+                self._url, json=body, headers=self._headers, timeout=PROVIDER_TIMEOUT_S
             )
         except requests.RequestException as exc:
             raise TransientProviderError(f"network error calling {self.name}: {exc}") from exc

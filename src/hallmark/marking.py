@@ -5,7 +5,9 @@ angle brackets. Three delimiter alphabets are accepted because models
 substitute typographic variants; the first alphabet that occurs in the
 text is used for the whole text, so variants never mix. An alphabet whose
 open or close token already occurs in the original answer is never used,
-so a verbatim copy of a French title in « » or of C++ ``<<`` stays text.
+so a verbatim copy of a French title in « » or of C++ ``<<`` stays text;
+a reply that adds such tokens and uses no other alphabet is rejected,
+since its marks cannot be told from the answer's own text.
 """
 
 from __future__ import annotations
@@ -35,11 +37,15 @@ class ParsedMarking:
 
 
 def _pick_alphabet(marked: str, original: str) -> tuple[str, str] | None:
+    adds_skipped = False  # the reply holds more of a skipped token than the answer
     for open_tok, close_tok in DELIMITER_ALPHABETS:
         if open_tok in original or close_tok in original:
+            adds_skipped |= any(marked.count(t) > original.count(t) for t in (open_tok, close_tok))
             continue
         if open_tok in marked or close_tok in marked:
             return open_tok, close_tok
+    if adds_skipped:
+        raise MarkerError("reply adds marker tokens that the answer itself contains")
     return None
 
 
@@ -49,8 +55,8 @@ def parse_marked(marked: str, original: str = "") -> ParsedMarking:
     ``original`` is the answer the annotator rewrote; alphabets whose
     tokens occur in it are treated as text. Spans are expressed over the
     returned clean text. Empty marked regions are dropped. Raises
-    MarkerError on unbalanced or nested delimiters; the caller discards
-    the single run, not the item.
+    MarkerError on unbalanced or nested delimiters, or on added tokens of
+    a skipped alphabet; the caller discards the single run, not the item.
     """
     alphabet = _pick_alphabet(marked, original)
     if alphabet is None:

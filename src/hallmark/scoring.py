@@ -11,10 +11,10 @@ labeled ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from statistics import correlation
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .core import GoldRecord, PredictionRecord, SpanLabel, spans_to_charset
 from .errors import EvaluationError, SpanError
@@ -30,11 +30,14 @@ def iou(pred: Sequence[SpanLabel], gold: Sequence[SpanLabel], length: int) -> fl
     return len(pred_chars & gold_chars) / len(union)
 
 
-def average_ranks(values: np.ndarray) -> np.ndarray:
+def average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks, each tie group given the mean of its first and last rank."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    last = np.cumsum(counts)
-    return ((last - counts + 1 + last) / 2.0)[inverse]
+    counts = Counter(values)
+    rank_of, below = {}, 0
+    for value in sorted(counts):
+        rank_of[value] = below + (counts[value] + 1) / 2
+        below += counts[value]
+    return [rank_of[v] for v in values]
 
 
 def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
@@ -46,19 +49,17 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(pred)} vs {len(gold)}")
     if len(pred) == 0:
         return 1.0
-    a = np.asarray(pred, dtype=np.float64)
-    b = np.asarray(gold, dtype=np.float64)
-    a_const = bool(np.all(a == a[0]))
-    b_const = bool(np.all(b == b[0]))
+    a_const = min(pred) == max(pred)
+    b_const = min(gold) == max(gold)
     if a_const and b_const:
         return 1.0
     if a_const or b_const:
         return 0.0
-    ranks_a = average_ranks(a)
-    ranks_b = average_ranks(b)
-    if np.array_equal(ranks_a, ranks_b):
+    ranks_a = average_ranks(pred)
+    ranks_b = average_ranks(gold)
+    if ranks_a == ranks_b:
         return 1.0  # monotone-equivalent inputs correlate exactly
-    return float(np.corrcoef(ranks_a, ranks_b)[0, 1])
+    return correlation(ranks_a, ranks_b)
 
 
 def expand_soft(labels: Sequence[SpanLabel], length: int) -> list[float]:
@@ -108,8 +109,14 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
     Prediction and gold files must cover exactly the same item ids; the
     answer text (and therefore every label offset) is taken from gold. A
     prediction that carries an ``answer`` must carry gold's, since its
-    offsets would otherwise be scored against a different text.
+    offsets would otherwise be scored against a different text. Each id
+    may occur at most once per side.
     """
+    for side, records in (("prediction", preds), ("gold", golds)):
+        counts = Counter(r.id for r in records)
+        duplicated = [i for i, n in counts.items() if n > 1]
+        if duplicated:
+            raise EvaluationError(f"duplicated {side} ids: {duplicated}", ids=duplicated)
     golds_by_id = {g.id: g for g in golds}
     missing = [p.id for p in preds if p.id not in golds_by_id]
     pred_ids = {p.id for p in preds}
@@ -188,15 +195,7 @@ def render_table(report: EvalReport) -> str:
         rows.append((lang, f"{s.mean_iou:.4f}", f"{s.mean_cor:.4f}", str(s.n)))
     rows.append(("ALL", f"{report.overall.mean_iou:.4f}", f"{report.overall.mean_cor:.4f}", str(report.overall.n)))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
-    lines = []
-    for row in rows:
-        lines.append(
-            row[0].ljust(widths[0])
-            + "  "
-            + row[1].rjust(widths[1])
-            + "  "
-            + row[2].rjust(widths[2])
-            + "  "
-            + row[3].rjust(widths[3])
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])
+        for row in rows
+    )

@@ -241,6 +241,33 @@ class TestAnnotateCommand:
         for record in read_predictions(tmp_path / "pred.jsonl"):
             assert record.runs_used == 2  # CLI flag beats config file
 
+    @pytest.mark.parametrize(
+        "extra, config",
+        [
+            (["--runs", "0"], None),
+            (["--threshold", "2"], None),
+            ([], {"runs_n": "x"}),
+            ([], {"use_external": "false"}),
+            ([], {"use_roles": 0}),
+            ([], {"provider": {"name": "mock", "requests_per_minute": 0}}),
+            ([], {"provider": {"name": "mock", "max_retries": None}}),
+        ],
+        ids=[
+            "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
+            "rpm-0", "retries-null",
+        ],
+    )
+    def test_invalid_setting_exits_1_with_error_line(self, tmp_path, capsys, extra, config):
+        if config is not None:
+            path = tmp_path / "conf.json"
+            path.write_text(json.dumps(config), encoding="utf-8")
+            extra = [*extra, "--config", str(path)]
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", *extra)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred.jsonl").exists()
+
 
 class TestEvaluateCommand:
     def test_self_comparison_all_ones(self, tmp_path, capsys):
@@ -273,6 +300,18 @@ class TestEvaluateCommand:
         ])
         assert code == 4
         assert "extra" in capsys.readouterr().err
+
+    def test_duplicated_prediction_id_exits_4(self, tmp_path, capsys):
+        cli.main(annotate_args(tmp_path))
+        gold_path = tmp_path / "gold.jsonl"
+        gold_from_predictions(tmp_path / "pred.jsonl", SAMPLE_ITEMS, gold_path)
+        pred_path = tmp_path / "pred.jsonl"
+        first = pred_path.read_text(encoding="utf-8").splitlines()[0]
+        with open(pred_path, "a", encoding="utf-8") as fh:
+            fh.write(first + "\n")
+        code = cli.main(["evaluate", "--pred", str(pred_path), "--gold", str(gold_path)])
+        assert code == 4
+        assert "duplicated prediction ids" in capsys.readouterr().err
 
 
     def test_answer_mismatch_exits_4(self, tmp_path, capsys):

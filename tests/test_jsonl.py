@@ -57,6 +57,17 @@ class TestReadItems:
         assert "model_output_text" in str(excinfo.value)
 
 
+    @pytest.mark.parametrize("key", ["model_input", "model_output_text"])
+    @pytest.mark.parametrize("value", [None, 42])
+    def test_text_fields_must_be_strings(self, tmp_path, key, value):
+        path = tmp_path / "items.jsonl"
+        obj = {"id": "a", "lang": "EN", "model_input": "q", "model_output_text": "x"}
+        write_lines(path, [json.dumps({**obj, "id": "b"}), json.dumps({**obj, key: value})])
+        with pytest.raises(SchemaError) as excinfo:
+            read_items(path)
+        assert excinfo.value.line_no == 2
+        assert f"items.jsonl:2: {key!r} must be str, got {json.dumps(value)}" in str(excinfo.value)
+
 class TestWritePredictions:
     def test_wire_format(self, tmp_path):
         record = PredictionRecord(
@@ -101,6 +112,24 @@ class TestWritePredictions:
             read_predictions(path)
         assert "soft_labels" in str(excinfo.value)
 
+    @pytest.mark.parametrize("value", [None, "12", 1.5, True])
+    def test_runs_used_must_be_a_count(self, tmp_path, value):
+        path = tmp_path / "pred.jsonl"
+        obj = {"id": "a", "lang": "EN", "hard_labels": [], "soft_labels": [], "runs_used": value}
+        write_lines(path, [json.dumps(obj)])
+        with pytest.raises(SchemaError) as excinfo:
+            read_predictions(path)
+        assert "pred.jsonl:1: 'runs_used' must be int" in str(excinfo.value)
+
+    def test_prediction_answer_must_be_a_string_when_present(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        obj = {"id": "a", "lang": "EN", "hard_labels": [], "soft_labels": []}
+        write_lines(path, [json.dumps({**obj, "model_output_text": None})])
+        assert read_predictions(path)[0].answer is None
+        write_lines(path, [json.dumps({**obj, "model_output_text": 7})])
+        with pytest.raises(SchemaError):
+            read_predictions(path)
+
 
 class TestReadGold:
     def test_parses_labels(self, tmp_path):
@@ -124,6 +153,13 @@ class TestReadGold:
         gold = read_gold(path)[0]
         assert gold.hard_labels == ()
         assert gold.soft_labels == ()
+
+    def test_null_answer_is_refused(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        write_lines(path, ['{"id":"g1","lang":"EN","model_output_text":null}'])
+        with pytest.raises(SchemaError) as excinfo:
+            read_gold(path)
+        assert "gold.jsonl:1: 'model_output_text' must be str, got null" in str(excinfo.value)
 
     def test_malformed_hard_labels(self, tmp_path):
         path = tmp_path / "gold.jsonl"

@@ -40,10 +40,10 @@ def keyword_prompt(item):
     return render(load_template("extract_keyword"), {"question": item.question})
 
 
-def service_with_script(script, item, wiki=None, cache=None, **kwargs):
+def service_with_script(script, item, wiki=None, cache=None):
     provider = MockProvider(script=script, knowledge_defaults=False, strict=True)
     client = LLMClient(provider, cache=cache, sleep=lambda _: None)
-    return KnowledgeService(client, wiki, "m", cache=cache, **kwargs), provider
+    return KnowledgeService(client, wiki, "m", cache=cache), provider
 
 
 class TestAssignRoles:

@@ -99,6 +99,31 @@ def test_alphabet_absent_from_answer_still_parses():
     assert covered_substrings(parsed) == ["Zola"]
 
 
+@pytest.mark.parametrize(
+    "answer, marked",
+    [
+        (
+            "Le roman « Les Misérables » est de Hugo.",
+            "Le roman « Les Misérables » est de «Hugo».",
+        ),
+        (
+            "La novela «Cien años de soledad» se publicó en 1982.",
+            "La novela «Cien años de soledad» se publicó en «1982».",
+        ),
+        (
+            "In C++, std::cout << x; writes x to standard error.",
+            "In C++, std::cout << x; writes x to <<standard error>>.",
+        ),
+    ],
+    ids=["fr", "es", "cpp"],
+)
+def test_marking_with_the_answers_own_alphabet_is_rejected(answer, marked):
+    # the added tokens cannot be told from the answer's own, so the run is
+    # rejected rather than read as an unmarked copy
+    with pytest.raises(MarkerError):
+        parse_marked(marked, answer)
+
+
 def test_every_alphabet_in_answer_means_no_markers():
     answer = "⟨⟨a⟩⟩ «b» <<c>>"
     parsed = parse_marked(answer, answer)

@@ -204,6 +204,24 @@ class TestAnnotateItem:
         assert record.runs_used == 3
         assert [answer[s.start : s.end] for s in record.hard_labels] == case["hallucinated"]
 
+    def test_marking_with_the_answers_own_alphabet_rejects_the_run(self):
+        # run-0 marks with the « » the answer already holds: that run is
+        # rejected and leaves the vote denominator
+        answer = "Le roman « Les Misérables » est de Hugo."
+
+        class GuillemetsOnFirstRun:
+            name = "scripted"
+
+            def send(self, req):
+                marks = ("«", "»") if req.seed_tag == "run-0" else ("⟨⟨", "⟩⟩")
+                return answer.replace("Hugo", "Hugo".join(marks))
+
+        llm, svc = service(GuillemetsOnFirstRun())
+        item = QAItem(id="fr", lang="FR", question="q", answer=answer)
+        record = annotate_item(item, config(use_roles=False, runs_n=3), llm, svc)
+        assert record.runs_used == 2
+        assert [(answer[s.start : s.end], s.prob) for s in record.soft_labels] == [("Hugo", 1.0)]
+
     def test_null_content_rejects_one_run(self, tmp_path, monkeypatch):
         # an OpenAI-compatible endpoint may answer ``"content": null`` (a
         # refusal or a content filter); that run is rejected, uncached

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,18 +124,17 @@ def test_spearman_invariant_under_monotone_transform(values):
 @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=40))
 @settings(max_examples=200)
 def test_tied_ranks_match_reference_exactly(values):
-    ranks = tied_ranks(np.asarray(values, dtype=np.float64))
-    assert ranks.tolist() == average_ranks(values)
+    assert tied_ranks(values) == average_ranks(values)
 
 
 def test_import_leaves_scipy_out():
-    code = "import sys, hallmark; print('scipy' in sys.modules)"
+    code = "import sys, hallmark; print('scipy' in sys.modules, 'numpy' in sys.modules)"
     src = str(Path(hallmark.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestExpandSoft:
@@ -200,6 +198,24 @@ class TestEvaluate:
             evaluate([pred("a", "EN")], [gold("b", "EN", "xyz")])
         assert "a" in excinfo.value.ids
         assert "b" in excinfo.value.ids
+
+    def test_duplicated_prediction_id_is_refused(self):
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(
+                [pred("a", "EN"), pred("a", "EN"), pred("b", "EN")],
+                [gold("a", "EN", "xyz"), gold("b", "EN", "xyz")],
+            )
+        assert excinfo.value.ids == ["a"]
+        assert "duplicated prediction ids" in str(excinfo.value)
+
+    def test_duplicated_gold_id_is_refused(self):
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(
+                [pred("a", "EN"), pred("b", "EN")],
+                [gold("a", "EN", "xyz"), gold("b", "EN", "xyz"), gold("b", "EN", "abc")],
+            )
+        assert excinfo.value.ids == ["b"]
+        assert "duplicated gold ids" in str(excinfo.value)
 
     def test_prediction_answer_differing_from_gold_is_refused(self):
         same = PredictionRecord("a", "EN", (), (), 12, answer="xyz")
