@@ -170,20 +170,23 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: Provide
 
 def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
     fixture: dict = {}
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            fixture = json.load(fh)
     rules = []
-    for item in items:
-        entry = fixture.get(item.id, {})
-        spans = tuple((int(s), int(e)) for s, e in entry.get("spans", []))
-        per_run = entry.get("per_run")
-        if per_run is not None:
-            per_run = {
-                tag: tuple((int(s), int(e)) for s, e in spans_list)
-                for tag, spans_list in per_run.items()
-            }
-        rules.append(MarkingRule(answer=item.answer, spans=spans, per_run=per_run))
+    try:  # malformed JSON, or a fixture of the wrong shape
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                fixture = json.load(fh)
+        for item in items:
+            entry = fixture.get(item.id, {})
+            spans = tuple((int(s), int(e)) for s, e in entry.get("spans", []))
+            per_run = entry.get("per_run")
+            if per_run is not None:
+                per_run = {
+                    tag: tuple((int(s), int(e)) for s, e in spans_list)
+                    for tag, spans_list in per_run.items()
+                }
+            rules.append(MarkingRule(answer=item.answer, spans=spans, per_run=per_run))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad mock fixture {path}: {exc}") from exc
     return rules
 
 
@@ -195,6 +198,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         cfg = _pipeline_config(args, file_cfg, provider_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid setting: {exc}") from exc
+    if not isinstance(file_cfg.get("cache_dir", ""), str):
+        raise ConfigError("config key 'cache_dir' must be a string")
 
     items = read_items(args.input)
     cache_dir = args.cache_dir or file_cfg.get("cache_dir") or DEFAULT_CACHE_DIR

@@ -42,18 +42,12 @@ class SpanLabel:
             raise SpanError(f"span probability {self.prob} outside [0, 1]")
 
 
-def validate_spans(spans: Sequence[SpanLabel], length: int | None = None) -> None:
-    """Check that spans are sorted, pairwise non-overlapping and in range.
-
-    ``length`` is the length of the text the spans refer to; pass None to
-    skip the range check.
-    """
+def validate_spans(spans: Sequence[SpanLabel]) -> None:
+    """Check that spans are sorted and pairwise non-overlapping."""
     prev_end = 0
     for span in spans:
         if span.start < prev_end:
             raise SpanError(f"span [{span.start}, {span.end}) overlaps or is out of order")
-        if length is not None and span.end > length:
-            raise SpanError(f"span [{span.start}, {span.end}) exceeds text length {length}")
         prev_end = span.end
 
 

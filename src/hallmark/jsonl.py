@@ -64,8 +64,8 @@ def read_items(path: str | Path) -> list[QAItem]:
     for line_no, obj in _iter_records(path):
         items.append(
             QAItem(
-                id=str(_require(obj, "id", path, line_no)),
-                lang=str(_require(obj, "lang", path, line_no)),
+                id=_require(obj, "id", path, line_no, str),
+                lang=_require(obj, "lang", path, line_no, str),
                 question=_require(obj, "model_input", path, line_no, str),
                 answer=_require(obj, "model_output_text", path, line_no, str),
             )
@@ -79,8 +79,8 @@ def read_gold(path: str | Path) -> list[GoldRecord]:
     for line_no, obj in _iter_records(path):
         records.append(
             GoldRecord(
-                id=str(_require(obj, "id", path, line_no)),
-                lang=str(_require(obj, "lang", path, line_no)),
+                id=_require(obj, "id", path, line_no, str),
+                lang=_require(obj, "lang", path, line_no, str),
                 answer=_require(obj, "model_output_text", path, line_no, str),
                 hard_labels=_parse_hard_labels(obj.get("hard_labels", []), path, line_no),
                 soft_labels=_parse_soft_labels(obj.get("soft_labels", []), path, line_no),
@@ -96,8 +96,8 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
         answer = obj.get("model_output_text")
         records.append(
             PredictionRecord(
-                id=str(_require(obj, "id", path, line_no)),
-                lang=str(_require(obj, "lang", path, line_no)),
+                id=_require(obj, "id", path, line_no, str),
+                lang=_require(obj, "lang", path, line_no, str),
                 hard_labels=_parse_hard_labels(
                     _require(obj, "hard_labels", path, line_no), path, line_no
                 ),

@@ -42,16 +42,9 @@ class CompletionRequest:
 
     model: str
     user_prompt: str
-    system_prompt: str | None = None
     temperature: float = 1.0
     max_tokens: int = 2048
     seed_tag: str = ""
-
-    def __post_init__(self) -> None:
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.max_tokens <= 0:
-            raise ValueError("max_tokens must be > 0")
 
 
 @dataclass(frozen=True)
@@ -121,13 +114,9 @@ class OpenAIChatProvider:
         self._session = session or requests.Session()
 
     def send(self, req: CompletionRequest) -> str:
-        messages = []
-        if req.system_prompt:
-            messages.append({"role": "system", "content": req.system_prompt})
-        messages.append({"role": "user", "content": req.user_prompt})
         body = {
             "model": req.model,
-            "messages": messages,
+            "messages": [{"role": "user", "content": req.user_prompt}],
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
@@ -185,8 +174,8 @@ class MockProvider:
     the knowledge prompts, then marking rules. A rule matches when its
     answer text occurs in the prompt; the rule with the rightmost
     occurrence wins, because the item under annotation appears after any
-    worked example embedded in the prompt. Unmatched prompts raise
-    MockError in strict mode.
+    worked example embedded in the prompt. Unmatched prompts get
+    ``default_reply``, or raise MockError when it is None.
     """
 
     name = "mock"
@@ -195,21 +184,13 @@ class MockProvider:
         self,
         script: Mapping[str, str] | None = None,
         rules: Sequence[MarkingRule] = (),
-        strict: bool = True,
         default_reply: str | None = None,
-        knowledge_defaults: bool = True,
         roles_reply: Sequence[str] = ("fact-checking expert", "reference librarian"),
-        keyword_reply: str = "mock keyword",
-        summary_reply: str = "mock refined knowledge",
     ):
         self.script = dict(script or {})
         self.rules = tuple(rules)
-        self.strict = strict
         self.default_reply = default_reply
-        self.knowledge_defaults = knowledge_defaults
         self.roles_reply = tuple(roles_reply)
-        self.keyword_reply = keyword_reply
-        self.summary_reply = summary_reply
         self.calls: list[CompletionRequest] = []
         self._lock = threading.Lock()
 
@@ -224,19 +205,15 @@ class MockProvider:
         if req.user_prompt in self.script:
             return self.script[req.user_prompt]
 
-        if self.knowledge_defaults:
-            if _ROLES_PHRASE in req.user_prompt:
-                return json.dumps(
-                    {"Identities": list(self.roles_reply), "Reason": "scripted"},
-                    ensure_ascii=False,
-                )
-            if _KEYWORD_PHRASE in req.user_prompt:
-                return f"Keyword: {self.keyword_reply}"
-            if _SUMMARY_PHRASE in req.user_prompt:
-                return json.dumps(
-                    {"Knowledge": self.summary_reply, "Reason": "scripted"},
-                    ensure_ascii=False,
-                )
+        if _ROLES_PHRASE in req.user_prompt:
+            return json.dumps(
+                {"Identities": list(self.roles_reply), "Reason": "scripted"},
+                ensure_ascii=False,
+            )
+        if _KEYWORD_PHRASE in req.user_prompt:
+            return "Keyword: mock keyword"
+        if _SUMMARY_PHRASE in req.user_prompt:
+            return '{"Knowledge": "mock refined knowledge", "Reason": "scripted"}'
 
         best: MarkingRule | None = None
         best_pos = -1
@@ -250,11 +227,9 @@ class MockProvider:
         if best is not None:
             return insert_markers(best.answer, best.spans_for(req.seed_tag))
 
-        if self.default_reply is not None:
-            return self.default_reply
-        if self.strict:
+        if self.default_reply is None:
             raise MockError(f"no scripted reply for prompt: {req.user_prompt[:80]!r}...")
-        return ""
+        return self.default_reply
 
 
 class LLMClient:
@@ -283,7 +258,7 @@ class LLMClient:
             {
                 "provider": self.provider.name,
                 "model": req.model,
-                "system_prompt": req.system_prompt,
+                "system_prompt": None,  # a removed field; kept so existing caches still hit
                 "user_prompt": req.user_prompt,
                 "temperature": req.temperature,
                 "max_tokens": req.max_tokens,
@@ -318,6 +293,6 @@ class LLMClient:
 
         if not isinstance(text, str):
             raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
-        if self.cache is not None and key is not None:
+        if self.cache is not None:
             self.cache.put(key, {"text": text})
         return text

@@ -95,13 +95,8 @@ def parse_marked(marked: str, original: str = "") -> ParsedMarking:
     return ParsedMarking("".join(pieces), tuple(spans))
 
 
-def insert_markers(
-    text: str,
-    spans: Sequence[SpanLabel] | Sequence[tuple[int, int]],
-    open_tok: str = OPEN_MARKER,
-    close_tok: str = CLOSE_MARKER,
-) -> str:
-    """Render ``text`` with the given spans wrapped in marker delimiters.
+def insert_markers(text: str, spans: Sequence[SpanLabel] | Sequence[tuple[int, int]]) -> str:
+    """Render ``text`` with the given spans wrapped in the first marker alphabet.
 
     The inverse of :func:`parse_marked` for valid non-overlapping spans.
     """
@@ -113,9 +108,9 @@ def insert_markers(
     pos = 0
     for start, end in sorted(normalized):
         pieces.append(text[pos:start])
-        pieces.append(open_tok)
+        pieces.append(OPEN_MARKER)
         pieces.append(text[start:end])
-        pieces.append(close_tok)
+        pieces.append(CLOSE_MARKER)
         pos = end
     pieces.append(text[pos:])
     return "".join(pieces)

@@ -25,7 +25,7 @@ from .marking import parse_marked
 from .prompts import (
     DEFAULT_ROLE,
     NO_KNOWLEDGE_SENTINEL,
-    example_for,
+    example,
     language_name,
     load_template,
     render,
@@ -56,6 +56,10 @@ class PipelineConfig:
             raise ValueError("threshold must be in (0, 1]")
         if not 0.0 <= self.min_similarity <= 1.0:
             raise ValueError("min_similarity must be in [0, 1]")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
+        if self.max_tokens <= 0:
+            raise ValueError("max_tokens must be > 0")
         if self.max_parallel_items < 1:
             raise ValueError("max_parallel_items must be >= 1")
 
@@ -75,7 +79,7 @@ def build_main_prompt(item: QAItem, role: str, knowledge: str | None) -> str:
             "question": item.question,
             "answer": item.answer,
             "knowledge": knowledge if knowledge else NO_KNOWLEDGE_SENTINEL,
-            "example": example_for(item.lang),
+            "example": example(),
         },
     )
 
@@ -179,11 +183,10 @@ def annotate_item(
         )
     else:
         bundle = KnowledgeBundle(roles=(DEFAULT_ROLE,))
-    roles = bundle.roles or (DEFAULT_ROLE,)
 
     runs = []
     for i in range(cfg.runs_n):
-        role = roles[i % len(roles)]
+        role = bundle.roles[i % len(bundle.roles)]
         prompt = build_main_prompt(item, role, bundle.refined_external)
         runs.append(_execute_run(item, role, prompt, f"run-{i}", cfg, llm))
 

@@ -78,23 +78,12 @@ def validate_templates() -> None:
 
 
 def render(template: str, values: Mapping[str, str]) -> str:
-    if not values:
-        return template
     # single pass: placeholders inside substituted values stay literal
     pattern = re.compile(r"\{(" + "|".join(map(re.escape, values)) + r")\}")
     return pattern.sub(lambda m: values[m.group(1)], template)
 
 
 @lru_cache(maxsize=None)
-def example_for(lang: str) -> str:
-    """Worked example embedded in the annotation prompt.
-
-    Per-language example files are optional; the English one is the
-    fallback for every language.
-    """
-    primary = lang.split("-")[0].split("_")[0].lower()
-    directory = files(__name__) / "examples"
-    candidate = directory / f"{primary}.txt"
-    if candidate.is_file():
-        return candidate.read_text(encoding="utf-8").strip()
-    return (directory / "en.txt").read_text(encoding="utf-8").strip()
+def example() -> str:
+    """Worked example embedded in the annotation prompt; English for every language."""
+    return (files(__name__) / "examples" / "en.txt").read_text(encoding="utf-8").strip()

@@ -251,10 +251,13 @@ class TestAnnotateCommand:
             ([], {"use_roles": 0}),
             ([], {"provider": {"name": "mock", "requests_per_minute": 0}}),
             ([], {"provider": {"name": "mock", "max_retries": None}}),
+            ([], {"cache_dir": 5}),
+            ([], {"temperature": -1}),
+            ([], {"max_tokens": 0}),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
-            "rpm-0", "retries-null",
+            "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
         ],
     )
     def test_invalid_setting_exits_1_with_error_line(self, tmp_path, capsys, extra, config):
@@ -265,6 +268,27 @@ class TestAnnotateCommand:
         assert cli.main(annotate_args(tmp_path, "pred.jsonl", *extra)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "{bad",
+            '["a"]',
+            '{"sample-en-1": {"spans": [[0, "x"]]}}',
+            '{"sample-en-1": {"spans": [[0]]}}',
+        ],
+        ids=["not-json", "list", "span-str", "span-short"],
+    )
+    def test_bad_mock_fixture_exits_1_with_error_line(self, tmp_path, capsys, fixture):
+        path = tmp_path / "fixture.json"
+        path.write_text(fixture, encoding="utf-8")
+        args = annotate_args(tmp_path, "pred.jsonl")
+        args[args.index("--mock-fixture") + 1] = str(path)
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad mock fixture {path}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "pred.jsonl").exists()
 

@@ -57,7 +57,7 @@ class TestReadItems:
         assert "model_output_text" in str(excinfo.value)
 
 
-    @pytest.mark.parametrize("key", ["model_input", "model_output_text"])
+    @pytest.mark.parametrize("key", ["id", "lang", "model_input", "model_output_text"])
     @pytest.mark.parametrize("value", [None, 42])
     def test_text_fields_must_be_strings(self, tmp_path, key, value):
         path = tmp_path / "items.jsonl"
@@ -130,6 +130,13 @@ class TestWritePredictions:
         with pytest.raises(SchemaError):
             read_predictions(path)
 
+    def test_null_id_is_refused(self, tmp_path):
+        path = tmp_path / "pred.jsonl"
+        write_lines(path, ['{"id":null,"lang":"EN","hard_labels":[],"soft_labels":[]}'])
+        with pytest.raises(SchemaError) as excinfo:
+            read_predictions(path)
+        assert "pred.jsonl:1: 'id' must be str, got null" in str(excinfo.value)
+
 
 class TestReadGold:
     def test_parses_labels(self, tmp_path):
@@ -160,6 +167,13 @@ class TestReadGold:
         with pytest.raises(SchemaError) as excinfo:
             read_gold(path)
         assert "gold.jsonl:1: 'model_output_text' must be str, got null" in str(excinfo.value)
+
+    def test_null_id_is_refused(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        write_lines(path, ['{"id":null,"lang":"EN","model_output_text":"abc"}'])
+        with pytest.raises(SchemaError) as excinfo:
+            read_gold(path)
+        assert "gold.jsonl:1: 'id' must be str, got null" in str(excinfo.value)
 
     def test_malformed_hard_labels(self, tmp_path):
         path = tmp_path / "gold.jsonl"

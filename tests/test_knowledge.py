@@ -41,7 +41,7 @@ def keyword_prompt(item):
 
 
 def service_with_script(script, item, wiki=None, cache=None):
-    provider = MockProvider(script=script, knowledge_defaults=False, strict=True)
+    provider = MockProvider(script=script)
     client = LLMClient(provider, cache=cache, sleep=lambda _: None)
     return KnowledgeService(client, wiki, "m", cache=cache), provider
 
@@ -265,6 +265,17 @@ class TestCaching:
         svc.fetch_wikipedia("kw", "EN")
         assert len(session.calls) == calls_before
 
+    def test_wikipedia_cache_key_is_pinned(self, tmp_path):
+        # a changed key would make every existing cache miss
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
+        svc, _ = service_with_script(
+            {}, None, wiki=WikipediaClient(session=session), cache=JsonFileCache(tmp_path)
+        )
+        svc.fetch_wikipedia("Petra van Staveren", "EN")
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "548781f7b1fa0a1002a6da80ab3cea07b0f375b47cc444f0270031c8d5a76214.json"
+        ]
+
     def test_full_chain_zero_calls_on_repeat(self, item, tmp_path):
         cache = JsonFileCache(tmp_path)
         raw = "wiki text"
@@ -275,7 +286,7 @@ class TestCaching:
             roles_prompt(item): '{"Identities": ["A"], "Reason": ""}',
             keyword_prompt(item): "Keyword: kw",
         }
-        provider = MockProvider(script=script, knowledge_defaults=True)
+        provider = MockProvider(script=script)
         client = LLMClient(provider, cache=cache, sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
 
@@ -310,16 +321,14 @@ class TestBuildBundle:
         session = FakeWikiSession(
             search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"}
         )
-        provider = MockProvider(
-            roles_reply=("A", "B"), keyword_reply="kw", summary_reply="refined!"
-        )
+        provider = MockProvider(roles_reply=("A", "B"))
         client = LLMClient(provider, sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m")
         bundle = svc.build_bundle(item)
         assert bundle.roles == ("A", "B")
-        assert bundle.keyword == "kw"
+        assert bundle.keyword == "mock keyword"
         assert bundle.raw_external == "wiki text"
-        assert bundle.refined_external == "refined!"
+        assert bundle.refined_external == "mock refined knowledge"
         assert bundle.provenance == "https://en.wikipedia.org/wiki/Hit"
 
     def test_wiki_failure_degrades_gracefully(self, item):

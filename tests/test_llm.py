@@ -11,6 +11,7 @@ from hallmark import (
     MarkingRule,
     MockProvider,
     OpenAIChatProvider,
+    PipelineConfig,
     ProviderConfig,
     RateLimiter,
 )
@@ -26,10 +27,18 @@ def req(prompt="hello", seed_tag="run-0", **kwargs):
 
 class TestCompletionRequest:
     def test_validation(self):
+        # sampling settings are checked where user values enter
         with pytest.raises(ValueError):
-            CompletionRequest(model="m", user_prompt="p", temperature=-0.1)
+            PipelineConfig(model="m", provider=ProviderConfig("mock"), temperature=-0.1)
         with pytest.raises(ValueError):
-            CompletionRequest(model="m", user_prompt="p", max_tokens=0)
+            PipelineConfig(model="m", provider=ProviderConfig("mock"), max_tokens=0)
+
+    def test_cache_key_is_pinned(self):
+        # a changed key would make every existing cache miss
+        key = LLMClient(MockProvider())._cache_key(
+            CompletionRequest(model="m", user_prompt="héllo «x»", seed_tag="run-3")
+        )
+        assert key == "7827acb3fb46d93fda67f50c18ce56095787afaab5e5abaec2735ce5b64993fc"
 
 
 class TestMockProvider:
@@ -159,16 +168,11 @@ class TestOpenAIChatProvider:
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(200, completion_payload("ok"))])
         provider = OpenAIChatProvider(provider_config(), session=session)
-        out = provider.send(
-            CompletionRequest(model="m", user_prompt="u", system_prompt="s", temperature=0.2)
-        )
+        out = provider.send(CompletionRequest(model="m", user_prompt="u", temperature=0.2))
         assert out == "ok"
         sent = session.requests[0]
         assert sent["url"] == "https://api.test/v1/chat/completions"
-        assert sent["json"]["messages"] == [
-            {"role": "system", "content": "s"},
-            {"role": "user", "content": "u"},
-        ]
+        assert sent["json"]["messages"] == [{"role": "user", "content": "u"}]
         assert sent["headers"]["Authorization"] == "Bearer sk-x"
 
     def test_retry_after_429(self, monkeypatch):

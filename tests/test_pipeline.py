@@ -108,7 +108,7 @@ class TestAnnotateItem:
         assert record.hard_labels == ()
 
     def test_all_runs_unparseable(self):
-        provider = MockProvider(strict=False, default_reply="⟨⟨broken")
+        provider = MockProvider(default_reply="⟨⟨broken")
         llm, svc = service(provider)
         record = annotate_item(swimmer(), config(), llm, svc)
         assert record.runs_used == 0
@@ -116,14 +116,14 @@ class TestAnnotateItem:
         assert record.soft_labels == ()
 
     def test_wholesale_rewrite_rejected(self):
-        provider = MockProvider(strict=False, default_reply="something else entirely")
+        provider = MockProvider(default_reply="something else entirely")
         llm, svc = service(provider)
         record = annotate_item(swimmer(), config(), llm, svc)
         assert record.runs_used == 0
 
     def test_empty_answer_skipped(self):
         item = QAItem(id="e", lang="EN", question="q", answer="")
-        provider = MockProvider(strict=False)
+        provider = MockProvider(default_reply="")
         llm, svc = service(provider)
         record = annotate_item(item, config(), llm, svc)
         assert record.runs_used == 0
@@ -257,7 +257,7 @@ class TestAnnotateItem:
                 raise AuthError("key rejected")
 
         llm = LLMClient(AngryProvider(), sleep=lambda _: None)
-        _, svc = service(MockProvider(strict=False))
+        _, svc = service(MockProvider(default_reply=""))
         with pytest.raises(AuthError):
             annotate_item(swimmer(), config(use_roles=False), llm, None)
 
