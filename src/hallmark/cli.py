@@ -126,6 +126,9 @@ def _provider_config(args: argparse.Namespace, file_cfg: dict) -> ProviderConfig
     file_provider = file_cfg.get("provider", {})
     if not isinstance(file_provider, dict):
         raise ConfigError("config key 'provider' must be an object")
+    for key in ("name", "base_url", "api_key_env"):
+        if not isinstance(file_provider.get(key, ""), str):
+            raise ConfigError(f"config key 'provider.{key}' must be a string")
     name = args.provider or file_provider.get("name") or "mock"
     known = KNOWN_PROVIDERS.get(name, {})
     base_url = args.base_url or file_provider.get("base_url") or known.get("base_url", "")
@@ -168,6 +171,20 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: Provide
     return PipelineConfig(provider=provider, **values)
 
 
+def _fixture_spans(raw, item) -> tuple[tuple[int, int], ...]:
+    """One fixture span list, checked to be sorted, disjoint and inside the answer."""
+    spans = tuple((int(s), int(e)) for s, e in raw)
+    prev_end = 0
+    for start, end in spans:
+        if not prev_end <= start < end <= len(item.answer):
+            raise ValueError(
+                f"item {item.id!r}: span [{start}, {end}) is empty, unsorted, overlapping"
+                f" or outside its {len(item.answer)}-char answer"
+            )
+        prev_end = end
+    return spans
+
+
 def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
     fixture: dict = {}
     rules = []
@@ -177,13 +194,10 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
                 fixture = json.load(fh)
         for item in items:
             entry = fixture.get(item.id, {})
-            spans = tuple((int(s), int(e)) for s, e in entry.get("spans", []))
+            spans = _fixture_spans(entry.get("spans", []), item)
             per_run = entry.get("per_run")
             if per_run is not None:
-                per_run = {
-                    tag: tuple((int(s), int(e)) for s, e in spans_list)
-                    for tag, spans_list in per_run.items()
-                }
+                per_run = {tag: _fixture_spans(raw, item) for tag, raw in per_run.items()}
             rules.append(MarkingRule(answer=item.answer, spans=spans, per_run=per_run))
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad mock fixture {path}: {exc}") from exc

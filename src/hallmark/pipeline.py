@@ -11,7 +11,7 @@ batch.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -217,14 +217,32 @@ def annotate_dataset(
 
     Up to ``cfg.max_parallel_items`` items run at once, and each item makes
     its provider calls one after another, so that bound is also the number
-    of provider requests in flight. All completions land in the shared
-    response cache, so an interrupted batch resumes from where it stopped
-    when rerun.
+    of provider requests in flight. Items start longest answer first (ties
+    in input order): every reply copies the answer, so the longest items
+    cost most, and starting them last would leave request slots idle at the
+    end of the batch. Records and ``progress`` calls still follow input
+    order, so on a mixed batch the first ``progress`` call can wait for the
+    longest items. An error or interrupt cancels the items not yet started.
+    All completions land in the shared response cache, so an interrupted
+    batch resumes from where it stopped when rerun.
     """
-    records: list[PredictionRecord] = []
+    order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
+    records: list[PredictionRecord | None] = [None] * len(items)
+    reported = 0
     with ThreadPoolExecutor(max_workers=cfg.max_parallel_items) as pool:
-        for record in pool.map(lambda item: annotate_item(item, cfg, llm, knowledge_svc), items):
-            records.append(record)
-            if progress is not None:
-                progress(record)
+        try:
+            futures = {
+                pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order
+            }
+            # Completion order, so that any item's error stops the batch at once
+            # rather than when its input position comes up.
+            for future in as_completed(futures):
+                records[futures[future]] = future.result()
+                while reported < len(records) and records[reported] is not None:
+                    if progress is not None:
+                        progress(records[reported])
+                    reported += 1
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     return records

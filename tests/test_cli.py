@@ -254,10 +254,13 @@ class TestAnnotateCommand:
             ([], {"cache_dir": 5}),
             ([], {"temperature": -1}),
             ([], {"max_tokens": 0}),
+            (["--model", "m"], {"provider": {"name": "x", "base_url": 5, "api_key_env": "HOME"}}),
+            ([], {"provider": {"name": 5}}),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
             "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
+            "base_url-int", "name-int",
         ],
     )
     def test_invalid_setting_exits_1_with_error_line(self, tmp_path, capsys, extra, config):
@@ -271,6 +274,14 @@ class TestAnnotateCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "pred.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["name", "base_url", "api_key_env"])
+    def test_non_string_provider_setting_is_named(self, tmp_path, capsys, key):
+        provider = {"name": "x", "base_url": "http://localhost", "api_key_env": "HOME", key: 5}
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--model", "m", "--config", str(path))) == 1
+        assert capsys.readouterr().err == f"error: config key 'provider.{key}' must be a string\n"
+
     @pytest.mark.parametrize(
         "fixture",
         [
@@ -278,8 +289,15 @@ class TestAnnotateCommand:
             '["a"]',
             '{"sample-en-1": {"spans": [[0, "x"]]}}',
             '{"sample-en-1": {"spans": [[0]]}}',
+            '{"sample-en-1": {"spans": [[40, 10]]}}',
+            '{"sample-en-1": {"spans": [[0, 100000]]}}',
+            '{"sample-en-1": {"spans": [[0, 10], [5, 15]]}}',
+            '{"sample-en-1": {"per_run": {"run-0": [[-1, 3]]}}}',
         ],
-        ids=["not-json", "list", "span-str", "span-short"],
+        ids=[
+            "not-json", "list", "span-str", "span-short", "span-reversed", "span-past-end",
+            "spans-overlap", "per-run-negative",
+        ],
     )
     def test_bad_mock_fixture_exits_1_with_error_line(self, tmp_path, capsys, fixture):
         path = tmp_path / "fixture.json"
@@ -291,6 +309,14 @@ class TestAnnotateCommand:
         assert err.startswith(f"error: bad mock fixture {path}: ")
         assert "Traceback" not in err
         assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_out_of_range_fixture_span_names_the_item(self, tmp_path, capsys):
+        path = tmp_path / "fixture.json"
+        path.write_text('{"sample-en-1": {"spans": [[40, 10]]}}', encoding="utf-8")
+        args = annotate_args(tmp_path, "pred.jsonl")
+        args[args.index("--mock-fixture") + 1] = str(path)
+        assert cli.main(args) == 1
+        assert "item 'sample-en-1': span [40, 10)" in capsys.readouterr().err
 
 
 class TestEvaluateCommand:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -314,6 +315,69 @@ class TestAnnotateDataset:
         seen = []
         annotate_dataset(items, config(), llm, svc, progress=lambda r: seen.append(r.id))
         assert seen == [it.id for it in items]
+
+    def start_order(self, provider, items):
+        """Item ids in the order their first annotation call was sent."""
+        firsts = [c.user_prompt for c in provider.calls if c.seed_tag == "run-0"]
+        return [next(it.id for it in items if it.answer in p) for p in firsts]
+
+    def test_longest_answer_starts_first(self):
+        items = [
+            QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n)
+            for n in (1, 4, 2, 8)
+        ]
+        provider = MockProvider(rules=self.rules_for(items))
+        llm, svc = service(provider)
+        records = annotate_dataset(items, config(max_parallel_items=1), llm, svc)
+        assert self.start_order(provider, items) == ["len-8", "len-4", "len-2", "len-1"]
+        assert [r.id for r in records] == [it.id for it in items]
+
+    def test_equal_lengths_start_in_input_order(self):
+        items = self.make_items(5)[::-1]
+        provider = MockProvider(rules=self.rules_for(items))
+        llm, svc = service(provider)
+        annotate_dataset(items, config(max_parallel_items=1), llm, svc)
+        assert self.start_order(provider, items) == [it.id for it in items]
+
+    def test_repeated_item_gets_one_record_per_position(self):
+        a, b = self.make_items(2)
+        provider = MockProvider(rules=self.rules_for([a, b]))
+        llm, svc = service(provider)
+        records = annotate_dataset([a, b, a], config(max_parallel_items=2), llm, svc)
+        assert [r.id for r in records] == ["it-0", "it-1", "it-0"]
+        assert records[0] == records[2]
+
+    def slow_provider(self, exc=None):
+        class SlowProvider(MockProvider):
+            def send(self, req):
+                time.sleep(0.02)
+                reply = super().send(req)
+                if exc is not None:
+                    raise exc
+                return reply
+
+        return SlowProvider(default_reply="")
+
+    def test_auth_error_stops_the_batch(self):
+        items = self.make_items(20)
+        provider = self.slow_provider(AuthError("key rejected"))
+        llm = LLMClient(provider, sleep=lambda _: None)
+        with pytest.raises(AuthError):
+            annotate_dataset(items, config(use_roles=False, max_parallel_items=1), llm, None)
+        assert provider.call_count <= 2
+
+    def test_interrupt_stops_the_batch(self):
+        items = self.make_items(10)
+        provider = self.slow_provider()
+        llm = LLMClient(provider, sleep=lambda _: None)
+
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        cfg = config(use_roles=False, runs_n=2, max_parallel_items=1)
+        with pytest.raises(KeyboardInterrupt):
+            annotate_dataset(items, cfg, llm, None, progress=interrupt)
+        assert len({c.user_prompt for c in provider.calls}) <= 2
 
 
 class TestPipelineConfig:
