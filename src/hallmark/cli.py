@@ -11,7 +11,7 @@ import argparse
 import json
 import logging
 import sys
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from .cache import JsonFileCache
 from .core import PredictionRecord
@@ -21,7 +21,7 @@ from .errors import (
     EvaluationError,
     HallmarkError,
 )
-from .jsonl import read_gold, read_items, read_predictions, write_predictions
+from .jsonl import JSON_TYPES, is_json_type, json_value, read_gold, read_items, read_predictions, write_predictions
 from .knowledge import KnowledgeService, WikipediaClient
 from .llm import (
     LLMClient,
@@ -49,20 +49,6 @@ DEFAULT_CACHE_DIR = ".hallmark-cache"
 KNOWN_PROVIDERS = {
     "openai": {"base_url": "https://api.openai.com/v1", "api_key_env": "OPENAI_API_KEY"},
     "deepseek": {"base_url": "https://api.deepseek.com/v1", "api_key_env": "DEEPSEEK_API_KEY"},
-    "mock": {},
-}
-
-# PipelineConfig fields settable from the config file; CLI flags win.
-CONFIG_KEYS = {
-    "model": str,
-    "runs_n": int,
-    "threshold": float,
-    "min_similarity": float,
-    "use_roles": bool,
-    "use_external": bool,
-    "temperature": float,
-    "max_tokens": int,
-    "max_parallel_items": int,
 }
 
 
@@ -83,19 +69,21 @@ def _build_parser() -> argparse.ArgumentParser:
     annotate = sub.add_parser("annotate", help="annotate a dataset")
     annotate.add_argument("--input", required=True, help="dataset JSONL")
     annotate.add_argument("--output", required=True, help="prediction JSONL to write")
-    annotate.add_argument("--model", default=None, help="model name")
-    annotate.add_argument("--provider", default=None, help="mock, openai, deepseek, or configured name")
-    annotate.add_argument("--runs", type=int, default=None, help="annotation runs per item (default 12)")
-    annotate.add_argument("--threshold", type=float, default=None, help="hard-label vote threshold (default 0.5)")
-    annotate.add_argument("--no-roles", action="store_true", help="disable expert-role diversification")
-    annotate.add_argument("--no-external", action="store_true", help="disable Wikipedia knowledge")
-    annotate.add_argument("--min-similarity", type=float, default=None, help="run acceptance gate (default 0.7)")
-    annotate.add_argument("--cache-dir", default=None, help=f"response cache (default {DEFAULT_CACHE_DIR})")
-    annotate.add_argument("--max-parallel", type=int, default=None, help="items, and so provider requests, in flight")
-    annotate.add_argument("--config", default=None, help="JSON config file (CLI flags win)")
-    annotate.add_argument("--base-url", default=None, help="override provider base URL")
-    annotate.add_argument("--api-key-env", default=None, help="override API key env var name")
-    annotate.add_argument("--mock-fixture", default=None, help="JSON file of spans the mock provider marks, keyed by item id")
+    # Each override flag's dest is the config key it overrides; unset flags stay None.
+    annotate.add_argument("--model", help="model name")
+    annotate.add_argument("--provider", dest="name", help="mock, openai, deepseek, or configured name")
+    annotate.add_argument("--runs", dest="runs_n", type=int, help="annotation runs per item (default 12)")
+    annotate.add_argument("--threshold", type=float, help="hard-label vote threshold (default 0.5)")
+    annotate.add_argument("--no-roles", dest="use_roles", action="store_false", help="disable expert-role diversification")
+    annotate.add_argument("--no-external", dest="use_external", action="store_false", help="disable Wikipedia knowledge")
+    annotate.add_argument("--min-similarity", type=float, help="run acceptance gate (default 0.7)")
+    annotate.add_argument("--cache-dir", help=f"response cache (default {DEFAULT_CACHE_DIR})")
+    annotate.add_argument("--max-parallel", dest="max_parallel_items", type=int, help="items, and so provider requests, in flight")
+    annotate.add_argument("--config", help="JSON config file (CLI flags win)")
+    annotate.add_argument("--base-url", help="override provider base URL")
+    annotate.add_argument("--api-key-env", help="override API key env var name")
+    annotate.add_argument("--mock-fixture", help="JSON file of spans the mock provider marks, keyed by item id")
+    annotate.set_defaults(use_roles=None, use_external=None)
 
     evaluate_p = sub.add_parser("evaluate", help="score predictions against gold labels")
     evaluate_p.add_argument("--pred", required=True)
@@ -122,49 +110,39 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def config_keys(cls: type) -> dict[str, type]:
+    """A config class's fields, as config-file keys with their JSON types; ``provider`` is an object."""
+    keys = get_type_hints(cls)
+    keys.pop("provider", None)
+    return keys
+
+
+def _settings(args: argparse.Namespace, section: dict, keys: dict[str, type], prefix: str = "") -> dict:
+    """The values ``section`` sets for ``keys``, each exactly its JSON type, overlaid by the flags given."""
+    for key, kind in keys.items():
+        if key in section and not is_json_type(section[key], kind):
+            raise ConfigError(f"config key '{prefix}{key}' must be {JSON_TYPES[kind]}")
+    values = {key: section[key] for key in keys if key in section}
+    flags = vars(args)
+    values.update((key, flags[key]) for key in keys if flags.get(key) is not None)
+    return values
+
+
 def _provider_config(args: argparse.Namespace, file_cfg: dict) -> ProviderConfig:
     file_provider = file_cfg.get("provider", {})
     if not isinstance(file_provider, dict):
         raise ConfigError("config key 'provider' must be an object")
-    for key in ("name", "base_url", "api_key_env"):
-        if not isinstance(file_provider.get(key, ""), str):
-            raise ConfigError(f"config key 'provider.{key}' must be a string")
-    name = args.provider or file_provider.get("name") or "mock"
-    known = KNOWN_PROVIDERS.get(name, {})
-    base_url = args.base_url or file_provider.get("base_url") or known.get("base_url", "")
-    api_key_env = args.api_key_env or file_provider.get("api_key_env") or known.get("api_key_env", "")
-    if name != "mock" and not base_url:
+    values = _settings(args, file_provider, config_keys(ProviderConfig), "provider.")
+    name = values["name"] = values.get("name") or "mock"
+    for key, default in KNOWN_PROVIDERS.get(name, {}).items():
+        values[key] = values.get(key) or default
+    if name != "mock" and not values.get("base_url"):
         raise ConfigError(f"provider {name!r} needs a base URL (--base-url or config)")
-    return ProviderConfig(
-        name=name,
-        base_url=base_url,
-        api_key_env=api_key_env,
-        requests_per_minute=int(file_provider.get("requests_per_minute", 60)),
-        max_retries=int(file_provider.get("max_retries", 3)),
-    )
+    return ProviderConfig(**values)
 
 
 def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: ProviderConfig) -> PipelineConfig:
-    values: dict = {}
-    for key, cast in CONFIG_KEYS.items():
-        if key not in file_cfg:
-            continue
-        if cast is bool and not isinstance(file_cfg[key], bool):  # bool("false") is True
-            raise ConfigError(f"config key {key!r} must be true or false")
-        try:
-            values[key] = cast(file_cfg[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {key!r}: {exc}") from exc
-    flags = {
-        "model": args.model,
-        "runs_n": args.runs,
-        "threshold": args.threshold,
-        "min_similarity": args.min_similarity,
-        "use_roles": False if args.no_roles else None,
-        "use_external": False if args.no_external else None,
-        "max_parallel_items": args.max_parallel,
-    }
-    values.update((key, value) for key, value in flags.items() if value is not None)
+    values = _settings(args, file_cfg, config_keys(PipelineConfig))
     values.setdefault("model", "mock-model" if provider.name == "mock" else None)
     if values["model"] is None:
         raise ConfigError("a model name is required (--model or config file)")
@@ -173,7 +151,7 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: Provide
 
 def _fixture_spans(raw, item) -> tuple[tuple[int, int], ...]:
     """One fixture span list, checked to be sorted, disjoint and inside the answer."""
-    spans = tuple((int(s), int(e)) for s, e in raw)
+    spans = tuple((json_value(s, int), json_value(e, int)) for s, e in raw)
     prev_end = 0
     for start, end in spans:
         if not prev_end <= start < end <= len(item.answer):
@@ -207,16 +185,14 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
 def cmd_annotate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     validate_templates()
-    try:  # casts and the config classes' own checks
+    try:  # the config classes' own range checks
         provider_cfg = _provider_config(args, file_cfg)
         cfg = _pipeline_config(args, file_cfg, provider_cfg)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid setting: {exc}") from exc
-    if not isinstance(file_cfg.get("cache_dir", ""), str):
-        raise ConfigError("config key 'cache_dir' must be a string")
+    cache_dir = _settings(args, file_cfg, {"cache_dir": str}).get("cache_dir") or DEFAULT_CACHE_DIR
 
     items = read_items(args.input)
-    cache_dir = args.cache_dir or file_cfg.get("cache_dir") or DEFAULT_CACHE_DIR
     cache = JsonFileCache(cache_dir)
 
     if provider_cfg.name == "mock":

@@ -32,11 +32,27 @@ def _iter_records(path: str | Path) -> Iterable[tuple[int, dict]]:
             yield line_no, obj
 
 
+# How messages name each JSON type, keyed by the Python type that holds it.
+JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def is_json_type(value: Any, kind: type) -> bool:
+    """Whether ``value`` is exactly the JSON type ``kind``: a bool is no number, an int is a valid float."""
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
+def json_value(value: Any, kind: type) -> Any:
+    """``value``, which must be exactly the JSON type ``kind`` (else TypeError)."""
+    if not is_json_type(value, kind):
+        raise TypeError(f"{json.dumps(value)} is not {JSON_TYPES[kind]}")
+    return value
+
+
 def _require(obj: dict, key: str, path: str | Path, line_no: int, kind: type | None = None) -> Any:
-    """``obj[key]``; with ``kind`` (str or int) it must be exactly that JSON type."""
+    """``obj[key]``; with ``kind`` it must be exactly that JSON type."""
     if key not in obj:
         raise SchemaError(str(path), line_no, f"missing required key {key!r}")
-    if kind is not None and type(obj[key]) is not kind:  # a bool is no int here
+    if kind is not None and not is_json_type(obj[key], kind):
         reason = f"{key!r} must be {kind.__name__}, got {json.dumps(obj[key])}"
         raise SchemaError(str(path), line_no, reason)
     return obj[key]
@@ -44,7 +60,7 @@ def _require(obj: dict, key: str, path: str | Path, line_no: int, kind: type | N
 
 def _parse_hard_labels(raw: Any, path: str | Path, line_no: int) -> tuple[SpanLabel, ...]:
     try:
-        return tuple(SpanLabel(int(s), int(e)) for s, e in raw)
+        return tuple(SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw)
     except (TypeError, ValueError) as exc:
         raise SchemaError(str(path), line_no, f"malformed hard_labels: {exc}") from exc
 
@@ -52,7 +68,8 @@ def _parse_hard_labels(raw: Any, path: str | Path, line_no: int) -> tuple[SpanLa
 def _parse_soft_labels(raw: Any, path: str | Path, line_no: int) -> tuple[SpanLabel, ...]:
     try:
         return tuple(
-            SpanLabel(int(d["start"]), int(d["end"]), float(d["prob"])) for d in raw
+            SpanLabel(json_value(d["start"], int), json_value(d["end"], int), json_value(d["prob"], float))
+            for d in raw
         )
     except (TypeError, KeyError, ValueError) as exc:
         raise SchemaError(str(path), line_no, f"malformed soft_labels: {exc}") from exc

@@ -21,7 +21,7 @@ from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import AuthError, KnowledgeError, ProviderError
 from .llm import CompletionRequest, LLMClient
-from .prompts import DEFAULT_ROLE, load_template, render
+from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 logger = logging.getLogger(__name__)
 
@@ -224,7 +224,7 @@ class KnowledgeService:
         if hit is not None:
             return hit["text"], hit["provenance"]
 
-        primary = lang.split("-")[0].split("_")[0].lower() or "en"
+        primary = primary_subtag(lang) or "en"
         tried = []
         for wiki_lang in dict.fromkeys([primary, "en"]):
             tried.append(wiki_lang)

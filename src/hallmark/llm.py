@@ -58,6 +58,8 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if self.requests_per_minute <= 0:
             raise ValueError("requests_per_minute must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
 
 
 class Provider(Protocol):
@@ -260,7 +262,7 @@ class LLMClient:
                 "model": req.model,
                 "system_prompt": None,  # a removed field; kept so existing caches still hit
                 "user_prompt": req.user_prompt,
-                "temperature": req.temperature,
+                "temperature": float(req.temperature),  # 0 and 0.0 are one setting, spelled 0.0 in caches
                 "max_tokens": req.max_tokens,
                 "seed_tag": req.seed_tag,
             },

@@ -48,9 +48,13 @@ LANGUAGE_NAMES: dict[str, str] = {
 _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 
 
+def primary_subtag(code: str) -> str:
+    """The primary language subtag, lower-cased: ``en`` for ``EN``, ``en-US`` or ``en_GB``."""
+    return code.split("-")[0].split("_")[0].lower()
+
+
 def language_name(code: str) -> str:
-    primary = code.split("-")[0].split("_")[0].lower()
-    return LANGUAGE_NAMES.get(primary, code)
+    return LANGUAGE_NAMES.get(primary_subtag(code), code)
 
 
 @lru_cache(maxsize=None)

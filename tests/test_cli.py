@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "sample"
 SAMPLE_ITEMS = SAMPLE_DIR / "items.jsonl"
 SAMPLE_FIXTURE = SAMPLE_DIR / "mock_fixture.json"
 GOLDEN_PREDICTIONS = Path(__file__).resolve().parent / "data" / "sample_predictions.jsonl"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 PREDICTION_LINE_SCHEMA = {
     "type": "object",
@@ -84,6 +86,38 @@ def gold_from_predictions(pred_path, items_path, gold_path):
             )
 
 
+# A config file setting every key that has a flag, to a value no flag below uses.
+SETTINGS_FILE = {
+    "model": "file-model", "runs_n": 5, "threshold": 0.75, "min_similarity": 0.9,
+    "use_roles": True, "use_external": True, "max_parallel_items": 2,
+    "provider": {"name": "file-provider", "base_url": "http://localhost:1/file", "api_key_env": "HALLMARK_FILE_KEY"},
+}
+
+
+def flat_settings(settings):
+    """``settings`` (a config-file dict or a PipelineConfig) as {key: value}, provider keys dotted."""
+    get = dict.get if isinstance(settings, dict) else getattr
+    flat = {key: get(settings, key) for key in SETTINGS_FILE if key != "provider"}
+    flat.update((f"provider.{key}", get(get(settings, "provider"), key)) for key in SETTINGS_FILE["provider"])
+    return flat
+
+
+def settings_after(tmp_path, monkeypatch, file_cfg, flags):
+    """The settings ``annotate`` runs with, given a config file and flags; nothing is annotated."""
+    path = tmp_path / "conf.json"
+    path.write_text(json.dumps(file_cfg), encoding="utf-8")
+    monkeypatch.setenv("HALLMARK_FILE_KEY", "file-key")
+    monkeypatch.setenv("HALLMARK_FLAG_KEY", "flag-key")
+    seen = []
+    monkeypatch.setattr(cli, "annotate_dataset", lambda items, cfg, *a, **kw: seen.append(cfg) or [])
+    code = cli.main([
+        "annotate", "--input", str(SAMPLE_ITEMS), "--output", str(tmp_path / "p.jsonl"),
+        "--cache-dir", str(tmp_path / "cache"), "--config", str(path), *flags,
+    ])
+    assert code == 0
+    return flat_settings(seen[0])
+
+
 class RecordingMock(MockProvider):
     instances: list["RecordingMock"] = []
 
@@ -125,6 +159,15 @@ class TestAnnotateCommand:
         assert cli.main(annotate_args(tmp_path)) == 0
         assert RecordingMock.instances[0].call_count > 0
         assert cli.main(annotate_args(tmp_path)) == 0
+        assert RecordingMock.instances[1].call_count == 0
+
+    def test_integer_temperature_hits_the_cache_of_its_float(self, tmp_path, monkeypatch):
+        # a config file's 1 and the default 1.0 are one temperature: same cache keys
+        monkeypatch.setattr(cli, "MockProvider", RecordingMock)
+        assert cli.main(annotate_args(tmp_path)) == 0
+        config = tmp_path / "conf.json"
+        config.write_text(json.dumps({"temperature": 1}), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(config))) == 0
         assert RecordingMock.instances[1].call_count == 0
 
     def test_runs_flag_controls_vote_granularity(self, tmp_path):
@@ -256,11 +299,12 @@ class TestAnnotateCommand:
             ([], {"max_tokens": 0}),
             (["--model", "m"], {"provider": {"name": "x", "base_url": 5, "api_key_env": "HOME"}}),
             ([], {"provider": {"name": 5}}),
+            ([], {"provider": {"name": "mock", "max_retries": -4}}),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
             "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
-            "base_url-int", "name-int",
+            "base_url-int", "name-int", "retries-negative",
         ],
     )
     def test_invalid_setting_exits_1_with_error_line(self, tmp_path, capsys, extra, config):
@@ -283,6 +327,74 @@ class TestAnnotateCommand:
         assert capsys.readouterr().err == f"error: config key 'provider.{key}' must be a string\n"
 
     @pytest.mark.parametrize(
+        "config, key, kind",
+        [
+            ({"runs_n": 2.9}, "runs_n", "an integer"),
+            ({"runs_n": True}, "runs_n", "an integer"),
+            ({"threshold": "0.5"}, "threshold", "a number"),
+            ({"temperature": True}, "temperature", "a number"),
+            ({"model": 5}, "model", "a string"),
+            ({"max_parallel_items": 1.7}, "max_parallel_items", "an integer"),
+            ({"provider": {"requests_per_minute": True}}, "provider.requests_per_minute", "an integer"),
+            ({"provider": {"max_retries": 2.9}}, "provider.max_retries", "an integer"),
+        ],
+        ids=[
+            "runs_n-fraction", "runs_n-bool", "threshold-str", "temperature-bool", "model-int",
+            "max_parallel_items-fraction", "rpm-bool", "retries-fraction",
+        ],
+    )
+    def test_wrong_json_type_is_named(self, tmp_path, capsys, config, key, kind):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 1
+        assert capsys.readouterr().err == f"error: config key '{key}' must be {kind}\n"
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_integer_for_a_number_is_accepted(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"threshold": 1}), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 0
+
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            (["--model", "flag-model"], "model", "flag-model"),
+            (["--runs", "3"], "runs_n", 3),
+            (["--threshold", "0.25"], "threshold", 0.25),
+            (["--min-similarity", "0.2"], "min_similarity", 0.2),
+            (["--no-roles"], "use_roles", False),
+            (["--no-external"], "use_external", False),
+            (["--max-parallel", "3"], "max_parallel_items", 3),
+            (["--provider", "flag-provider"], "provider.name", "flag-provider"),
+            (["--base-url", "http://localhost:1/flag"], "provider.base_url", "http://localhost:1/flag"),
+            (["--api-key-env", "HALLMARK_FLAG_KEY"], "provider.api_key_env", "HALLMARK_FLAG_KEY"),
+        ],
+        ids=["model", "runs", "threshold", "min-similarity", "no-roles", "no-external", "max-parallel",
+             "provider", "base-url", "api-key-env"],
+    )
+    def test_each_flag_overrides_its_config_key(self, tmp_path, monkeypatch, flags, key, value):
+        expected = flat_settings(SETTINGS_FILE)
+        expected[key] = value  # the flag wins; every other setting keeps its file value
+        assert settings_after(tmp_path, monkeypatch, SETTINGS_FILE, flags) == expected
+
+    def test_unset_flags_keep_the_file_values(self, tmp_path, monkeypatch):
+        # an absent --no-roles / --no-external must not turn a file's false back to true
+        file_cfg = {**SETTINGS_FILE, "use_roles": False, "use_external": False}
+        assert settings_after(tmp_path, monkeypatch, file_cfg, []) == flat_settings(file_cfg)
+
+    def test_readme_config_table_matches_the_config_classes(self):
+        # every key the CLI derives, plus cache_dir, with the JSON type it requires
+        type_names = {str: "string", int: "integer", float: "number", bool: "`true` or `false`"}
+        expected = {key: type_names[kind] for key, kind in cli.config_keys(cli.PipelineConfig).items()}
+        expected.update(
+            (f"provider.{key}", type_names[kind]) for key, kind in cli.config_keys(cli.ProviderConfig).items()
+        )
+        expected["cache_dir"] = "string"
+        section = README.read_text(encoding="utf-8").split("### Config file")[1].split("\n## ")[0]
+        documented = dict(re.findall(r"^\| `([a-z_.]+)` \| ([^|]+?) \|", section, re.MULTILINE))
+        assert documented == expected
+
+    @pytest.mark.parametrize(
         "fixture",
         [
             "{bad",
@@ -293,10 +405,13 @@ class TestAnnotateCommand:
             '{"sample-en-1": {"spans": [[0, 100000]]}}',
             '{"sample-en-1": {"spans": [[0, 10], [5, 15]]}}',
             '{"sample-en-1": {"per_run": {"run-0": [[-1, 3]]}}}',
+            '{"sample-en-1": {"spans": [[0, "3"]]}}',
+            '{"sample-en-1": {"spans": [[0, 2.5]]}}',
+            '{"sample-en-1": {"spans": [[true, 3]]}}',
         ],
         ids=[
             "not-json", "list", "span-str", "span-short", "span-reversed", "span-past-end",
-            "spans-overlap", "per-run-negative",
+            "spans-overlap", "per-run-negative", "span-digit-str", "span-fraction", "span-bool",
         ],
     )
     def test_bad_mock_fixture_exits_1_with_error_line(self, tmp_path, capsys, fixture):

@@ -182,6 +182,40 @@ class TestReadGold:
             read_gold(path)
 
 
+# Offsets must be JSON integers and prob a JSON number: a cast would score another span.
+WRONG_LABEL_TYPES = [
+    ({"hard_labels": [[0, 2.9]]}, "2.9 is not an integer"),
+    ({"hard_labels": [[True, 3]]}, "true is not an integer"),
+    ({"hard_labels": [["0", "3"]]}, '"0" is not an integer'),
+    ({"soft_labels": [{"start": 0, "end": 3, "prob": "0.5"}]}, '"0.5" is not a number'),
+    ({"soft_labels": [{"start": 0, "end": 3, "prob": True}]}, "true is not a number"),
+    ({"soft_labels": [{"start": 0.0, "end": 3, "prob": 0.5}]}, "0.0 is not an integer"),
+]
+WRONG_LABEL_IDS = ["hard-fraction", "hard-bool", "hard-str", "prob-str", "prob-bool", "soft-float-start"]
+
+
+def label_record(**labels):
+    return {"id": "a", "lang": "EN", "model_output_text": "abcdef", "hard_labels": [], "soft_labels": [], **labels}
+
+
+@pytest.mark.parametrize("reader", [read_gold, read_predictions])
+@pytest.mark.parametrize("labels, reason", WRONG_LABEL_TYPES, ids=WRONG_LABEL_IDS)
+def test_label_of_the_wrong_json_type_is_refused(tmp_path, reader, labels, reason):
+    path = tmp_path / "labels.jsonl"
+    write_lines(path, [json.dumps(label_record()), json.dumps(label_record(**labels))])
+    with pytest.raises(SchemaError) as excinfo:
+        reader(path)
+    assert "labels.jsonl:2: malformed " in str(excinfo.value)
+    assert reason in str(excinfo.value)
+
+
+@pytest.mark.parametrize("reader", [read_gold, read_predictions])
+def test_integer_prob_is_a_number(tmp_path, reader):
+    path = tmp_path / "labels.jsonl"
+    write_lines(path, [json.dumps(label_record(soft_labels=[{"start": 0, "end": 3, "prob": 1}]))])
+    assert reader(path)[0].soft_labels == (SpanLabel(0, 3, 1.0),)
+
+
 @st.composite
 def prediction_records(draw):
     length = draw(st.integers(min_value=1, max_value=40))
