@@ -117,6 +117,13 @@ def config_keys(cls: type) -> dict[str, type]:
     return keys
 
 
+def _check_known(section: dict, keys, prefix: str = "") -> None:
+    """Refuse a config-file key no setting has, so a misspelt key cannot run a different experiment."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown config key '{prefix}{key}'")
+
+
 def _settings(args: argparse.Namespace, section: dict, keys: dict[str, type], prefix: str = "") -> dict:
     """The values ``section`` sets for ``keys``, each exactly its JSON type, overlaid by the flags given."""
     for key, kind in keys.items():
@@ -132,7 +139,9 @@ def _provider_config(args: argparse.Namespace, file_cfg: dict) -> ProviderConfig
     file_provider = file_cfg.get("provider", {})
     if not isinstance(file_provider, dict):
         raise ConfigError("config key 'provider' must be an object")
-    values = _settings(args, file_provider, config_keys(ProviderConfig), "provider.")
+    keys = config_keys(ProviderConfig)
+    _check_known(file_provider, keys, "provider.")
+    values = _settings(args, file_provider, keys, "provider.")
     name = values["name"] = values.get("name") or "mock"
     for key, default in KNOWN_PROVIDERS.get(name, {}).items():
         values[key] = values.get(key) or default
@@ -184,6 +193,7 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
+    _check_known(file_cfg, {*config_keys(PipelineConfig), "provider", "cache_dir"})
     validate_templates()
     try:  # the config classes' own range checks
         provider_cfg = _provider_config(args, file_cfg)
@@ -193,14 +203,13 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     cache_dir = _settings(args, file_cfg, {"cache_dir": str}).get("cache_dir") or DEFAULT_CACHE_DIR
 
     items = read_items(args.input)
-    cache = JsonFileCache(cache_dir)
-
     if provider_cfg.name == "mock":
         provider = MockProvider(rules=_load_mock_rules(args.mock_fixture, items))
         limiter = None
     else:
         provider = OpenAIChatProvider(provider_cfg)
         limiter = RateLimiter(provider_cfg.requests_per_minute)
+    cache = JsonFileCache(cache_dir)
     llm = LLMClient(provider, cache=cache, limiter=limiter, max_retries=provider_cfg.max_retries)
     knowledge_svc = KnowledgeService(llm, WikipediaClient(), cfg.model, cache=cache)
 
@@ -215,7 +224,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             status += " (unannotated)"
         print(f"[{done}/{total}] {record.id} {status}")
 
-    records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
+    try:
+        records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
+    finally:
+        cache.close()
     write_predictions(records, args.output)
 
     failures = sum(1 for r in records if r.runs_used == 0)

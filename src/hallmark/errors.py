@@ -55,6 +55,10 @@ class ConfigError(HallmarkError):
     """Invalid configuration, including malformed prompt templates."""
 
 
+class CacheError(HallmarkError):
+    """The response cache file cannot be opened, read or written."""
+
+
 class EvaluationError(HallmarkError):
     """Prediction and gold files do not describe the same items or answers."""
 

@@ -99,7 +99,15 @@ class RateLimiter:
 
 
 class OpenAIChatProvider:
-    """POSTs to ``{base_url}/chat/completions`` with bearer auth."""
+    """POSTs to ``{base_url}/chat/completions`` with bearer auth.
+
+    Proxy and CA-bundle settings are read from the environment once, when
+    the provider is built, and passed to every request; the session itself
+    ignores the environment. That saves a scan of ``os.environ`` per request,
+    and keeps ``~/.netrc`` from replacing the bearer header with Basic auth.
+    A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
+    ``ProviderError``: its copy of the answer stops short of the end.
+    """
 
     def __init__(self, cfg: ProviderConfig, session: requests.Session | None = None):
         if not cfg.api_key_env:
@@ -114,6 +122,11 @@ class OpenAIChatProvider:
             "Content-Type": "application/json",
         }
         self._session = session or requests.Session()
+        # What requests would work out on every post: the environment merged
+        # with a real session's own proxies, verify and cert.
+        reader = self._session if isinstance(self._session, requests.Session) else requests.Session()
+        self._env_settings = reader.merge_environment_settings(self._url, {}, None, None, None)
+        self._session.trust_env = False
 
     def send(self, req: CompletionRequest) -> str:
         body = {
@@ -124,7 +137,7 @@ class OpenAIChatProvider:
         }
         try:
             response = self._session.post(
-                self._url, json=body, headers=self._headers, timeout=PROVIDER_TIMEOUT_S
+                self._url, json=body, headers=self._headers, timeout=PROVIDER_TIMEOUT_S, **self._env_settings
             )
         except requests.RequestException as exc:
             raise TransientProviderError(f"network error calling {self.name}: {exc}") from exc
@@ -136,9 +149,12 @@ class OpenAIChatProvider:
         if response.status_code != 200:
             raise ProviderError(f"provider {self.name} returned HTTP {response.status_code}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            choice = response.json()["choices"][0]
+            content = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion payload from {self.name}: {exc}") from exc
+        if choice.get("finish_reason") == "length":
+            raise ProviderError(f"provider {self.name} cut the reply off at max_tokens")
         if not isinstance(content, str):
             raise ProviderError(f"provider {self.name} returned no text content ({content!r})")
         return content

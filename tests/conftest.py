@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
 import random
+import sqlite3
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +47,12 @@ def swimmer_rule() -> MarkingRule:
 @pytest.fixture
 def cache(tmp_path) -> JsonFileCache:
     return JsonFileCache(tmp_path / "cache")
+
+
+def cache_rows(directory: Path) -> dict:
+    """Every entry of the response cache in ``directory``, read from its SQLite file directly."""
+    with sqlite3.connect(directory / "cache.sqlite3") as db:
+        return {key: json.loads(value) for key, value in db.execute("SELECT key, value FROM entries")}
 
 
 def make_client(provider, cache=None) -> LLMClient:

@@ -318,6 +318,36 @@ class TestAnnotateCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "pred.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"runs": 3}, "runs"),
+            ({"provider": {"max_retry": 1}}, "provider.max_retry"),
+            ({"runs": 3, "provider": {"max_retry": 1}}, "runs"),
+            ({"provider": {"name": "mock", "cache_dir": "c"}}, "provider.cache_dir"),
+            ({"requests_per_minute": 10}, "requests_per_minute"),
+        ],
+        ids=["runs", "provider.max_retry", "both", "cache_dir-in-provider", "provider-key-at-top"],
+    )
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, config, key):
+        # a misspelt key must not silently run with the default instead
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+        assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_unreadable_cache_file_is_an_error_line(self, tmp_path, capsys):
+        cache_file = tmp_path / "cache" / "cache.sqlite3"
+        cache_file.parent.mkdir()
+        cache_file.write_bytes(b"not a database, " * 64)
+        assert cli.main(annotate_args(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(cache_file) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "pred.jsonl").exists()
+
     @pytest.mark.parametrize("key", ["name", "base_url", "api_key_env"])
     def test_non_string_provider_setting_is_named(self, tmp_path, capsys, key):
         provider = {"name": "x", "base_url": "http://localhost", "api_key_env": "HOME", key: 5}

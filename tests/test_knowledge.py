@@ -21,7 +21,7 @@ from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.llm import TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
-from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION
+from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows
 
 
 @pytest.fixture
@@ -272,8 +272,8 @@ class TestCaching:
             {}, None, wiki=WikipediaClient(session=session), cache=JsonFileCache(tmp_path)
         )
         svc.fetch_wikipedia("Petra van Staveren", "EN")
-        assert [p.name for p in tmp_path.iterdir()] == [
-            "548781f7b1fa0a1002a6da80ab3cea07b0f375b47cc444f0270031c8d5a76214.json"
+        assert list(cache_rows(tmp_path)) == [
+            "548781f7b1fa0a1002a6da80ab3cea07b0f375b47cc444f0270031c8d5a76214"
         ]
 
     def test_full_chain_zero_calls_on_repeat(self, item, tmp_path):
@@ -309,8 +309,8 @@ class TestCaching:
         client = LLMClient(MockProvider(), sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
         assert svc.build_bundle(item).refined_external is not None
-        (entry,) = tmp_path.iterdir()
-        assert json.loads(entry.read_text(encoding="utf-8")) == {
+        (entry,) = cache_rows(tmp_path).values()
+        assert entry == {
             "text": "t",
             "provenance": "https://en.wikipedia.org/wiki/Hit",
         }

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+import requests
+from requests.adapters import BaseAdapter
 
 from hallmark import (
     CompletionRequest,
@@ -18,7 +20,7 @@ from hallmark import (
 from hallmark.errors import AuthError, MockError, ProviderError
 from hallmark.llm import TransientProviderError
 
-from .conftest import SWIMMER_ANSWER, swimmer_spans
+from .conftest import SWIMMER_ANSWER, cache_rows, swimmer_spans
 
 
 def req(prompt="hello", seed_tag="run-0", **kwargs):
@@ -127,7 +129,7 @@ class TestLLMClientCache:
         client = LLMClient(MockProvider(script={"p": None}), cache=cache)
         with pytest.raises(ProviderError):
             client.complete(req("p"))
-        assert list(tmp_path.iterdir()) == []
+        assert cache_rows(tmp_path) == {}
 
 
 class FakeResponse:
@@ -144,13 +146,41 @@ class FakeSession:
         self.responses = list(responses)
         self.requests = []
 
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers})
+    def post(self, url, json=None, headers=None, timeout=None, **kwargs):
+        self.requests.append({"url": url, "json": json, "headers": headers, **kwargs})
         return self.responses.pop(0)
 
 
-def completion_payload(text):
-    return {"choices": [{"message": {"content": text}}]}
+def completion_payload(text, finish_reason="stop"):
+    return {"choices": [{"message": {"content": text}, "finish_reason": finish_reason}]}
+
+
+class RecordingAdapter(BaseAdapter):
+    """A ``requests`` transport that records each prepared request and answers ``ok``."""
+
+    def __init__(self):
+        super().__init__()
+        self.sent = []
+        self.settings = []
+
+    def send(self, request, **kwargs):
+        self.sent.append(request)
+        self.settings.append(kwargs)
+        response = requests.Response()
+        response.status_code = 200
+        response._content = json.dumps(completion_payload("ok")).encode("utf-8")
+        response.request = request
+        return response
+
+    def close(self):
+        pass
+
+
+def recording_session():
+    adapter = RecordingAdapter()
+    session = requests.Session()
+    session.mount("https://", adapter)
+    return session, adapter
 
 
 def provider_config():
@@ -209,6 +239,61 @@ class TestOpenAIChatProvider:
         provider = OpenAIChatProvider(provider_config(), session=session)
         with pytest.raises(ProviderError):
             provider.send(req("p"))
+
+    def test_reply_cut_at_max_tokens_is_a_provider_error(self, monkeypatch, tmp_path):
+        # a reply stopped by max_tokens copied only part of the answer; it is
+        # rejected like any failed run, and never cached
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session = FakeSession([FakeResponse(200, completion_payload("Revised answer: The Eras", "length"))])
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
+        with pytest.raises(ProviderError) as excinfo:
+            client.complete(req("p"))
+        assert not isinstance(excinfo.value, TransientProviderError)
+        assert len(session.requests) == 1
+        assert cache_rows(tmp_path) == {}
+
+    def test_environment_is_read_once_per_provider(self, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        scans = []
+        real = requests.sessions.get_environ_proxies
+        monkeypatch.setattr(requests.sessions, "get_environ_proxies", lambda *a, **kw: scans.append(a) or real(*a, **kw))
+        session, adapter = recording_session()
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        for _ in range(3):
+            assert provider.send(req("p")) == "ok"
+        assert len(adapter.sent) == 3
+        assert len(scans) == 1
+
+    def test_proxy_set_at_construction_reaches_post(self, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        for name in ("https_proxy", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.test:3128")
+        session = FakeSession([FakeResponse(200, completion_payload("ok"))])
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        monkeypatch.delenv("HTTPS_PROXY")  # later changes to the environment are not read
+        provider.send(req("p"))
+        assert session.requests[0]["proxies"]["https"] == "http://proxy.test:3128"
+        assert session.trust_env is False
+
+    def test_session_keeps_its_own_ca_bundle(self, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        session, adapter = recording_session()
+        session.verify = "certs/internal-ca.pem"
+        OpenAIChatProvider(provider_config(), session=session).send(req("p"))
+        assert adapter.settings[0]["verify"] == "certs/internal-ca.pem"
+
+    def test_netrc_does_not_replace_the_bearer_header(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        netrc = tmp_path / "netrc"
+        netrc.write_text("machine api.test login someone password secret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        session, adapter = recording_session()
+        OpenAIChatProvider(provider_config(), session=session).send(req("p"))
+        (sent,) = adapter.sent
+        assert sent.headers["Authorization"] == "Bearer sk-x"
 
     def test_non_retryable_status(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")

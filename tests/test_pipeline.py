@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
@@ -19,10 +18,11 @@ from hallmark import (
 )
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
+from hallmark.marking import insert_markers
 from hallmark.pipeline import PipelineConfig, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
 
-from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, swimmer_spans
+from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, swimmer_spans
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
 from .test_llm import FakeResponse, completion_payload
@@ -230,7 +230,7 @@ class TestAnnotateItem:
             def __init__(self):
                 self.posts = 0
 
-            def post(self, url, json=None, headers=None, timeout=None):
+            def post(self, url, json=None, headers=None, timeout=None, **kwargs):
                 self.posts += 1
                 content = None if self.posts == 1 else "Petra van Stoveren won a ⟨⟨silver⟩⟩ medal"
                 return FakeResponse(200, completion_payload(content))
@@ -246,9 +246,41 @@ class TestAnnotateItem:
         (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, None)
         assert record.runs_used == 3
         assert [item.answer[s.start : s.end] for s in record.hard_labels] == ["silver"]
-        entries = [json.loads(p.read_text(encoding="utf-8")) for p in tmp_path.iterdir()]
+        entries = list(cache_rows(tmp_path).values())
         assert len(entries) == 3
         assert all(isinstance(e["text"], str) for e in entries)
+
+    def test_replies_cut_at_max_tokens_do_not_vote(self, monkeypatch):
+        # six runs mark "Rotterdam"; six more were cut off at max_tokens before
+        # reaching it, yet copied 86% of the answer, enough to pass the gate
+        answer = (
+            "The Erasmus Bridge is a cable-stayed and bascule bridge over the Nieuwe Maas. "
+            "It was designed by Ben van Berkel, opened in 1996 by Queen Beatrix, and carries buses, "
+            "trams, bikes and walkers over the river in central Rotterdam, Europe."
+        )
+        assert (len(answer), answer.index("Rotterdam")) == (234, 216)
+        marked = insert_markers(answer, [(216, 225)])
+
+        class HalfCutSession:
+            def __init__(self):
+                self.posts = 0
+
+            def post(self, url, json=None, headers=None, timeout=None, **kwargs):
+                self.posts += 1
+                if self.posts <= 6:
+                    return FakeResponse(200, completion_payload(marked))
+                return FakeResponse(200, completion_payload(marked[: int(len(marked) * 0.85)], "length"))
+
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        provider = OpenAIChatProvider(
+            ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
+            session=HalfCutSession(),
+        )
+        llm = LLMClient(provider, sleep=lambda _: None)
+        item = QAItem(id="r", lang="EN", question="q", answer=answer)
+        record = annotate_item(item, config(use_roles=False, runs_n=12), llm, None)
+        assert record.runs_used == 6
+        assert [(s.start, s.end, s.prob) for s in record.soft_labels] == [(216, 225, 1.0)]
 
     def test_auth_error_propagates(self):
         class AngryProvider:
