@@ -43,8 +43,14 @@ class ProviderError(HallmarkError):
     """A completion provider failed after exhausting retries."""
 
 
-class AuthError(ProviderError):
-    """Authentication failed or the API key environment variable is unset."""
+class AuthError(HallmarkError):
+    """Authentication failed or the API key environment variable is unset.
+
+    Not a ``ProviderError``: a provider error costs one run or one knowledge
+    step, but a rejected key fails every later call too, so it stops the
+    batch. Standing apart, it passes every ``except ProviderError`` untouched
+    and needs no guard of its own.
+    """
 
 
 class MockError(ProviderError):

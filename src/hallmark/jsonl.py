@@ -10,6 +10,7 @@ shapes are a fixed wire contract.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -35,9 +36,15 @@ def _iter_records(path: str | Path) -> Iterable[tuple[int, dict]]:
 # How messages name each JSON type, keyed by the Python type that holds it.
 JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
+# JSON may escape a lone surrogate (``"\ud800"``); it decodes to a str that UTF-8 cannot encode.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
 
 def is_json_type(value: Any, kind: type) -> bool:
-    """Whether ``value`` is exactly the JSON type ``kind``: a bool is no number, an int is a valid float."""
+    """Whether ``value`` is exactly the JSON type ``kind``: a bool is no number, an int is a valid
+    float, and a string holds no lone surrogate."""
+    if type(value) is str:
+        return kind is str and not _SURROGATE.search(value)
     return type(value) is kind or (kind is float and type(value) is int)
 
 

@@ -13,13 +13,14 @@ import json
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Mapping
 
 import requests
 
 from .cache import JsonFileCache, make_key
 from .core import QAItem
-from .errors import AuthError, KnowledgeError, ProviderError
+from .errors import KnowledgeError, ProviderError
+from .jsonl import is_json_type, json_value
 from .llm import CompletionRequest, LLMClient
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
@@ -40,7 +41,6 @@ class KnowledgeBundle:
 
     roles: tuple[str, ...]
     keyword: str | None = None
-    raw_external: str | None = None
     refined_external: str | None = None
     provenance: str | None = None
 
@@ -55,6 +55,17 @@ def _extract_json(reply: str) -> dict:
     if not isinstance(obj, dict):
         raise ValueError("reply JSON is not an object")
     return obj
+
+
+def _roles(identities: Any) -> list[str] | None:
+    """Up to 5 distinct identities, stripped, from a list; entries that are not text are skipped."""
+    if not isinstance(identities, list):
+        return None
+    return list(dict.fromkeys(e.strip() for e in identities if is_json_type(e, str) and e.strip()))[:5]
+
+
+def _knowledge(knowledge: Any) -> str | None:
+    return knowledge.strip() if is_json_type(knowledge, str) else None
 
 
 class WikipediaClient:
@@ -97,10 +108,11 @@ class WikipediaClient:
                 "format": "json",
             },
         )
-        hits = data.get("query", {}).get("search", [])
-        if not hits:
-            return None
-        return hits[0].get("title")
+        try:
+            hits = data.get("query", {}).get("search", [])
+            return json_value(hits[0]["title"], str) if hits else None
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise KnowledgeError(f"malformed search payload from {lang} wikipedia: {exc!r}") from exc
 
     def fetch_extract(self, title: str, lang: str) -> str | None:
         data = self._get_json(
@@ -114,12 +126,11 @@ class WikipediaClient:
                 "format": "json",
             },
         )
-        pages = data.get("query", {}).get("pages", {})
-        for page in pages.values():
-            extract = page.get("extract")
-            if extract:
-                return extract
-        return None
+        try:
+            pages = data.get("query", {}).get("pages", {})
+            return next((json_value(page["extract"], str) for page in pages.values() if page.get("extract")), None)
+        except (AttributeError, TypeError) as exc:
+            raise KnowledgeError(f"malformed extract payload from {lang} wikipedia: {exc!r}") from exc
 
 
 class KnowledgeService:
@@ -143,53 +154,46 @@ class KnowledgeService:
         self.wiki = wiki
         self.model = model
         self.cache = cache
-        self._roles_template = load_template("assign_roles")
-        self._keyword_template = load_template("extract_keyword")
-        self._summary_template = load_template("summarize_knowledge")
 
-    def _complete(self, prompt: str, seed_tag: str) -> str:
+    def _ask(self, template: str, values: Mapping[str, str], tag: str) -> str:
         return self.llm.complete(
             CompletionRequest(
                 model=self.model,
-                user_prompt=prompt,
+                user_prompt=render(load_template(template), values),
                 temperature=KNOWLEDGE_TEMPERATURE,
                 max_tokens=KNOWLEDGE_MAX_TOKENS,
-                seed_tag=seed_tag,
+                seed_tag=tag,
             )
         )
+
+    def _ask_json(self, template: str, values: Mapping[str, str], tag: str, field: str, accept: Callable) -> Any:
+        """The first non-empty ``accept(reply[field])`` of ``JSON_ATTEMPTS`` tries, or None.
+
+        Try N is sent with the seed tag ``<tag>-attempt-N``. ``accept`` gets
+        None for a missing field, and returns None or an empty value to refuse.
+        """
+        for attempt in range(JSON_ATTEMPTS):
+            reply = self._ask(template, values, f"{tag}-attempt-{attempt}")
+            try:
+                value = accept(_extract_json(reply).get(field))
+            except (ValueError, RecursionError):  # no JSON object, or one nested too deep
+                continue
+            if value:
+                return value
+        return None
 
     def assign_roles(self, item: QAItem) -> list[str]:
         """Ask for up to 5 distinct expert identities for this QA pair.
 
         Falls back to the single default role when the replies do not parse
-        or the provider gives up; an authentication failure still raises.
+        or the provider gives up.
         """
-        prompt = render(
-            self._roles_template,
-            {"lang": item.lang, "question": item.question, "answer": item.answer},
-        )
-        roles: list[str] | None = None
-        for attempt in range(JSON_ATTEMPTS):
-            try:
-                reply = self._complete(prompt, seed_tag=f"roles-attempt-{attempt}")
-            except AuthError:
-                raise
-            except ProviderError as exc:
-                logger.warning("item %s: role assignment call failed (%s)", item.id, exc)
-                break
-            try:
-                obj = _extract_json(reply)
-                identities = obj["Identities"]
-                parsed = []
-                for entry in identities:
-                    if isinstance(entry, str) and entry.strip() and entry.strip() not in parsed:
-                        parsed.append(entry.strip())
-                if not parsed:
-                    raise ValueError("no usable identities")
-                roles = parsed[:5]
-                break
-            except (ValueError, KeyError, TypeError):
-                continue
+        values = {"lang": item.lang, "question": item.question, "answer": item.answer}
+        try:
+            roles = self._ask_json("assign_roles", values, "roles", "Identities", _roles)
+        except ProviderError as exc:
+            logger.warning("item %s: role assignment call failed (%s)", item.id, exc)
+            roles = None
         if roles is None:
             logger.warning("item %s: role assignment failed, using fallback role", item.id)
             roles = [DEFAULT_ROLE]
@@ -197,8 +201,7 @@ class KnowledgeService:
 
     def extract_keyword(self, item: QAItem) -> str:
         """Pull the Wikipedia query keyword out of the question."""
-        prompt = render(self._keyword_template, {"question": item.question})
-        reply = self._complete(prompt, seed_tag="keyword")
+        reply = self._ask("extract_keyword", {"question": item.question}, "keyword")
         for line in reply.splitlines():
             stripped = line.strip()
             if stripped.lower().startswith("keyword:"):
@@ -249,27 +252,8 @@ class KnowledgeService:
         """
         if not raw:
             raise KnowledgeError("nothing to summarize")
-        prompt = render(
-            self._summary_template,
-            {
-                "lang": item.lang,
-                "question": item.question,
-                "answer": item.answer,
-                "knowledge": raw,
-            },
-        )
-        refined: str | None = None
-        for attempt in range(JSON_ATTEMPTS):
-            reply = self._complete(prompt, seed_tag=f"summary-attempt-{attempt}")
-            try:
-                obj = _extract_json(reply)
-                knowledge = obj["Knowledge"]
-                if not isinstance(knowledge, str) or not knowledge.strip():
-                    raise ValueError("empty Knowledge field")
-                refined = knowledge.strip()
-                break
-            except (ValueError, KeyError, TypeError):
-                continue
+        values = {"lang": item.lang, "question": item.question, "answer": item.answer, "knowledge": raw}
+        refined = self._ask_json("summarize_knowledge", values, "summary", "Knowledge", _knowledge)
         if refined is None:
             logger.warning("item %s: summarization failed, using truncated raw text", item.id)
             refined = raw[:FALLBACK_CHARS]
@@ -278,20 +262,12 @@ class KnowledgeService:
     def build_bundle(self, item: QAItem, use_roles: bool = True, use_external: bool = True) -> KnowledgeBundle:
         """Run the full knowledge chain for one item."""
         roles = self.assign_roles(item) if use_roles else [DEFAULT_ROLE]
-        keyword = raw = refined = provenance = None
+        keyword = refined = provenance = None
         if use_external:
             try:
                 keyword = self.extract_keyword(item)
                 raw, provenance = self.fetch_wikipedia(keyword, item.lang)
                 refined = self.summarize_knowledge(item, raw)
-            except AuthError:
-                raise
             except (KnowledgeError, ProviderError) as exc:
                 logger.warning("item %s: proceeding without external knowledge (%s)", item.id, exc)
-        return KnowledgeBundle(
-            roles=tuple(roles),
-            keyword=keyword,
-            raw_external=raw,
-            refined_external=refined,
-            provenance=provenance,
-        )
+        return KnowledgeBundle(roles=tuple(roles), keyword=keyword, refined_external=refined, provenance=provenance)

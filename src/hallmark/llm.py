@@ -20,6 +20,7 @@ import requests
 
 from .cache import JsonFileCache, make_key
 from .errors import AuthError, MockError, ProviderError
+from .jsonl import is_json_type
 from .marking import insert_markers
 
 logger = logging.getLogger(__name__)
@@ -106,7 +107,9 @@ class OpenAIChatProvider:
     ignores the environment. That saves a scan of ``os.environ`` per request,
     and keeps ``~/.netrc`` from replacing the bearer header with Basic auth.
     A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
-    ``ProviderError``: its copy of the answer stops short of the end.
+    ``ProviderError``: its copy of the answer stops short of the end. So is
+    text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
+    the response cache, cannot encode.
     """
 
     def __init__(self, cfg: ProviderConfig, session: requests.Session | None = None):
@@ -155,8 +158,8 @@ class OpenAIChatProvider:
             raise ProviderError(f"malformed completion payload from {self.name}: {exc}") from exc
         if choice.get("finish_reason") == "length":
             raise ProviderError(f"provider {self.name} cut the reply off at max_tokens")
-        if not isinstance(content, str):
-            raise ProviderError(f"provider {self.name} returned no text content ({content!r})")
+        if not is_json_type(content, str):  # null, or a string with a lone surrogate
+            raise ProviderError(f"provider {self.name} returned no text content ({content!r:.80})")
         return content
 
 

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
-from .errors import AggregationError, AuthError, MarkerError, ProviderError
+from .errors import AggregationError, MarkerError, ProviderError
 from .knowledge import KnowledgeBundle, KnowledgeService
 from .llm import CompletionRequest, LLMClient, ProviderConfig
 from .marking import parse_marked
@@ -131,8 +131,6 @@ def _execute_run(
                 seed_tag=seed_tag,
             )
         )
-    except AuthError:
-        raise
     except ProviderError as exc:
         logger.warning("item %s %s: provider failure (%s)", item.id, seed_tag, exc)
         return AnnotationRun(raw_text="", valid=False, role=role)

@@ -208,6 +208,15 @@ class TestAnnotateCommand:
         assert code == 2
         assert "1 failures" in capsys.readouterr().out
 
+    def test_lone_surrogate_in_an_answer_is_an_error_line(self, tmp_path, capsys):
+        # valid JSON, but no UTF-8 text: cache keys could not be made from it
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"id":"s","lang":"EN","model_input":"q","model_output_text":"a \\ud800 b"}\n', encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, items=items)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {items}:1: 'model_output_text' must be str, got \"a \\ud800 b\"\n"
+        assert not (tmp_path / "pred.jsonl").exists()
+
     def test_no_external_means_zero_wiki_calls(self, tmp_path, monkeypatch):
         counters = []
 

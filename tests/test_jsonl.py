@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hallmark import PredictionRecord, SpanLabel, read_gold, read_items, read_predictions, write_predictions
@@ -57,8 +57,9 @@ class TestReadItems:
         assert "model_output_text" in str(excinfo.value)
 
 
+    # "\ud800" is valid JSON, but a lone surrogate: no cache key or prompt can encode it
     @pytest.mark.parametrize("key", ["id", "lang", "model_input", "model_output_text"])
-    @pytest.mark.parametrize("value", [None, 42])
+    @pytest.mark.parametrize("value", [None, 42, "a\ud800b"])
     def test_text_fields_must_be_strings(self, tmp_path, key, value):
         path = tmp_path / "items.jsonl"
         obj = {"id": "a", "lang": "EN", "model_input": "q", "model_output_text": "x"}
@@ -241,6 +242,9 @@ def prediction_records(draw):
     )
 
 
+# The first st.text() draw builds Hypothesis's codec table, which takes seconds
+# when no .hypothesis/ directory holds it yet.
+@settings(suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(prediction_records(), max_size=6))
 def test_round_trip_identity(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("jsonl") / "pred.jsonl"

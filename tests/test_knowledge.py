@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -46,6 +47,26 @@ def service_with_script(script, item, wiki=None, cache=None):
     return KnowledgeService(client, wiki, "m", cache=cache), provider
 
 
+class ByTag(MockProvider):
+    """Mock provider that answers ``replies[seed_tag]`` where one is given."""
+
+    def __init__(self, replies, **kwargs):
+        super().__init__(**kwargs)
+        self.replies = replies
+
+    def send(self, req):
+        if req.seed_tag in self.replies:
+            with self._lock:
+                self.calls.append(req)
+            return self.replies[req.seed_tag]
+        return super().send(req)
+
+
+def service_by_tag(replies, **kwargs):
+    provider = ByTag(replies, **kwargs)
+    return KnowledgeService(LLMClient(provider, sleep=lambda _: None), None, "m"), provider
+
+
 class TestAssignRoles:
     def test_parses_identities(self, item):
         script = {roles_prompt(item): '{"Identities": ["A", "B"], "Reason": "r"}'}
@@ -75,6 +96,27 @@ class TestAssignRoles:
         script = {roles_prompt(item): '{"Identities": [], "Reason": ""}'}
         svc, _ = service_with_script(script, item)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
+
+    def test_identities_must_be_a_list(self, item):
+        # a string would give its characters as roles, an object its keys
+        svc, provider = service_by_tag({
+            "roles-attempt-0": '{"Identities": "historian", "Reason": ""}',
+            "roles-attempt-1": '{"Identities": {"historian": 1}, "Reason": ""}',
+        })
+        assert svc.assign_roles(item) == [DEFAULT_ROLE]
+        assert provider.call_count == 2
+
+    def test_identity_with_a_lone_surrogate_is_skipped(self, item):
+        # valid JSON, but no prompt holding it could be cached
+        svc, provider = service_by_tag({"roles-attempt-0": '{"Identities": ["\\ud800", "A"], "Reason": ""}'})
+        assert svc.assign_roles(item) == ["A"]
+        assert provider.call_count == 1
+
+    def test_too_deeply_nested_reply_costs_one_attempt(self, item):
+        deep = '{"Identities": ' + "[" * 5000 + "]" * 5000 + "}"
+        svc, provider = service_by_tag({"roles-attempt-0": deep, "roles-attempt-1": '{"Identities": ["A"]}'})
+        assert svc.assign_roles(item) == ["A"]
+        assert provider.call_count == 2
 
 
 class TestExtractKeyword:
@@ -180,34 +222,67 @@ class TestFetchWikipedia:
         assert len(session.calls) == 3  # initial try plus two retries
 
 
+class ReplaySession:
+    """Answers every search query with ``bodies["search"]``, every extract query with ``bodies["extract"]``."""
+
+    def __init__(self, bodies):
+        self.bodies = bodies
+        self.calls = []
+
+    def get(self, url, params=None, timeout=None):
+        self.calls.append(params)
+
+        class R:
+            status_code = 200
+
+            def __init__(self, payload):
+                self._payload = payload
+
+            def json(self):
+                return self._payload
+
+        kind = "search" if params.get("list") == "search" else "extract"
+        return R(self.bodies[kind])
+
+
+# Payloads of the wrong shape, or with a title or extract that is no text.
+MALFORMED_WIKIPEDIA = [
+    pytest.param([], None, id="search-list"),
+    pytest.param("oops", None, id="search-string"),
+    pytest.param({"query": []}, None, id="query-list"),
+    pytest.param({"query": {"search": ["x"]}}, None, id="hit-string"),
+    pytest.param(search_payload(5), None, id="title-int"),
+    pytest.param(search_payload("\ud800"), None, id="title-surrogate"),
+    pytest.param(search_payload("Hit"), extract_payload("Hit", 5), id="extract-int"),
+    pytest.param(search_payload("Hit"), extract_payload("Hit", "\ud800"), id="extract-surrogate"),
+    pytest.param(search_payload("Hit"), {"query": {"pages": [{"title": "Hit", "extract": "t"}]}}, id="pages-list"),
+]
+
+
+@pytest.mark.parametrize("search, extract", MALFORMED_WIKIPEDIA)
+def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, search, extract):
+    wiki = WikipediaClient(session=ReplaySession({"search": search, "extract": extract}))
+    provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))])
+    llm = LLMClient(provider, sleep=lambda _: None)
+    svc = KnowledgeService(llm, wiki, "m", cache=JsonFileCache(tmp_path))
+    with pytest.raises(KnowledgeError):
+        svc.fetch_wikipedia("kw", "EN")
+
+    config = PipelineConfig(model="m", provider=ProviderConfig("mock"), runs_n=3)
+    (record,) = annotate_dataset([item], config, llm, svc)
+    assert record.runs_used == 3
+    runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
+    assert len(runs) == 3 and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
+
+
 class TestRecordedWikipediaReplay:
     """Replays captured Action API response bodies end to end."""
 
     FIXTURE = Path(__file__).resolve().parent / "fixtures" / "wikipedia_swimmer.json"
 
-    class ReplaySession:
-        def __init__(self, bodies):
-            self.bodies = bodies
-            self.calls = []
-
-        def get(self, url, params=None, timeout=None):
-            self.calls.append(params)
-
-            class R:
-                status_code = 200
-
-                def __init__(self, payload):
-                    self._payload = payload
-
-                def json(self):
-                    return self._payload
-
-            kind = "search" if params.get("list") == "search" else "extract"
-            return R(self.bodies[kind])
-
     def test_first_hit_extract_round_trip(self, item):
         bodies = json.loads(self.FIXTURE.read_text(encoding="utf-8"))
-        session = self.ReplaySession(bodies)
+        session = ReplaySession(bodies)
         svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
         text, provenance = svc.fetch_wikipedia("Petra van Staveren", "EN")
 
@@ -327,7 +402,6 @@ class TestBuildBundle:
         bundle = svc.build_bundle(item)
         assert bundle.roles == ("A", "B")
         assert bundle.keyword == "mock keyword"
-        assert bundle.raw_external == "wiki text"
         assert bundle.refined_external == "mock refined knowledge"
         assert bundle.provenance == "https://en.wikipedia.org/wiki/Hit"
 
@@ -406,10 +480,46 @@ class TestProviderFailures:
         assert runs and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
         assert svc.build_bundle(item).refined_external is None
 
-    @pytest.mark.parametrize("phrase", ["expert identities", "extract a keyword"])
+    @pytest.mark.parametrize("phrase", ["expert identities", "extract a keyword", "refine the given knowledge"])
     def test_auth_error_still_propagates(self, phrase):
         provider = FailingOn(
             phrase, AuthError("key rejected"), rules=[MarkingRule(SWIMMER_ANSWER, ())]
         )
         with pytest.raises(AuthError):
             self.annotate(provider)
+
+
+# SHA-256 of each distinct prompt the pinned item sends; see the test below.
+ROLES_SHA = "488a2191679230026b8f31163e21c2dbc9ebdce7abf1e3f60aa1ab37676443de"
+KEYWORD_SHA = "e800a600509e3e25eaf0908503ca4f62e4ab9c8c3b1dd66d38bb3f9eb61521fe"
+SUMMARY_SHA = "a04176dec8e6b05709dda52d9055092a6c9a90786564548321d813a2f951d4d4"
+RUN_A_SHA = "9e84e63ecf3187eae7ab274f1116eeae81b4707f852e22a8ba1d296e377a8c69"
+RUN_B_SHA = "fa1465991c1ae0ed58a0d49c79e362bc4d34fc5b1deea77be22e91c290794cb7"
+
+
+def test_knowledge_chain_requests_are_pinned(item):
+    # One item whose first roles reply and first summary reply do not parse.
+    # The seed tags, prompts and sampling settings of its requests are pinned:
+    # a changed prompt or tag would make every existing cache miss.
+    provider = ByTag(
+        {"roles-attempt-0": "not json", "summary-attempt-0": "garbage"},
+        roles_reply=("A", "B"),
+        rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+    )
+    llm = LLMClient(provider, sleep=lambda _: None)
+    session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
+    svc = KnowledgeService(llm, WikipediaClient(session=session), "m")
+    (record,) = annotate_dataset([item], PipelineConfig(model="m", provider=ProviderConfig("mock")), llm, svc)
+
+    sent = [
+        (c.seed_tag, hashlib.sha256(c.user_prompt.encode("utf-8")).hexdigest(), c.model, c.temperature, c.max_tokens)
+        for c in provider.calls
+    ]
+    assert sent == [
+        ("roles-attempt-0", ROLES_SHA, "m", 0.0, 1024),
+        ("roles-attempt-1", ROLES_SHA, "m", 0.0, 1024),
+        ("keyword", KEYWORD_SHA, "m", 0.0, 1024),
+        ("summary-attempt-0", SUMMARY_SHA, "m", 0.0, 1024),
+        ("summary-attempt-1", SUMMARY_SHA, "m", 0.0, 1024),
+    ] + [(f"run-{i}", (RUN_A_SHA, RUN_B_SHA)[i % 2], "m", 1.0, 2048) for i in range(12)]
+    assert record.runs_used == 12

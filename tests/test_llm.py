@@ -240,6 +240,15 @@ class TestOpenAIChatProvider:
         with pytest.raises(ProviderError):
             provider.send(req("p"))
 
+    def test_lone_surrogate_is_a_provider_error(self, monkeypatch, tmp_path):
+        # ``"\ud800"`` is valid JSON, but no UTF-8 text: the run is rejected, not the batch
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session = FakeSession([FakeResponse(200, completion_payload("Revised answer: \ud800"))])
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
+        with pytest.raises(ProviderError):
+            client.complete(req("p"))
+        assert cache_rows(tmp_path) == {}
+
     def test_reply_cut_at_max_tokens_is_a_provider_error(self, monkeypatch, tmp_path):
         # a reply stopped by max_tokens copied only part of the answer; it is
         # rejected like any failed run, and never cached

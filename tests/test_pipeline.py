@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallmark import (
+    AnnotationRun,
     JsonFileCache,
     OpenAIChatProvider,
     LLMClient,
@@ -19,10 +24,10 @@ from hallmark import (
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.marking import insert_markers
-from hallmark.pipeline import PipelineConfig, extract_final_marked
+from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
 
-from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, swimmer_spans
+from .conftest import SCRIPT_POOLS, SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, swimmer_spans
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
 from .test_llm import FakeResponse, completion_payload
@@ -422,3 +427,52 @@ class TestPipelineConfig:
             config(min_similarity=1.5)
         with pytest.raises(ValueError):
             config(max_parallel_items=0)
+
+
+# What replies are made of besides slices of the answer: every marker
+# alphabet, fences, the reply sentinel, and lone surrogates, raw and escaped.
+REPLY_PIECES = ["⟨⟨", "⟩⟩", "«", "»", "<<", ">>", "<", ">", "```", "```json\n", REPLY_SENTINEL, "\n", " ", "\ud800", "\udfff", "\\ud800"]
+TEXT_ALPHABET = "".join(SCRIPT_POOLS.values()) + "«»<>⟨⟩`\n"
+
+
+@st.composite
+def answers_and_replies(draw):
+    answer = draw(st.text(alphabet=TEXT_ALPHABET, min_size=1, max_size=40))
+    cuts = draw(st.lists(st.integers(0, len(answer)), min_size=2, max_size=6))
+    slices = [answer] + [answer[a:b] for a, b in zip(cuts, cuts[1:])]
+    piece = st.one_of(
+        st.sampled_from(REPLY_PIECES), st.sampled_from(slices), st.text(alphabet=TEXT_ALPHABET, max_size=6)
+    )
+    return answer, "".join(draw(st.lists(piece, max_size=12)))
+
+
+class ReplySession:
+    """Answers every post with one completion payload, passed through JSON as on the wire."""
+
+    def __init__(self, reply, finish_reason):
+        self.payload = json.loads(json.dumps(completion_payload(reply, finish_reason)))
+
+    def post(self, url, **kwargs):
+        return FakeResponse(200, self.payload)
+
+
+@settings(deadline=None)
+@given(answers_and_replies(), st.sampled_from(["stop", "length"]))
+def test_any_reply_yields_a_run(case, finish_reason):
+    # a bad reply costs one vote and never the batch
+    answer, reply = case
+    item = QAItem(id="p", lang="EN", question="q", answer=answer)
+    cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
+        mp.setenv("TEST_KEY", "sk-x")
+        provider = OpenAIChatProvider(cfg.provider, session=ReplySession(reply, finish_reason))
+        cache = JsonFileCache(directory)
+        try:
+            prompt = build_main_prompt(item, "expert", None)
+            run = _execute_run(item, "expert", prompt, "run-0", cfg, LLMClient(provider, cache=cache))
+        finally:
+            cache.close()
+    assert isinstance(run, AnnotationRun)
+    assert all(0 <= s.start < s.end <= len(answer) for s in run.spans)
+    if finish_reason == "length" or any("\ud800" <= ch <= "\udfff" for ch in reply):
+        assert not run.valid
