@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import sys
+from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .cache import JsonFileCache
@@ -21,7 +22,7 @@ from .errors import (
     EvaluationError,
     HallmarkError,
 )
-from .jsonl import JSON_TYPES, is_json_type, json_value, read_gold, read_items, read_predictions, write_predictions
+from .jsonl import JSON_TYPES, is_json_type, json_value, load_json, read_gold, read_items, read_predictions, write_predictions
 from .knowledge import KnowledgeService, WikipediaClient
 from .llm import (
     LLMClient,
@@ -101,9 +102,8 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        data = load_json(Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
@@ -125,13 +125,15 @@ def _check_known(section: dict, keys, prefix: str = "") -> None:
 
 
 def _settings(args: argparse.Namespace, section: dict, keys: dict[str, type], prefix: str = "") -> dict:
-    """The values ``section`` sets for ``keys``, each exactly its JSON type, overlaid by the flags given."""
+    """The values ``section`` sets for ``keys``, overlaid by the flags given; each must be exactly its JSON type."""
+    flags = {key: value for key, value in vars(args).items() if value is not None}
+    values = {}
     for key, kind in keys.items():
-        if key in section and not is_json_type(section[key], kind):
-            raise ConfigError(f"config key '{prefix}{key}' must be {JSON_TYPES[kind]}")
-    values = {key: section[key] for key in keys if key in section}
-    flags = vars(args)
-    values.update((key, flags[key]) for key in keys if flags.get(key) is not None)
+        for source, name in ((section, "config key"), (flags, "flag value for")):
+            if key in source:
+                if not is_json_type(source[key], kind):
+                    raise ConfigError(f"{name} '{prefix}{key}' must be {JSON_TYPES[kind]}")
+                values[key] = source[key]
     return values
 
 
@@ -177,8 +179,7 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
     rules = []
     try:  # malformed JSON, or a fixture of the wrong shape
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                fixture = json.load(fh)
+            fixture = load_json(Path(path).read_bytes())
         for item in items:
             entry = fixture.get(item.id, {})
             spans = _fixture_spans(entry.get("spans", []), item)

@@ -9,17 +9,8 @@ class SpanError(HallmarkError, ValueError):
     """A span is malformed: out of range, inverted, or overlapping."""
 
 
-class JsonlParseError(HallmarkError):
-    """A JSONL line is not valid JSON."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
-
-
 class SchemaError(HallmarkError):
-    """A JSONL record is valid JSON but misses required keys or types."""
+    """A JSONL line is not a UTF-8 JSON object, or its object misses required keys or types."""
 
     def __init__(self, path: str, line_no: int, reason: str):
         super().__init__(f"{path}:{line_no}: {reason}")

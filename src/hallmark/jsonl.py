@@ -1,4 +1,4 @@
-"""Readers and writers for the UTF-8 JSONL dataset formats.
+"""Readers and writers for the UTF-8 JSONL dataset formats, and the decoder for all outside JSON.
 
 Input datasets use the keys ``model_input`` (question) and
 ``model_output_text`` (answer). Prediction files carry ``hard_labels`` as
@@ -12,25 +12,40 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from .core import GoldRecord, PredictionRecord, QAItem, SpanLabel
-from .errors import JsonlParseError, SchemaError
+from .errors import SchemaError
+
+# CR and LF bytes occur in no UTF-8 sequence or JSON string, so lines split before decoding,
+# and (unlike ``str.splitlines``) an unescaped U+2028 in an answer stays inside its line.
+_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
-def _iter_records(path: str | Path) -> Iterable[tuple[int, dict]]:
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise JsonlParseError(str(path), line_no, exc.msg) from exc
+def load_json(data: bytes | str) -> Any:
+    """The JSON value in ``data``, whose bytes must be UTF-8. Every way outside input can be bad
+    raises ValueError: bytes that are not UTF-8, text that is not JSON, nesting too deep to parse."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except RecursionError:
+        raise ValueError("JSON nested too deep") from None
+
+
+def _records(path: str | Path, build: Callable[[dict], Any]) -> list:
+    """``build(obj)`` for the JSON object on each non-blank line of ``path``; a line that is not one,
+    or whose object ``build`` refuses with TypeError or ValueError, is a SchemaError naming ``path:line``."""
+    records = []
+    for line_no, line in enumerate(_LINE_BREAK.split(Path(path).read_bytes()), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = load_json(line)
             if not isinstance(obj, dict):
-                raise SchemaError(str(path), line_no, "record is not a JSON object")
-            yield line_no, obj
+                raise ValueError("record is not a JSON object")
+            records.append(build(obj))
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(str(path), line_no, str(exc)) from exc
+    return records
 
 
 # How messages name each JSON type, keyed by the Python type that holds it.
@@ -55,84 +70,72 @@ def json_value(value: Any, kind: type) -> Any:
     return value
 
 
-def _require(obj: dict, key: str, path: str | Path, line_no: int, kind: type | None = None) -> Any:
+def _require(obj: dict, key: str, kind: type | None = None) -> Any:
     """``obj[key]``; with ``kind`` it must be exactly that JSON type."""
     if key not in obj:
-        raise SchemaError(str(path), line_no, f"missing required key {key!r}")
+        raise ValueError(f"missing required key {key!r}")
     if kind is not None and not is_json_type(obj[key], kind):
-        reason = f"{key!r} must be {kind.__name__}, got {json.dumps(obj[key])}"
-        raise SchemaError(str(path), line_no, reason)
+        raise TypeError(f"{key!r} must be {kind.__name__}, got {json.dumps(obj[key])}")
     return obj[key]
 
 
-def _parse_hard_labels(raw: Any, path: str | Path, line_no: int) -> tuple[SpanLabel, ...]:
+def _parse_hard_labels(raw: Any) -> tuple[SpanLabel, ...]:
     try:
         return tuple(SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(str(path), line_no, f"malformed hard_labels: {exc}") from exc
+        raise ValueError(f"malformed hard_labels: {exc}") from exc
 
 
-def _parse_soft_labels(raw: Any, path: str | Path, line_no: int) -> tuple[SpanLabel, ...]:
+def _parse_soft_labels(raw: Any) -> tuple[SpanLabel, ...]:
     try:
         return tuple(
             SpanLabel(json_value(d["start"], int), json_value(d["end"], int), json_value(d["prob"], float))
             for d in raw
         )
     except (TypeError, KeyError, ValueError) as exc:
-        raise SchemaError(str(path), line_no, f"malformed soft_labels: {exc}") from exc
+        raise ValueError(f"malformed soft_labels: {exc}") from exc
 
 
 def read_items(path: str | Path) -> list[QAItem]:
     """Read a dataset of QA pairs awaiting annotation."""
-    items = []
-    for line_no, obj in _iter_records(path):
-        items.append(
-            QAItem(
-                id=_require(obj, "id", path, line_no, str),
-                lang=_require(obj, "lang", path, line_no, str),
-                question=_require(obj, "model_input", path, line_no, str),
-                answer=_require(obj, "model_output_text", path, line_no, str),
-            )
-        )
-    return items
+    return _records(
+        path,
+        lambda obj: QAItem(
+            id=_require(obj, "id", str),
+            lang=_require(obj, "lang", str),
+            question=_require(obj, "model_input", str),
+            answer=_require(obj, "model_output_text", str),
+        ),
+    )
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
     """Read reference annotations (answer text plus hard and soft labels)."""
-    records = []
-    for line_no, obj in _iter_records(path):
-        records.append(
-            GoldRecord(
-                id=_require(obj, "id", path, line_no, str),
-                lang=_require(obj, "lang", path, line_no, str),
-                answer=_require(obj, "model_output_text", path, line_no, str),
-                hard_labels=_parse_hard_labels(obj.get("hard_labels", []), path, line_no),
-                soft_labels=_parse_soft_labels(obj.get("soft_labels", []), path, line_no),
-            )
-        )
-    return records
+    return _records(
+        path,
+        lambda obj: GoldRecord(
+            id=_require(obj, "id", str),
+            lang=_require(obj, "lang", str),
+            answer=_require(obj, "model_output_text", str),
+            hard_labels=_parse_hard_labels(obj.get("hard_labels", [])),
+            soft_labels=_parse_soft_labels(obj.get("soft_labels", [])),
+        ),
+    )
 
 
 def read_predictions(path: str | Path) -> list[PredictionRecord]:
     """Read a prediction file produced by :func:`write_predictions`."""
-    records = []
-    for line_no, obj in _iter_records(path):
-        answer = obj.get("model_output_text")
-        records.append(
-            PredictionRecord(
-                id=_require(obj, "id", path, line_no, str),
-                lang=_require(obj, "lang", path, line_no, str),
-                hard_labels=_parse_hard_labels(
-                    _require(obj, "hard_labels", path, line_no), path, line_no
-                ),
-                soft_labels=_parse_soft_labels(
-                    _require(obj, "soft_labels", path, line_no), path, line_no
-                ),
-                runs_used=_require(obj, "runs_used", path, line_no, int) if "runs_used" in obj else 0,
-                answer=None if answer is None else _require(obj, "model_output_text", path, line_no, str),
-            )
-        )
-    return records
+    return _records(
+        path,
+        lambda obj: PredictionRecord(
+            id=_require(obj, "id", str),
+            lang=_require(obj, "lang", str),
+            hard_labels=_parse_hard_labels(_require(obj, "hard_labels")),
+            soft_labels=_parse_soft_labels(_require(obj, "soft_labels")),
+            runs_used=_require(obj, "runs_used", int) if "runs_used" in obj else 0,
+            answer=None if obj.get("model_output_text") is None else _require(obj, "model_output_text", str),
+        ),
+    )
 
 
 def prediction_to_dict(record: PredictionRecord) -> dict:

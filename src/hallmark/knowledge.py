@@ -9,7 +9,6 @@ knowledge. Annotation never aborts because knowledge retrieval failed.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import requests
 from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
-from .jsonl import is_json_type, json_value
+from .jsonl import is_json_type, json_value, load_json
 from .llm import CompletionRequest, LLMClient
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
@@ -51,7 +50,7 @@ def _extract_json(reply: str) -> dict:
     end = reply.rfind("}")
     if start == -1 or end <= start:
         raise ValueError("no JSON object in reply")
-    obj = json.loads(reply[start : end + 1])
+    obj = load_json(reply[start : end + 1])
     if not isinstance(obj, dict):
         raise ValueError("reply JSON is not an object")
     return obj
@@ -86,7 +85,7 @@ class WikipediaClient:
                 response = self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S)
                 if response.status_code != 200:
                     raise ValueError(f"HTTP {response.status_code}")
-                return response.json()
+                return load_json(response.content)
             except (requests.RequestException, ValueError) as exc:
                 last_exc = exc
                 if attempt < WIKIPEDIA_RETRIES:
@@ -176,7 +175,7 @@ class KnowledgeService:
             reply = self._ask(template, values, f"{tag}-attempt-{attempt}")
             try:
                 value = accept(_extract_json(reply).get(field))
-            except (ValueError, RecursionError):  # no JSON object, or one nested too deep
+            except ValueError:  # no JSON object, or one nested too deep
                 continue
             if value:
                 return value

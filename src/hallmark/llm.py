@@ -20,7 +20,7 @@ import requests
 
 from .cache import JsonFileCache, make_key
 from .errors import AuthError, MockError, ProviderError
-from .jsonl import is_json_type
+from .jsonl import is_json_type, load_json
 from .marking import insert_markers
 
 logger = logging.getLogger(__name__)
@@ -109,7 +109,8 @@ class OpenAIChatProvider:
     A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
     ``ProviderError``: its copy of the answer stops short of the end. So is
     text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
-    the response cache, cannot encode.
+    the response cache, cannot encode. A key that is not printable ASCII,
+    which no HTTP header can carry, is an ``AuthError`` before any request.
     """
 
     def __init__(self, cfg: ProviderConfig, session: requests.Session | None = None):
@@ -118,6 +119,8 @@ class OpenAIChatProvider:
         api_key = os.environ.get(cfg.api_key_env)
         if not api_key:
             raise AuthError(f"environment variable {cfg.api_key_env} is not set")
+        if not (api_key.isascii() and api_key.isprintable()):  # the message never echoes the key
+            raise AuthError(f"environment variable {cfg.api_key_env} holds a key an HTTP header cannot carry")
         self.name = cfg.name
         self._url = cfg.base_url.rstrip("/") + "/chat/completions"
         self._headers = {
@@ -152,7 +155,7 @@ class OpenAIChatProvider:
         if response.status_code != 200:
             raise ProviderError(f"provider {self.name} returned HTTP {response.status_code}")
         try:
-            choice = response.json()["choices"][0]
+            choice = load_json(response.content)["choices"][0]
             content = choice["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion payload from {self.name}: {exc}") from exc

@@ -6,6 +6,7 @@ import sqlite3
 from pathlib import Path
 
 import pytest
+import requests
 
 from hallmark import JsonFileCache, LLMClient, MarkingRule, MockProvider, QAItem
 
@@ -53,6 +54,19 @@ def cache_rows(directory: Path) -> dict:
     """Every entry of the response cache in ``directory``, read from its SQLite file directly."""
     with sqlite3.connect(directory / "cache.sqlite3") as db:
         return {key: json.loads(value) for key, value in db.execute("SELECT key, value FROM entries")}
+
+
+def wire_response(body: bytes) -> requests.Response:
+    """An HTTP 200 response carrying ``body`` as its raw bytes."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = body
+    return response
+
+
+def nested(depth: int) -> bytes:
+    """A JSON array nested ``depth`` deep."""
+    return b"[" * depth + b"]" * depth
 
 
 def make_client(provider, cache=None) -> LLMClient:

@@ -10,6 +10,8 @@ from jsonschema import validate as validate_schema
 import hallmark.cli as cli
 from hallmark import MockProvider, read_items, read_predictions
 
+from .conftest import nested
+
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "sample"
 SAMPLE_ITEMS = SAMPLE_DIR / "items.jsonl"
 SAMPLE_FIXTURE = SAMPLE_DIR / "mock_fixture.json"
@@ -46,6 +48,10 @@ PREDICTION_LINE_SCHEMA = {
         "runs_used": {"type": "integer", "minimum": 0},
     },
 }
+
+
+NOT_UTF8_ITEM = b'{"id":"a","lang":"EN","model_input":"q","model_output_text":"\xff"}\n'
+DEEP_ITEM = b'{"id":"a","lang":"EN","model_input":' + nested(5000) + b',"model_output_text":"x"}\n'
 
 
 def annotate_args(tmp_path, out_name="pred.jsonl", *extra, items=SAMPLE_ITEMS):
@@ -216,6 +222,56 @@ class TestAnnotateCommand:
         err = capsys.readouterr().err
         assert err == f"error: {items}:1: 'model_output_text' must be str, got \"a \\ud800 b\"\n"
         assert not (tmp_path / "pred.jsonl").exists()
+
+    # Outside input that is not UTF-8, or nests deeper than the recursion limit, in each
+    # file annotate and evaluate read, and in a flag: one error line naming where it was.
+    @pytest.mark.parametrize(
+        "flag, given, error",
+        [
+            ("--input", NOT_UTF8_ITEM, "{path}:1: 'utf-8' codec can't decode byte 0xff"),
+            ("--input", DEEP_ITEM, "{path}:1: JSON nested too deep"),
+            ("--pred", NOT_UTF8_ITEM, "{path}:1: 'utf-8' codec can't decode byte 0xff"),
+            ("--gold", NOT_UTF8_ITEM, "{path}:1: 'utf-8' codec can't decode byte 0xff"),
+            ("--config", b'{"model": "m\xff"}', "cannot read config file {path}: 'utf-8' codec can't decode"),
+            ("--config", b'{"runs_n": ' + nested(5000) + b"}", "cannot read config file {path}: JSON nested too deep"),
+            ("--mock-fixture", b'{"sample-en-1": ' + nested(5000) + b"}", "bad mock fixture {path}: JSON nested too deep"),
+            ("--model", "m\udcff", "flag value for 'model' must be a string"),  # argv bytes m 0xff
+        ],
+        ids=["input-not-utf8", "input-deep", "pred-not-utf8", "gold-not-utf8", "config-not-utf8", "config-deep",
+             "fixture-deep", "model-not-utf8"],
+    )
+    def test_bad_outside_input_is_one_error_line(self, tmp_path, capsys, flag, given, error):
+        path = tmp_path / "given"
+        if isinstance(given, bytes):
+            path.write_bytes(given)
+            given = str(path)
+        if flag in ("--pred", "--gold"):
+            args = ["evaluate", "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(GOLDEN_PREDICTIONS),
+                    "--report", str(tmp_path / "out")]
+        else:
+            args = annotate_args(tmp_path, "out")
+        if flag in args:
+            args[args.index(flag) + 1] = given
+        else:
+            args += [flag, given]
+        assert cli.main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + error.format(path=path))
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_unusable_api_key_exits_3_without_printing_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("HALLMARK_TEST_KEY", "sk-secret\n")
+        code = cli.main([
+            "annotate", "--input", str(SAMPLE_ITEMS), "--output", str(tmp_path / "p.jsonl"),
+            "--provider", "test", "--base-url", "http://127.0.0.1:9/v1", "--api-key-env", "HALLMARK_TEST_KEY",
+            "--model", "m", "--no-external", "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "HALLMARK_TEST_KEY" in captured.err
+        assert "secret" not in captured.out + captured.err
+        assert not (tmp_path / "p.jsonl").exists()
 
     def test_no_external_means_zero_wiki_calls(self, tmp_path, monkeypatch):
         counters = []
@@ -388,6 +444,12 @@ class TestAnnotateCommand:
         assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 1
         assert capsys.readouterr().err == f"error: config key '{key}' must be {kind}\n"
         assert not (tmp_path / "pred.jsonl").exists()
+
+    def test_wrong_json_type_is_named_even_when_a_flag_overrides_it(self, tmp_path, capsys):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"runs_n": 2.9}), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path), "--runs", "3")) == 1
+        assert capsys.readouterr().err == "error: config key 'runs_n' must be an integer\n"
 
     def test_integer_for_a_number_is_accepted(self, tmp_path):
         path = tmp_path / "conf.json"

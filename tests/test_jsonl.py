@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hallmark import PredictionRecord, SpanLabel, read_gold, read_items, read_predictions, write_predictions
-from hallmark.errors import JsonlParseError, SchemaError
+from hallmark.errors import SchemaError
 
 
 def write_lines(path, lines):
@@ -45,7 +48,7 @@ class TestReadItems:
             '{"id":"a","lang":"EN","model_input":"q","model_output_text":"x"}',
             "{not json",
         ])
-        with pytest.raises(JsonlParseError) as excinfo:
+        with pytest.raises(SchemaError) as excinfo:
             read_items(path)
         assert excinfo.value.line_no == 2
 
@@ -250,3 +253,63 @@ def test_round_trip_identity(tmp_path_factory, records):
     path = tmp_path_factory.mktemp("jsonl") / "pred.jsonl"
     write_predictions(records, path)
     assert read_predictions(path) == records
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [{"hard_labels": [[0, 3], [2, 4]]}, {"soft_labels": [{"start": 0, "end": 3, "prob": 1}, {"start": 2, "end": 4, "prob": 1}]}],
+    ids=["hard", "soft"],
+)
+def test_overlapping_prediction_labels_name_the_line(tmp_path, labels):
+    path = tmp_path / "pred.jsonl"
+    write_lines(path, [json.dumps(label_record()), json.dumps(label_record(**labels))])
+    with pytest.raises(SchemaError) as excinfo:
+        read_predictions(path)
+    assert str(excinfo.value) == f"{path}:2: span [2, 4) overlaps or is out of order"
+
+
+RECORD_KEYS = ["id", "lang", "model_input", "model_output_text", "hard_labels", "soft_labels", "runs_used"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["start", "end", "prob", "x"]), inner),
+    max_leaves=8,
+)
+
+
+@st.composite
+def damaged_records(draw):
+    """A record with some fields of any JSON value, encoded with any lone surrogates kept, and a few bytes spliced in."""
+    record = {**label_record(), "model_input": "q", **draw(st.dictionaries(st.sampled_from(RECORD_KEYS), JSON_VALUES))}
+    line = json.dumps(record, ensure_ascii=draw(st.booleans())).encode("utf-8", "surrogatepass")
+    at = draw(st.integers(0, len(line)))
+    return line[:at] + draw(st.binary(max_size=3)) + line[at:]
+
+
+@settings(suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(), damaged_records()))
+def test_any_line_is_a_record_or_a_schema_error(tmp_path_factory, line):
+    path = tmp_path_factory.mktemp("jsonl") / "any.jsonl"
+    path.write_bytes(line + b"\n")
+    for reader in (read_items, read_gold, read_predictions):
+        try:
+            reader(path)
+        except SchemaError as exc:
+            assert exc.path == str(path)
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallmark"
+
+
+def test_outside_json_has_one_decoder():
+    # json.loads, json.load( and .json() may appear only in jsonl.load_json, and in
+    # cache.py, which reads back only rows and files that hallmark wrote itself
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for line_no, line in enumerate(source.splitlines(), start=1):
+            if re.search(r"json\.loads|json\.load\(|\.json\(\)", line):
+                around = [f for f in functions if f.lineno <= line_no <= f.end_lineno]
+                innermost = max(around, key=lambda f: f.lineno).name if around else None
+                sites.add(path.name if path.name == "cache.py" else f"{path.name}:{innermost}")
+    assert sites == {"cache.py", "jsonl.py:load_json"}

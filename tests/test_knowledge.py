@@ -22,7 +22,7 @@ from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.llm import TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
-from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows
+from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, wire_response
 
 
 @pytest.fixture
@@ -164,10 +164,7 @@ class FakeWikiSession:
             status_code = 200
 
             def __init__(self, payload):
-                self._payload = payload
-
-            def json(self):
-                return self._payload
+                self.content = json.dumps(payload).encode("utf-8")
 
         if params.get("list") == "search":
             return R(search_payload(*self.search_results.get(lang, [])))
@@ -236,10 +233,7 @@ class ReplaySession:
             status_code = 200
 
             def __init__(self, payload):
-                self._payload = payload
-
-            def json(self):
-                return self._payload
+                self.content = json.dumps(payload).encode("utf-8")
 
         kind = "search" if params.get("list") == "search" else "extract"
         return R(self.bodies[kind])
@@ -273,6 +267,18 @@ def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, se
     assert record.runs_used == 3
     runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
     assert len(runs) == 3 and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
+
+
+def test_wikipedia_payload_nested_too_deep_costs_only_the_knowledge(item):
+    class DeepSession:
+        def get(self, url, params=None, timeout=None):
+            return wire_response(b'{"query": ' + nested(3000) + b"}")
+
+    wiki = WikipediaClient(session=DeepSession(), sleep=lambda _: None)
+    svc, _ = service_with_script({}, item, wiki=wiki)
+    bundle = svc.build_bundle(item, use_roles=False)
+    assert bundle.keyword == "mock keyword"
+    assert (bundle.refined_external, bundle.provenance) == (None, None)
 
 
 class TestRecordedWikipediaReplay:

@@ -135,10 +135,7 @@ class TestLLMClientCache:
 class FakeResponse:
     def __init__(self, status_code, payload=None):
         self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
+        self.content = json.dumps(payload or {}).encode("utf-8")
 
 
 class FakeSession:
@@ -193,6 +190,17 @@ class TestOpenAIChatProvider:
         with pytest.raises(AuthError) as excinfo:
             OpenAIChatProvider(provider_config())
         assert "TEST_KEY" in str(excinfo.value)
+
+    # a non-ASCII key fails to encode; a newline makes every request retry and log the bearer header
+    @pytest.mark.parametrize("key", ["sk-\u2026", "sk-x\n", "sk-\udcff"], ids=["ellipsis", "newline", "not-utf8"])
+    def test_key_no_header_can_carry_is_refused(self, monkeypatch, key):
+        monkeypatch.setenv("TEST_KEY", key)
+        session = FakeSession([FakeResponse(200, completion_payload("ok"))])
+        with pytest.raises(AuthError) as excinfo:
+            OpenAIChatProvider(provider_config(), session=session)
+        assert "TEST_KEY" in str(excinfo.value)
+        assert "sk-" not in str(excinfo.value)
+        assert session.requests == []
 
     def test_request_shape(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")

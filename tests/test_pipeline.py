@@ -27,7 +27,7 @@ from hallmark.marking import insert_markers
 from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
 
-from .conftest import SCRIPT_POOLS, SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, swimmer_spans
+from .conftest import SCRIPT_POOLS, SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, swimmer_spans, wire_response
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
 from .test_llm import FakeResponse, completion_payload
@@ -476,3 +476,17 @@ def test_any_reply_yields_a_run(case, finish_reason):
     assert all(0 <= s.start < s.end <= len(answer) for s in run.spans)
     if finish_reason == "length" or any("\ud800" <= ch <= "\udfff" for ch in reply):
         assert not run.valid
+
+
+def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
+    class DeepSession:
+        def post(self, url, **kwargs):
+            return wire_response(b'{"choices": ' + nested(3000) + b"}")
+
+    monkeypatch.setenv("TEST_KEY", "sk-x")
+    cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
+    provider = OpenAIChatProvider(cfg.provider, session=DeepSession())
+    item = QAItem(id="d", lang="EN", question="q", answer="an answer")
+    run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
+    assert isinstance(run, AnnotationRun)
+    assert not run.valid
