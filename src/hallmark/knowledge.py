@@ -1,10 +1,10 @@
 """Internal-knowledge diversification (expert roles) and external knowledge
 (Wikipedia retrieval plus LLM refinement).
 
-Every step degrades gracefully: a failed role assignment falls back to a
-single generic role, and any failure along the keyword -> search ->
-extract -> summarize chain just leaves the item without external
-knowledge. Annotation never aborts because knowledge retrieval failed.
+Every step degrades gracefully: a failed call or bad reply costs one of two
+attempts, then roles fall back to one generic role and a summary to the raw
+extract; any other failure along the keyword -> search -> extract chain just
+leaves the item without external knowledge. Annotation never aborts for it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import CompletionRequest, LLMClient
+from .llm import CompletionRequest, LLMClient, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 logger = logging.getLogger(__name__)
@@ -29,7 +29,7 @@ KNOWLEDGE_TEMPERATURE = 0.0  # knowledge-chain calls should be reproducible
 KNOWLEDGE_MAX_TOKENS = 1024
 JSON_ATTEMPTS = 2  # tries per JSON-producing prompt, each with its own seed tag
 MAX_RAW_CHARS = 8000  # Wikipedia extract kept, and part of its cache key
-FALLBACK_CHARS = 2000  # raw text used when summarization does not parse
+FALLBACK_CHARS = 2000  # raw text used when both summary attempts fail
 WIKIPEDIA_TIMEOUT_S = 30.0
 WIKIPEDIA_RETRIES = 2
 
@@ -75,22 +75,27 @@ class WikipediaClient:
         session: requests.Session | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
-        self._session = session or requests.Session()
+        if session is None:
+            from . import __version__  # here, because the package imports this module before it sets its version
+
+            session = requests.Session()  # a descriptive User-Agent, per the Wikimedia User-Agent policy
+            session.headers["User-Agent"] = (
+                f"hallmark/{__version__} (hallucination span annotator) {requests.utils.default_user_agent()}"
+            )
+        self._session = session
         self._sleep = sleep
 
     def _get_json(self, url: str, params: dict) -> dict:
-        last_exc: Exception | None = None
-        for attempt in range(WIKIPEDIA_RETRIES + 1):
-            try:
-                response = self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S)
-                if response.status_code != 200:
-                    raise ValueError(f"HTTP {response.status_code}")
-                return load_json(response.content)
-            except (requests.RequestException, ValueError) as exc:
-                last_exc = exc
-                if attempt < WIKIPEDIA_RETRIES:
-                    self._sleep(1.0 * (attempt + 1))
-        raise KnowledgeError(f"wikipedia request failed: {last_exc}")
+        def get() -> requests.Response:
+            return self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S)
+
+        try:
+            response = with_retries(lambda: transient_checked(get, "wikipedia"), WIKIPEDIA_RETRIES, 1.0, self._sleep)
+            if response.status_code != 200:
+                raise ValueError(f"HTTP {response.status_code}")
+            return load_json(response.content)
+        except (ProviderError, ValueError) as exc:
+            raise KnowledgeError(f"wikipedia request failed: {exc}") from exc
 
     @staticmethod
     def _api_url(lang: str) -> str:
@@ -168,14 +173,14 @@ class KnowledgeService:
     def _ask_json(self, template: str, values: Mapping[str, str], tag: str, field: str, accept: Callable) -> Any:
         """The first non-empty ``accept(reply[field])`` of ``JSON_ATTEMPTS`` tries, or None.
 
-        Try N is sent with the seed tag ``<tag>-attempt-N``. ``accept`` gets
-        None for a missing field, and returns None or an empty value to refuse.
+        Try N has the seed tag ``<tag>-attempt-N``, and a ProviderError costs it like a bad reply.
+        ``accept`` gets None for a missing field, and returns None or an empty value to refuse.
         """
         for attempt in range(JSON_ATTEMPTS):
-            reply = self._ask(template, values, f"{tag}-attempt-{attempt}")
             try:
-                value = accept(_extract_json(reply).get(field))
-            except ValueError:  # no JSON object, or one nested too deep
+                value = accept(_extract_json(self._ask(template, values, f"{tag}-attempt-{attempt}")).get(field))
+            except (ProviderError, ValueError) as exc:  # a failed call, no JSON object, or one nested too deep
+                logger.warning("%s-attempt-%d failed (%s)", tag, attempt, exc)
                 continue
             if value:
                 return value
@@ -184,15 +189,10 @@ class KnowledgeService:
     def assign_roles(self, item: QAItem) -> list[str]:
         """Ask for up to 5 distinct expert identities for this QA pair.
 
-        Falls back to the single default role when the replies do not parse
-        or the provider gives up.
+        Falls back to the single default role when both attempts fail.
         """
         values = {"lang": item.lang, "question": item.question, "answer": item.answer}
-        try:
-            roles = self._ask_json("assign_roles", values, "roles", "Identities", _roles)
-        except ProviderError as exc:
-            logger.warning("item %s: role assignment call failed (%s)", item.id, exc)
-            roles = None
+        roles = self._ask_json("assign_roles", values, "roles", "Identities", _roles)
         if roles is None:
             logger.warning("item %s: role assignment failed, using fallback role", item.id)
             roles = [DEFAULT_ROLE]
@@ -214,40 +214,36 @@ class KnowledgeService:
 
         Searches the item-language wiki first and falls back to English;
         returns (text, provenance URL). Raises KnowledgeError when both
-        wikis come up empty or the network gives out.
+        wikis come up empty or the network gives out. Both wikis coming up
+        empty is an answer too, and is cached like a hit; a failed request
+        is not.
         """
         if not keyword:
             raise KnowledgeError("empty keyword")
         if self.wiki is None:
             raise KnowledgeError("no wikipedia client configured")
-        payload = {"keyword": keyword, "lang": lang, "max_chars": MAX_RAW_CHARS}
-        key = make_key("fetch_wikipedia", payload)
-        hit = self.cache.get(key) if self.cache is not None else None
-        if hit is not None:
-            return hit["text"], hit["provenance"]
-
-        primary = primary_subtag(lang) or "en"
-        tried = []
-        for wiki_lang in dict.fromkeys([primary, "en"]):
-            tried.append(wiki_lang)
-            title = self.wiki.search_first_title(keyword, wiki_lang)
-            if title is None:
-                continue
-            extract = self.wiki.fetch_extract(title, wiki_lang)
-            if not extract:
-                continue
-            text = extract[:MAX_RAW_CHARS]
-            provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
+        wikis = list(dict.fromkeys([primary_subtag(lang) or "en", "en"]))
+        key = make_key("fetch_wikipedia", {"keyword": keyword, "lang": lang, "max_chars": MAX_RAW_CHARS})
+        found = self.cache.get(key) if self.cache is not None else None
+        if found is None:
+            found = {"text": None, "provenance": None}
+            for wiki_lang in wikis:
+                title = self.wiki.search_first_title(keyword, wiki_lang)
+                extract = self.wiki.fetch_extract(title, wiki_lang) if title is not None else None
+                if extract:
+                    provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
+                    found = {"text": extract[:MAX_RAW_CHARS], "provenance": provenance}
+                    break
             if self.cache is not None:
-                self.cache.put(key, {"text": text, "provenance": provenance})
-            return text, provenance
-        raise KnowledgeError(f"no wikipedia results for {keyword!r} in {tried}")
+                self.cache.put(key, found)
+        if found["text"] is None:
+            raise KnowledgeError(f"no wikipedia results for {keyword!r} in {wikis}")
+        return found["text"], found["provenance"]
 
     def summarize_knowledge(self, item: QAItem, raw: str) -> str:
         """Refine a raw extract into a compact reference paragraph.
 
-        Falls back to the truncated raw text when the model will not
-        produce parseable JSON.
+        Falls back to the truncated raw text when both attempts fail.
         """
         if not raw:
             raise KnowledgeError("nothing to summarize")

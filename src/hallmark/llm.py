@@ -7,6 +7,7 @@ covers every endpoint this tool targets without per-provider code.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import os
@@ -14,7 +15,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -27,9 +28,35 @@ logger = logging.getLogger(__name__)
 
 PROVIDER_TIMEOUT_S = 120.0  # per chat-completion request
 
+T = TypeVar("T")
+
 
 class TransientProviderError(ProviderError):
     """Retryable failure: rate limit, server error, or network trouble."""
+
+
+def transient_checked(call: Callable[[], requests.Response], service: str) -> requests.Response:
+    """``call()``'s response, unless it is one a retry may mend: a network error, 429 or 5xx."""
+    try:
+        response = call()
+    except requests.RequestException as exc:
+        raise TransientProviderError(f"network error calling {service}: {exc}") from exc
+    if response.status_code == 429 or response.status_code >= 500:
+        raise TransientProviderError(f"{service} returned HTTP {response.status_code}")
+    return response
+
+
+def with_retries(call: Callable[[], T], retries: int, backoff_base: float, sleep: Callable[[float], None]) -> T:
+    """``call()``, retried at most ``retries`` times, ``backoff_base·2ⁿ`` s after its n-th transient failure."""
+    for attempt in itertools.count():
+        try:
+            return call()
+        except TransientProviderError as exc:
+            if attempt >= retries:
+                raise ProviderError(f"giving up after {attempt + 1} attempts: {exc}") from exc
+            delay = backoff_base * (2**attempt)
+            logger.warning("transient failure (%s), retrying in %.1fs", exc, delay)
+            sleep(delay)
 
 
 @dataclass(frozen=True)
@@ -141,17 +168,14 @@ class OpenAIChatProvider:
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        try:
-            response = self._session.post(
+        response = transient_checked(
+            lambda: self._session.post(
                 self._url, json=body, headers=self._headers, timeout=PROVIDER_TIMEOUT_S, **self._env_settings
-            )
-        except requests.RequestException as exc:
-            raise TransientProviderError(f"network error calling {self.name}: {exc}") from exc
-
+            ),
+            f"provider {self.name}",
+        )
         if response.status_code == 401:
             raise AuthError(f"provider {self.name} rejected the API key (HTTP 401)")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientProviderError(f"provider {self.name} returned HTTP {response.status_code}")
         if response.status_code != 200:
             raise ProviderError(f"provider {self.name} returned HTTP {response.status_code}")
         try:
@@ -184,18 +208,12 @@ class MarkingRule:
         return self.spans
 
 
-# Phrases that identify the stock knowledge prompts; kept in sync with the
-# templates shipped under hallmark/prompts/.
-_ROLES_PHRASE = "expert identities"
-_KEYWORD_PHRASE = "extract a keyword"
-_SUMMARY_PHRASE = "refine the given knowledge"
-
-
 class MockProvider:
     """Deterministic offline provider.
 
     Resolution order per request: exact scripted prompt, stock replies for
-    the knowledge prompts, then marking rules. A rule matches when its
+    the knowledge chain's seed tags (``roles-attempt-N``, ``keyword``,
+    ``summary-attempt-N``), then marking rules. A rule matches when its
     answer text occurs in the prompt; the rule with the rightmost
     occurrence wins, because the item under annotation appears after any
     worked example embedded in the prompt. Unmatched prompts get
@@ -229,14 +247,14 @@ class MockProvider:
         if req.user_prompt in self.script:
             return self.script[req.user_prompt]
 
-        if _ROLES_PHRASE in req.user_prompt:
+        if req.seed_tag.startswith("roles-attempt-"):
             return json.dumps(
                 {"Identities": list(self.roles_reply), "Reason": "scripted"},
                 ensure_ascii=False,
             )
-        if _KEYWORD_PHRASE in req.user_prompt:
+        if req.seed_tag == "keyword":
             return "Keyword: mock keyword"
-        if _SUMMARY_PHRASE in req.user_prompt:
+        if req.seed_tag.startswith("summary-attempt-"):
             return '{"Knowledge": "mock refined knowledge", "Reason": "scripted"}'
 
         best: MarkingRule | None = None
@@ -298,23 +316,12 @@ class LLMClient:
             if hit is not None:
                 return hit["text"]
 
-        attempt = 0
-        while True:
+        def attempt() -> str:
             if self.limiter is not None:
                 self.limiter.acquire()
-            try:
-                text = self.provider.send(req)
-                break
-            except TransientProviderError as exc:
-                if attempt >= self.max_retries:
-                    raise ProviderError(
-                        f"giving up after {attempt + 1} attempts: {exc}"
-                    ) from exc
-                delay = self.backoff_base * (2**attempt)
-                logger.warning("transient provider failure (%s), retrying in %.1fs", exc, delay)
-                self._sleep(delay)
-                attempt += 1
+            return self.provider.send(req)
 
+        text = with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
         if not isinstance(text, str):
             raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
         if self.cache is not None:

@@ -17,8 +17,9 @@ from hallmark import (
     QAItem,
     annotate_dataset,
 )
-from hallmark.errors import AuthError, KnowledgeError
-from hallmark.knowledge import KnowledgeService, WikipediaClient
+from hallmark import __version__
+from hallmark.errors import AuthError, KnowledgeError, ProviderError
+from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
 from hallmark.llm import TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
@@ -48,7 +49,8 @@ def service_with_script(script, item, wiki=None, cache=None):
 
 
 class ByTag(MockProvider):
-    """Mock provider that answers ``replies[seed_tag]`` where one is given."""
+    """Mock provider that answers ``replies[seed_tag]`` where one is given,
+    or raises it when it is an exception."""
 
     def __init__(self, replies, **kwargs):
         super().__init__(**kwargs)
@@ -58,7 +60,10 @@ class ByTag(MockProvider):
         if req.seed_tag in self.replies:
             with self._lock:
                 self.calls.append(req)
-            return self.replies[req.seed_tag]
+            reply = self.replies[req.seed_tag]
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
         return super().send(req)
 
 
@@ -117,6 +122,11 @@ class TestAssignRoles:
         svc, provider = service_by_tag({"roles-attempt-0": deep, "roles-attempt-1": '{"Identities": ["A"]}'})
         assert svc.assign_roles(item) == ["A"]
         assert provider.call_count == 2
+
+    def test_failed_call_costs_one_attempt(self, item):
+        svc, provider = service_by_tag({"roles-attempt-0": ProviderError("null content")}, roles_reply=("A", "B"))
+        assert svc.assign_roles(item) == ["A", "B"]
+        assert [c.seed_tag for c in provider.calls] == ["roles-attempt-0", "roles-attempt-1"]
 
 
 class TestExtractKeyword:
@@ -217,6 +227,47 @@ class TestFetchWikipedia:
         with pytest.raises(KnowledgeError):
             svc.fetch_wikipedia("kw", "EN")
         assert len(session.calls) == 3  # initial try plus two retries
+
+
+class QueuedSession:
+    """Answers each GET with the next ``(status, body)`` reply; records the calls."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.calls = []
+
+    def get(self, url, params=None, timeout=None):
+        self.calls.append(params)
+        status, body = self.replies.pop(0)
+        response = wire_response(body)
+        response.status_code = status
+        return response
+
+
+class TestWikipediaRetries:
+    """Only a network error, a 429 or a 5xx is asked again, after 1 s and then 2 s."""
+
+    @pytest.mark.parametrize("status, body", [(200, b"<html>"), (404, b'{"error": "missing"}')], ids=["html", "404"])
+    def test_reply_a_retry_cannot_mend_costs_one_request(self, status, body):
+        session, sleeps = QueuedSession((status, body)), []
+        with pytest.raises(KnowledgeError):
+            WikipediaClient(session=session, sleep=sleeps.append).search_first_title("kw", "en")
+        assert (len(session.calls), sleeps) == (1, [])
+
+    def test_server_error_is_asked_again_after_one_second(self):
+        session, sleeps = QueuedSession((503, b"{}"), (200, json.dumps(search_payload("Hit")).encode("utf-8"))), []
+        assert WikipediaClient(session=session, sleep=sleeps.append).search_first_title("kw", "en") == "Hit"
+        assert (len(session.calls), sleeps) == (2, [1.0])
+
+
+def test_own_session_names_hallmark_in_its_user_agent():
+    # https://meta.wikimedia.org/wiki/User-Agent_policy asks for a descriptive User-Agent
+    agent = WikipediaClient()._session.headers["User-Agent"]
+    assert agent.startswith(f"hallmark/{__version__} (") and "python-requests/" in agent
+    session = requests.Session()
+    headers = dict(session.headers)
+    WikipediaClient(session=session)
+    assert dict(session.headers) == headers
 
 
 class ReplaySession:
@@ -325,6 +376,22 @@ class TestSummarize:
         assert out == raw[:2000]
         assert provider.call_count == 2
 
+    def test_failed_call_costs_one_attempt(self, item):
+        svc, provider = service_by_tag({"summary-attempt-0": ProviderError("null content")})
+        assert svc.summarize_knowledge(item, "raw") == "mock refined knowledge"
+        assert [c.seed_tag for c in provider.calls] == ["summary-attempt-0", "summary-attempt-1"]
+
+    def test_two_failed_calls_fall_back_to_the_extract(self, item):
+        # the extract was fetched already; losing both summary calls must not throw it away
+        raw = "z" * 5000
+        failed = ProviderError("gave up after 4 attempts")
+        provider = ByTag({"summary-attempt-0": failed, "summary-attempt-1": failed})
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): raw})
+        svc = KnowledgeService(LLMClient(provider, sleep=lambda _: None), WikipediaClient(session=session), "m")
+        bundle = svc.build_bundle(item)
+        assert bundle.refined_external == raw[:FALLBACK_CHARS]
+        assert bundle.provenance == "https://en.wikipedia.org/wiki/Hit"
+
 
 class TestCaching:
     def test_roles_cached(self, item, tmp_path):
@@ -345,6 +412,25 @@ class TestCaching:
         calls_before = len(session.calls)
         svc.fetch_wikipedia("kw", "EN")
         assert len(session.calls) == calls_before
+
+    def test_wikipedia_miss_cached(self, item, tmp_path):
+        session = FakeWikiSession(search_results={})
+        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session), cache=JsonFileCache(tmp_path))
+        with pytest.raises(KnowledgeError) as first:
+            svc.fetch_wikipedia("kw", "FI")
+        calls_before = len(session.calls)
+        with pytest.raises(KnowledgeError) as second:
+            svc.fetch_wikipedia("kw", "FI")
+        assert len(session.calls) == calls_before == 2
+        assert str(second.value) == str(first.value) == "no wikipedia results for 'kw' in ['fi', 'en']"
+
+    def test_failed_wikipedia_request_not_cached(self, item, tmp_path):
+        session = FakeWikiSession(fail=True)
+        wiki = WikipediaClient(session=session, sleep=lambda _: None)
+        svc, _ = service_with_script({}, item, wiki=wiki, cache=JsonFileCache(tmp_path))
+        with pytest.raises(KnowledgeError):
+            svc.fetch_wikipedia("kw", "EN")
+        assert cache_rows(tmp_path) == {}
 
     def test_wikipedia_cache_key_is_pinned(self, tmp_path):
         # a changed key would make every existing cache miss
@@ -469,14 +555,14 @@ class TestProviderFailures:
         assert record.runs_used == 3
         assert [(s.start, s.end) for s in record.hard_labels] == [(0, 5)]
         roles_calls = [c for c in provider.calls if "expert identities" in c.user_prompt]
-        assert len(roles_calls) == 2  # one call, retried once, then the fallback
+        assert len(roles_calls) == 4  # two attempts, each retried once, then the fallback
         runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
         assert all(c.user_prompt.startswith(f"You are a {DEFAULT_ROLE}.") for c in runs)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
 
     def test_external_chain_failure_leaves_item_without_knowledge(self):
         provider = FailingOn(
-            "refine the given knowledge",
+            "extract a keyword",
             TransientProviderError("HTTP 429"),
             rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
         )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 import requests
@@ -83,10 +86,10 @@ class TestMockProvider:
 
     def test_knowledge_default_replies(self):
         mock = MockProvider(roles_reply=("A", "B"))
-        roles = json.loads(mock.send(req("identify up to 5 distinct expert identities ...")))
+        roles = json.loads(mock.send(req("identify up to 5 distinct expert identities ...", "roles-attempt-0")))
         assert roles["Identities"] == ["A", "B"]
-        assert mock.send(req("you need to extract a keyword ...")).startswith("Keyword:")
-        summary = json.loads(mock.send(req("refine the given knowledge ...")))
+        assert mock.send(req("you need to extract a keyword ...", "keyword")).startswith("Keyword:")
+        summary = json.loads(mock.send(req("refine the given knowledge ...", "summary-attempt-1")))
         assert "Knowledge" in summary
 
     def test_call_recording(self):
@@ -357,3 +360,25 @@ class TestRateLimiter:
         limiter.acquire()  # must wait a full window
         assert vc.sleeps
         assert vc.now >= 60.0
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallmark"
+
+
+def call_sites(pattern):
+    """``file:function`` of each line in ``src/hallmark`` that matches ``pattern``."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for line_no, line in enumerate(source.splitlines(), start=1):
+            if re.search(pattern, line):
+                around = [f for f in functions if f.lineno <= line_no <= f.end_lineno]
+                sites.add(f"{path.name}:{max(around, key=lambda f: f.lineno).name if around else None}")
+    return sites
+
+
+def test_one_transient_test_and_one_backoff_loop():
+    # both outside services decide what a failed call costs in the same two places
+    assert call_sites(r"sleep\(") == {"llm.py:with_retries", "llm.py:acquire"}
+    assert call_sites(r"\b429\b") == {"llm.py:transient_checked"}

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import json
 import tempfile
+import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,12 +22,13 @@ from hallmark import (
     annotate_dataset,
     annotate_item,
     build_main_prompt,
+    write_predictions,
 )
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.marking import insert_markers
 from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
-from hallmark.prompts import NO_KNOWLEDGE_SENTINEL
+from hallmark.prompts import NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import SCRIPT_POOLS, SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, swimmer_spans, wire_response
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
@@ -490,3 +493,103 @@ def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
     run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
     assert isinstance(run, AnnotationRun)
     assert not run.valid
+
+
+class Interrupter:
+    """Counts the requests sent to either service; request number ``at`` is
+    replaced by a KeyboardInterrupt, as if Ctrl-C landed before it went out."""
+
+    def __init__(self, at=None):
+        self.at = at
+        self.sent = 0
+        self._seen = 0
+        self._lock = threading.Lock()
+
+    def request(self):
+        with self._lock:
+            self._seen += 1
+            if self._seen - 1 == self.at:
+                raise KeyboardInterrupt
+            self.sent += 1
+
+
+class InterruptibleMock(MockProvider):
+    def __init__(self, interrupter, **kwargs):
+        super().__init__(**kwargs)
+        self.interrupter = interrupter
+
+    def send(self, req):
+        self.interrupter.request()
+        return super().send(req)
+
+
+class InterruptibleWiki:
+    """Wikipedia whose search for ``keyword`` in ``lang`` finds a page titled
+    ``keyword`` when ``pages`` holds its text under ``(lang, keyword)``."""
+
+    def __init__(self, interrupter, pages):
+        self.interrupter = interrupter
+        self.pages = pages
+
+    def get(self, url, params=None, timeout=None):
+        self.interrupter.request()
+        lang = url.split("//")[1].split(".")[0]
+        if params.get("list") == "search":
+            found = (lang, params["srsearch"]) in self.pages
+            payload = {"query": {"search": [{"title": params["srsearch"]}] if found else []}}
+        else:
+            payload = {"query": {"pages": {"1": {"extract": self.pages.get((lang, params["titles"]), "")}}}}
+        return wire_response(json.dumps(payload).encode("utf-8"))
+
+
+RERUN_KEYWORDS = {"EN": "Ada", "FI": "Bea", "DE": "Cid", "ES": "Dot"}
+RERUN_ITEMS = [
+    QAItem(id=f"r-{lang}", lang=lang, question=f"Who is {keyword}?", answer=f"{keyword} won {n} medals in the games.")
+    for n, (lang, keyword) in enumerate(RERUN_KEYWORDS.items())
+]
+# A hit in the item's wiki, a hit on the English fallback, a miss in both, and a hit again.
+RERUN_PAGES = {("en", "Ada"): "Ada text", ("en", "Bea"): "Bea text", ("es", "Dot"): "Dot text"}
+
+
+def rerun_batch(directory, at=None):
+    """Annotate RERUN_ITEMS on the cache in ``directory``; (predictions bytes or None, requests sent)."""
+    interrupter = Interrupter(at)
+    provider = InterruptibleMock(
+        interrupter,
+        script={
+            render(load_template("extract_keyword"), {"question": f"Who is {keyword}?"}): f"Keyword: {keyword}"
+            for keyword in RERUN_KEYWORDS.values()
+        },
+        rules=[MarkingRule(it.answer, ((0, 3),)) for it in RERUN_ITEMS],
+    )
+    cache = JsonFileCache(directory)
+    try:
+        llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
+        wiki = WikipediaClient(session=InterruptibleWiki(interrupter, RERUN_PAGES), sleep=lambda _: None)
+        svc = KnowledgeService(llm, wiki, "m", cache=cache)
+        cfg = config(use_external=True, runs_n=3, max_parallel_items=2)
+        try:
+            records = annotate_dataset(RERUN_ITEMS, cfg, llm, svc)
+        except KeyboardInterrupt:
+            return None, interrupter.sent
+    finally:
+        cache.close()
+    out = Path(directory) / "pred.jsonl"
+    write_predictions(records, out)
+    return out.read_bytes(), interrupter.sent
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.data())
+def test_rerun_after_an_interrupt_asks_nothing_it_already_knows(data):
+    # Each item in flight loses at most the Wikipedia searches of its
+    # unfinished fetch, which are two only for an English-fallback item.
+    with tempfile.TemporaryDirectory() as clean, tempfile.TemporaryDirectory() as resumed:
+        expected, total = rerun_batch(clean)
+        at = data.draw(st.integers(0, total - 1), label="interrupted request")
+        interrupted, sent_before = rerun_batch(resumed, at)
+        assert interrupted is None
+        predictions, sent_after = rerun_batch(resumed)
+        assert predictions == expected
+        assert sent_before + sent_after <= total + 2  # max_parallel_items
+        assert rerun_batch(resumed) == (expected, 0)
