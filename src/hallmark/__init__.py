@@ -15,8 +15,8 @@ from .core import (
     PredictionRecord,
     QAItem,
     SpanLabel,
-    charset_to_spans,
-    spans_to_charset,
+    coverage,
+    runs_of,
 )
 from .jsonl import read_gold, read_items, read_predictions, write_predictions
 from .knowledge import KnowledgeBundle, KnowledgeService, WikipediaClient
@@ -61,7 +61,7 @@ __all__ = [
     "annotate_dataset",
     "annotate_item",
     "build_main_prompt",
-    "charset_to_spans",
+    "coverage",
     "evaluate",
     "expand_soft",
     "insert_markers",
@@ -71,7 +71,7 @@ __all__ = [
     "read_gold",
     "read_items",
     "read_predictions",
-    "spans_to_charset",
+    "runs_of",
     "spearman",
     "to_hard_labels",
     "to_soft_labels",

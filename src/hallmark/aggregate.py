@@ -9,9 +9,11 @@ broken rewrite carries no signal about content.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import le
 from typing import Sequence
 
-from .core import SpanLabel, charset_to_spans, spans_to_charset
+from .core import SpanLabel, coverage, runs_of
 from .errors import AggregationError
 
 
@@ -29,19 +31,17 @@ class AnnotationRun:
 def aggregate(runs: Sequence[AnnotationRun], answer_len: int) -> list[float]:
     """Count span coverage over valid runs into per-character fractions.
 
-    Overlapping spans within one run cover a character once. Raises
-    AggregationError when no run survived; the caller reports the item as
-    unannotated instead of failing the batch.
+    A run covers a character once, however many of its spans do and
+    whatever ``prob`` they carry. Raises AggregationError when no run
+    survived; the caller reports the item as unannotated instead of
+    failing the batch.
     """
     valid = [r for r in runs if r.valid]
     if not valid:
         raise AggregationError("no valid annotation runs")
-    counts = [0] * answer_len
-    for run in valid:
-        for idx in spans_to_charset(run.spans, answer_len):
-            counts[idx] += 1
+    covered = [coverage([SpanLabel(s.start, s.end) for s in run.spans], answer_len) for run in valid]
     n = len(valid)
-    return [c / n for c in counts]
+    return [c / n for c in map(sum, zip(*covered))]
 
 
 def to_soft_labels(probs: Sequence[float]) -> list[SpanLabel]:
@@ -49,23 +49,11 @@ def to_soft_labels(probs: Sequence[float]) -> list[SpanLabel]:
 
     Zero-probability characters produce no label.
     """
-    labels: list[SpanLabel] = []
-    run_start: int | None = None
-    run_prob = 0.0
-    for i, p in enumerate(probs):
-        if run_start is not None and p != run_prob:
-            labels.append(SpanLabel(run_start, i, run_prob))
-            run_start = None
-        if run_start is None and p > 0.0:
-            run_start = i
-            run_prob = p
-    if run_start is not None:
-        labels.append(SpanLabel(run_start, len(probs), run_prob))
-    return labels
+    return runs_of(probs)
 
 
 def to_hard_labels(probs: Sequence[float], threshold: float = 0.5) -> list[SpanLabel]:
     """Keep characters whose probability reaches ``threshold`` (inclusive)."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1]")
-    return charset_to_spans(i for i, p in enumerate(probs) if p >= threshold)
+    return [SpanLabel(s.start, s.end) for s in runs_of(map(partial(le, threshold), probs))]

@@ -15,12 +15,13 @@ from pathlib import Path
 from typing import Sequence, get_type_hints
 
 from .cache import JsonFileCache
-from .core import PredictionRecord
+from .core import PredictionRecord, SpanLabel, validate_spans
 from .errors import (
     AuthError,
     ConfigError,
     EvaluationError,
     HallmarkError,
+    SpanError,
 )
 from .jsonl import JSON_TYPES, is_json_type, json_value, load_json, read_gold, read_items, read_predictions, write_predictions
 from .knowledge import KnowledgeService, WikipediaClient
@@ -162,16 +163,12 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: Provide
 
 def _fixture_spans(raw, item) -> tuple[tuple[int, int], ...]:
     """One fixture span list, checked to be sorted, disjoint and inside the answer."""
-    spans = tuple((json_value(s, int), json_value(e, int)) for s, e in raw)
-    prev_end = 0
-    for start, end in spans:
-        if not prev_end <= start < end <= len(item.answer):
-            raise ValueError(
-                f"item {item.id!r}: span [{start}, {end}) is empty, unsorted, overlapping"
-                f" or outside its {len(item.answer)}-char answer"
-            )
-        prev_end = end
-    return spans
+    try:
+        spans = [SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw]
+        validate_spans(spans, len(item.answer))
+    except SpanError as exc:
+        raise ValueError(f"item {item.id!r}: {exc}") from exc
+    return tuple((span.start, span.end) for span in spans)
 
 
 def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:

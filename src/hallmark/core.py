@@ -2,12 +2,15 @@
 
 All character offsets in this package count Unicode scalar values (Python
 string indices), never bytes or UTF-16 code units, so they are stable
-across every script the tool handles. Spans are half-open ``[start, end)``.
+across every script the tool handles. Spans are half-open ``[start, end)``;
+``coverage`` turns a span list into one value per character and ``runs_of``
+turns such values back into spans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import SpanError
@@ -37,47 +40,42 @@ class SpanLabel:
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.end <= self.start:
-            raise SpanError(f"invalid span [{self.start}, {self.end})")
+            raise SpanError(f"span [{self.start}, {self.end}) is empty or starts before 0")
         if self.prob is not None and not 0.0 <= self.prob <= 1.0:
             raise SpanError(f"span probability {self.prob} outside [0, 1]")
 
 
-def validate_spans(spans: Sequence[SpanLabel]) -> None:
-    """Check that spans are sorted and pairwise non-overlapping."""
+def validate_spans(spans: Sequence[SpanLabel], length: int | None = None) -> None:
+    """Check that spans are sorted, pairwise disjoint and, given ``length``, inside a text that long."""
     prev_end = 0
     for span in spans:
         if span.start < prev_end:
             raise SpanError(f"span [{span.start}, {span.end}) overlaps or is out of order")
         prev_end = span.end
+    if length is not None and prev_end > length:
+        raise SpanError(f"span [{spans[-1].start}, {spans[-1].end}) exceeds text length {length}")
 
 
-def spans_to_charset(spans: Iterable[SpanLabel], length: int) -> set[int]:
-    """Expand spans into the set of character indices they cover."""
-    covered: set[int] = set()
+def coverage(spans: Iterable[SpanLabel], length: int) -> list[float]:
+    """One value per character of a text ``length`` long: the ``prob`` of the span covering it
+    (1.0 for a hard span), else 0.0. Spans may overlap, the later one winning, but each must lie
+    inside the text."""
+    values = [0.0] * length
     for span in spans:
-        if span.end > length:
-            raise SpanError(f"span [{span.start}, {span.end}) exceeds text length {length}")
-        covered.update(range(span.start, span.end))
-    return covered
+        validate_spans((span,), length)
+        values[span.start : span.end] = [1.0 if span.prob is None else span.prob] * (span.end - span.start)
+    return values
 
 
-def charset_to_spans(chars: Iterable[int]) -> list[SpanLabel]:
-    """Group character indices into the minimal sorted list of maximal runs."""
-    indices = sorted(set(chars))
-    if indices and indices[0] < 0:
-        raise SpanError(f"negative character index {indices[0]}")
+def runs_of(values: Iterable[float]) -> list[SpanLabel]:
+    """The maximal runs of equal nonzero values, as spans carrying their value as ``prob``."""
     spans: list[SpanLabel] = []
-    run_start: int | None = None
-    prev = None
-    for i in indices:
-        if run_start is None:
-            run_start = i
-        elif i != prev + 1:
-            spans.append(SpanLabel(run_start, prev + 1))
-            run_start = i
-        prev = i
-    if run_start is not None:
-        spans.append(SpanLabel(run_start, prev + 1))
+    start = 0
+    for value, run in groupby(values):
+        end = start + len(list(run))
+        if value:
+            spans.append(SpanLabel(start, end, value))
+        start = end
     return spans
 
 
@@ -86,8 +84,8 @@ class PredictionRecord:
     """Aggregated labels for one item, ready for serialization.
 
     ``answer`` is optional; the label offsets always refer to it (or to
-    the gold answer with the same id), and evaluation refuses a record
-    whose ``answer`` differs from gold's.
+    the gold answer with the same id), must lie inside it when given, and
+    evaluation refuses a record whose ``answer`` differs from gold's.
     """
 
     id: str
@@ -98,8 +96,9 @@ class PredictionRecord:
     answer: str | None = None
 
     def __post_init__(self) -> None:
-        validate_spans(self.hard_labels)
-        validate_spans(self.soft_labels)
+        length = None if self.answer is None else len(self.answer)
+        validate_spans(self.hard_labels, length)
+        validate_spans(self.soft_labels, length)
         for span in self.hard_labels:
             if span.prob is not None:
                 raise SpanError("hard labels must not carry probabilities")
@@ -117,3 +116,7 @@ class GoldRecord:
     answer: str
     hard_labels: tuple[SpanLabel, ...] = field(default_factory=tuple)
     soft_labels: tuple[SpanLabel, ...] = field(default_factory=tuple)
+
+    def __post_init__(self) -> None:
+        validate_spans(self.hard_labels, len(self.answer))
+        validate_spans(self.soft_labels, len(self.answer))

@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
-from .core import GoldRecord, PredictionRecord, QAItem, SpanLabel
+from .core import GoldRecord, PredictionRecord, QAItem, SpanLabel, coverage, runs_of
 from .errors import SchemaError
 
 # CR and LF bytes occur in no UTF-8 sequence or JSON string, so lines split before decoding,
@@ -110,14 +110,20 @@ def read_items(path: str | Path) -> list[QAItem]:
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:
-    """Read reference annotations (answer text plus hard and soft labels)."""
+    """Read reference annotations (answer text plus hard and soft labels).
+
+    Overlapping or touching hard labels are kept as the characters they cover.
+    """
     return _records(
         path,
         lambda obj: GoldRecord(
             id=_require(obj, "id", str),
             lang=_require(obj, "lang", str),
-            answer=_require(obj, "model_output_text", str),
-            hard_labels=_parse_hard_labels(obj.get("hard_labels", [])),
+            answer=(answer := _require(obj, "model_output_text", str)),
+            hard_labels=tuple(
+                SpanLabel(s.start, s.end)
+                for s in runs_of(coverage(_parse_hard_labels(obj.get("hard_labels", [])), len(answer)))
+            ),
             soft_labels=_parse_soft_labels(obj.get("soft_labels", [])),
         ),
     )

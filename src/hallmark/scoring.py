@@ -16,18 +16,15 @@ from dataclasses import dataclass
 from statistics import correlation
 from typing import Mapping, Sequence
 
-from .core import GoldRecord, PredictionRecord, SpanLabel, spans_to_charset
-from .errors import EvaluationError, SpanError
+from .core import GoldRecord, PredictionRecord, SpanLabel, coverage, validate_spans
+from .errors import EvaluationError
 
 
 def iou(pred: Sequence[SpanLabel], gold: Sequence[SpanLabel], length: int) -> float:
-    """Intersection-over-union of the covered character sets."""
-    pred_chars = spans_to_charset(pred, length)
-    gold_chars = spans_to_charset(gold, length)
-    union = pred_chars | gold_chars
-    if not union:
-        return 1.0
-    return len(pred_chars & gold_chars) / len(union)
+    """Intersection-over-union of the characters two hard label lists cover."""
+    union = sum(coverage([*pred, *gold], length))
+    both = sum(coverage(pred, length)) + sum(coverage(gold, length)) - union
+    return both / union if union else 1.0
 
 
 def average_ranks(values: Sequence[float]) -> list[float]:
@@ -65,20 +62,10 @@ def spearman(pred: Sequence[float], gold: Sequence[float]) -> float:
 def expand_soft(labels: Sequence[SpanLabel], length: int) -> list[float]:
     """Expand soft labels into one probability per character.
 
-    Uncovered characters get 0. Labels must not overlap.
+    Uncovered characters get 0. Labels must be sorted and must not overlap.
     """
-    probs = [0.0] * length
-    prev_end = -1
-    for span in sorted(labels, key=lambda s: (s.start, s.end)):
-        if span.start < prev_end:
-            raise SpanError(f"overlapping soft label at [{span.start}, {span.end})")
-        if span.end > length:
-            raise SpanError(f"span [{span.start}, {span.end}) exceeds length {length}")
-        value = span.prob if span.prob is not None else 1.0
-        for i in range(span.start, span.end):
-            probs[i] = value
-        prev_end = span.end
-    return probs
+    validate_spans(labels, length)
+    return coverage(labels, length)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import json
 import random
+import re
 import sqlite3
 from pathlib import Path
 
@@ -62,6 +64,22 @@ def wire_response(body: bytes) -> requests.Response:
     response.status_code = 200
     response._content = body
     return response
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "hallmark"
+
+
+def call_sites(pattern):
+    """``file:function`` of each line in ``src/hallmark`` that matches ``pattern``."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
+        for line_no, line in enumerate(source.splitlines(), start=1):
+            if re.search(pattern, line):
+                around = [f for f in functions if f.lineno <= line_no <= f.end_lineno]
+                sites.add(f"{path.name}:{max(around, key=lambda f: f.lineno).name if around else None}")
+    return sites
 
 
 def nested(depth: int) -> bytes:

@@ -8,8 +8,8 @@ from hallmark import (
     AnnotationRun,
     SpanLabel,
     aggregate,
+    coverage,
     expand_soft,
-    spans_to_charset,
     to_hard_labels,
     to_soft_labels,
 )
@@ -155,6 +155,6 @@ def test_higher_threshold_selects_subset(rs, t1, t2):
     runs, length = rs
     low, high = min(t1, t2), max(t1, t2)
     probs = aggregate(runs, length)
-    high_chars = spans_to_charset(to_hard_labels(probs, high), length)
-    low_chars = spans_to_charset(to_hard_labels(probs, low), length)
+    high_chars = {i for i, v in enumerate(coverage(to_hard_labels(probs, high), length)) if v}
+    low_chars = {i for i, v in enumerate(coverage(to_hard_labels(probs, low), length)) if v}
     assert high_chars <= low_chars

@@ -633,6 +633,25 @@ class TestInspectCommand:
         assert "gold:" in out
         assert "IoU: 1.0000" in out
 
+    def test_label_past_the_answer_exits_1_naming_the_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(json.dumps({
+            "id": "a", "lang": "EN", "hard_labels": [[0, 10]], "soft_labels": [{"start": 0, "end": 10, "prob": 1}],
+            "runs_used": 3, "model_output_text": "abc",
+        }) + "\n", encoding="utf-8")
+        assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
+        assert capsys.readouterr().err == f"error: {pred}:1: span [0, 10) exceeds text length 3\n"
+
+    def test_overlapping_gold_labels_render_each_character_once(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        record = {"id": "a", "lang": "EN", "model_output_text": "abc", "soft_labels": []}
+        pred.write_text(json.dumps({**record, "hard_labels": [[0, 2]], "runs_used": 3}) + "\n", encoding="utf-8")
+        gold.write_text(json.dumps({**record, "hard_labels": [[0, 2], [1, 3]]}) + "\n", encoding="utf-8")
+        assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 0
+        out = capsys.readouterr().out
+        assert "gold: ⟨⟨abc⟩⟩\n" in out
+        assert "IoU: 0.6667" in out
+
     def test_unknown_id_exits_4(self, tmp_path, capsys):
         pred = self.annotate(tmp_path)
         assert cli.main(["inspect", "--pred", str(pred), "--id", "nope"]) == 4

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hallmark import PredictionRecord, SpanLabel, charset_to_spans, spans_to_charset
+from hallmark import PredictionRecord, SpanLabel, coverage, runs_of
 from hallmark.errors import SpanError
 
+from .conftest import call_sites
 from .reference import runs_to_spans
 
 
@@ -29,45 +30,45 @@ class TestSpanLabel:
 
 class TestSpansToCharset:
     def test_single_span(self):
-        assert spans_to_charset([SpanLabel(2, 4)], 6) == {2, 3}
+        assert coverage([SpanLabel(2, 4)], 6) == [0, 0, 1, 1, 0, 0]
 
     def test_empty(self):
-        assert spans_to_charset([], 5) == set()
+        assert coverage([], 5) == [0] * 5
 
     def test_two_spans(self):
-        assert spans_to_charset([SpanLabel(0, 2), SpanLabel(4, 5)], 5) == {0, 1, 4}
+        assert coverage([SpanLabel(0, 2), SpanLabel(4, 5)], 5) == [1, 1, 0, 0, 1]
 
     def test_out_of_range(self):
         with pytest.raises(SpanError):
-            spans_to_charset([SpanLabel(3, 7)], 5)
+            coverage([SpanLabel(3, 7)], 5)
+
+
+def indicator(chars, length):
+    return [1.0 if i in chars else 0.0 for i in range(length)]
 
 
 class TestCharsetToSpans:
     def test_single_run(self):
-        assert charset_to_spans({2, 3}) == [SpanLabel(2, 4)]
+        assert runs_of(indicator({2, 3}, 6)) == [SpanLabel(2, 4, 1.0)]
 
     def test_empty(self):
-        assert charset_to_spans(set()) == []
+        assert runs_of(indicator(set(), 6)) == []
 
     def test_two_runs(self):
-        assert charset_to_spans({0, 1, 4}) == [SpanLabel(0, 2), SpanLabel(4, 5)]
-
-    def test_negative_index(self):
-        with pytest.raises(SpanError):
-            charset_to_spans({-1, 0})
+        assert runs_of(indicator({0, 1, 4}, 6)) == [SpanLabel(0, 2, 1.0), SpanLabel(4, 5, 1.0)]
 
 
 @given(st.sets(st.integers(min_value=0, max_value=60)))
 def test_charset_round_trip(chars):
-    spans = charset_to_spans(chars)
-    assert spans_to_charset(spans, 61) == chars
+    spans = runs_of(indicator(chars, 61))
+    assert coverage(spans, 61) == indicator(chars, 61)
     # independently recompute the maximal runs
     assert [(s.start, s.end) for s in spans] == runs_to_spans(chars)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=60)))
 def test_charset_to_spans_is_normalized(chars):
-    spans = charset_to_spans(chars)
+    spans = runs_of(indicator(chars, 61))
     prev_end = None
     for span in spans:
         if prev_end is not None:
@@ -75,10 +76,15 @@ def test_charset_to_spans_is_normalized(chars):
         prev_end = span.end
 
 
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0)))
+def test_runs_of_expands_back_exactly(values):
+    assert coverage(runs_of(values), len(values)) == values
+
+
 def test_offsets_count_unicode_scalars():
     answer = "日本語abc"
     assert answer.index("a") == 3
-    assert spans_to_charset([SpanLabel(3, 6)], len(answer)) == {3, 4, 5}
+    assert coverage([SpanLabel(3, 6)], len(answer)) == [0, 0, 0, 1, 1, 1]
     assert answer[3:6] == "abc"
 
 
@@ -115,3 +121,8 @@ class TestPredictionRecord:
             runs_used=4,
         )
         assert record.soft_labels[1].prob == 0.25
+
+
+def test_one_span_rule():
+    # "sorted, disjoint, inside the text" is written once; every other span check calls it
+    assert call_sites(r"overlaps or is out of order|exceeds text length") == {"core.py:validate_spans"}

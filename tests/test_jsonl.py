@@ -241,7 +241,7 @@ def prediction_records(draw):
         hard_labels=tuple(hard),
         soft_labels=tuple(soft),
         runs_used=n_runs,
-        answer=draw(st.one_of(st.none(), st.text(max_size=10))),
+        answer=draw(st.one_of(st.none(), st.text(min_size=length, max_size=length))),
     )
 
 
@@ -266,6 +266,36 @@ def test_overlapping_prediction_labels_name_the_line(tmp_path, labels):
     with pytest.raises(SchemaError) as excinfo:
         read_predictions(path)
     assert str(excinfo.value) == f"{path}:2: span [2, 4) overlaps or is out of order"
+
+
+@pytest.mark.parametrize("reader", [read_gold, read_predictions])
+@pytest.mark.parametrize(
+    "labels",
+    [{"hard_labels": [[0, 3], [4, 7]]}, {"soft_labels": [{"start": 4, "end": 7, "prob": 1}]}],
+    ids=["hard", "soft"],
+)
+def test_label_past_its_answer_names_the_line(tmp_path, reader, labels):
+    path = tmp_path / "labels.jsonl"
+    write_lines(path, [json.dumps(label_record()), json.dumps(label_record(**labels))])
+    with pytest.raises(SchemaError) as excinfo:
+        reader(path)
+    assert str(excinfo.value) == f"{path}:2: span [4, 7) exceeds text length 6"
+
+
+def test_overlapping_gold_soft_labels_name_the_line(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    soft = [{"start": 0, "end": 3, "prob": 0.5}, {"start": 2, "end": 4, "prob": 0.5}]
+    write_lines(path, [json.dumps(label_record()), json.dumps(label_record(soft_labels=soft))])
+    with pytest.raises(SchemaError) as excinfo:
+        read_gold(path)
+    assert str(excinfo.value) == f"{path}:2: span [2, 4) overlaps or is out of order"
+
+
+def test_gold_hard_labels_keep_the_characters_they_cover(tmp_path):
+    # overlapping, touching and unsorted gold spans become the maximal runs they cover
+    path = tmp_path / "gold.jsonl"
+    write_lines(path, [json.dumps(label_record(hard_labels=[[5, 6], [0, 2], [1, 3], [3, 4]]))])
+    assert read_gold(path)[0].hard_labels == (SpanLabel(0, 4), SpanLabel(5, 6))
 
 
 RECORD_KEYS = ["id", "lang", "model_input", "model_output_text", "hard_labels", "soft_labels", "runs_used"]

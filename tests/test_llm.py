@@ -1,9 +1,6 @@
 from __future__ import annotations
 
-import ast
 import json
-import re
-from pathlib import Path
 
 import pytest
 import requests
@@ -23,7 +20,7 @@ from hallmark import (
 from hallmark.errors import AuthError, MockError, ProviderError
 from hallmark.llm import TransientProviderError
 
-from .conftest import SWIMMER_ANSWER, cache_rows, swimmer_spans
+from .conftest import SWIMMER_ANSWER, cache_rows, call_sites, swimmer_spans
 
 
 def req(prompt="hello", seed_tag="run-0", **kwargs):
@@ -360,22 +357,6 @@ class TestRateLimiter:
         limiter.acquire()  # must wait a full window
         assert vc.sleeps
         assert vc.now >= 60.0
-
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "hallmark"
-
-
-def call_sites(pattern):
-    """``file:function`` of each line in ``src/hallmark`` that matches ``pattern``."""
-    sites = set()
-    for path in sorted(SRC.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
-        functions = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.FunctionDef)]
-        for line_no, line in enumerate(source.splitlines(), start=1):
-            if re.search(pattern, line):
-                around = [f for f in functions if f.lineno <= line_no <= f.end_lineno]
-                sites.add(f"{path.name}:{max(around, key=lambda f: f.lineno).name if around else None}")
-    return sites
 
 
 def test_one_transient_test_and_one_backoff_loop():

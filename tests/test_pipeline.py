@@ -194,12 +194,12 @@ class TestAnnotateItem:
         llm, svc = service(MockProvider(rules=[rule]))
         cfg = config(threshold=0.5)
         record = annotate_item(swimmer(), cfg, llm, svc)
-        from hallmark import spans_to_charset
+        from hallmark import coverage
 
         n = len(SWIMMER_ANSWER)
-        hard_chars = spans_to_charset(record.hard_labels, n)
+        hard_chars = {i for i, v in enumerate(coverage(record.hard_labels, n)) if v}
         strong_soft = [s for s in record.soft_labels if s.prob >= cfg.threshold]
-        assert hard_chars <= spans_to_charset(strong_soft, n)
+        assert hard_chars <= {i for i, v in enumerate(coverage(strong_soft, n)) if v}
 
     @pytest.mark.parametrize("case", MARKER_LIKE_CASES, ids=lambda c: c["id"])
     def test_marker_like_answer_labels_only_marked_terms(self, case):
