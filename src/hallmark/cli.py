@@ -1,7 +1,8 @@
 """Command-line entry point: annotate, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage or input error, 2 annotation finished with
-some items unannotated, 3 missing API key, 4 id mismatch or unknown id.
+some items unannotated, 3 missing API key, 4 id mismatch, unknown id or a
+prediction label past the gold answer.
 Human-readable text goes to stdout; machine output goes only to files.
 """
 
@@ -36,7 +37,7 @@ from .llm import (
 from .marking import insert_markers
 from .pipeline import PipelineConfig, annotate_dataset
 from .prompts import validate_templates
-from .scoring import evaluate, iou, render_table, report_to_dict
+from .scoring import check_labels_inside, evaluate, iou, render_table, report_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -209,7 +210,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         limiter = RateLimiter(provider_cfg.requests_per_minute)
     cache = JsonFileCache(cache_dir)
     llm = LLMClient(provider, cache=cache, limiter=limiter, max_retries=provider_cfg.max_retries)
-    knowledge_svc = KnowledgeService(llm, WikipediaClient(), cfg.model, cache=cache)
+    wiki = WikipediaClient() if cfg.use_external else None  # building one loads the network stack
+    knowledge_svc = KnowledgeService(llm, wiki, cfg.model, cache=cache)
 
     total = len(items)
     done = 0
@@ -235,13 +237,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    preds = read_predictions(args.pred)
-    golds = read_gold(args.gold)
-    try:
-        report = evaluate(preds, golds)
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ID_MISMATCH
+    report = evaluate(read_predictions(args.pred), read_gold(args.gold))
     print(render_table(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
@@ -255,16 +251,15 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     preds = {p.id: p for p in read_predictions(args.pred)}
     pred = preds.get(args.item_id)
     if pred is None:
-        print(f"error: id {args.item_id!r} not found in {args.pred}", file=sys.stderr)
-        return EXIT_ID_MISMATCH
+        raise EvaluationError(f"id {args.item_id!r} not found in {args.pred}", ids=[args.item_id])
 
     gold = None
     if args.gold:
         golds = {g.id: g for g in read_gold(args.gold)}
         gold = golds.get(args.item_id)
         if gold is None:
-            print(f"error: id {args.item_id!r} not found in {args.gold}", file=sys.stderr)
-            return EXIT_ID_MISMATCH
+            raise EvaluationError(f"id {args.item_id!r} not found in {args.gold}", ids=[args.item_id])
+        check_labels_inside([(pred, gold)])
 
     answer = pred.answer if pred.answer is not None else (gold.answer if gold else None)
     if answer is None:
@@ -294,6 +289,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AuthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_KEY
+    except EvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ID_MISMATCH
     except (HallmarkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -57,7 +57,7 @@ class CacheError(HallmarkError):
 
 
 class EvaluationError(HallmarkError):
-    """Prediction and gold files do not describe the same items or answers."""
+    """Prediction and gold files disagree on ids, answers or label extents, or an id is unknown."""
 
     def __init__(self, message: str, ids: list[str] | None = None):
         super().__init__(message)

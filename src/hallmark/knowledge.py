@@ -12,9 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping
-
-import requests
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .cache import JsonFileCache, make_key
 from .core import QAItem
@@ -22,6 +20,9 @@ from .errors import KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
 from .llm import CompletionRequest, LLMClient, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +77,8 @@ class WikipediaClient:
         sleep: Callable[[float], None] = time.sleep,
     ):
         if session is None:
+            import requests
+
             from . import __version__  # here, because the package imports this module before it sets its version
 
             session = requests.Session()  # a descriptive User-Agent, per the Wikimedia User-Agent policy

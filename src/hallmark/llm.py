@@ -15,14 +15,15 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Protocol, Sequence, TypeVar
-
-import requests
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .cache import JsonFileCache, make_key
 from .errors import AuthError, MockError, ProviderError
 from .jsonl import is_json_type, load_json
 from .marking import insert_markers
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +38,8 @@ class TransientProviderError(ProviderError):
 
 def transient_checked(call: Callable[[], requests.Response], service: str) -> requests.Response:
     """``call()``'s response, unless it is one a retry may mend: a network error, 429 or 5xx."""
+    import requests  # on first use, so commands that send nothing never load the network stack
+
     try:
         response = call()
     except requests.RequestException as exc:
@@ -148,6 +151,8 @@ class OpenAIChatProvider:
             raise AuthError(f"environment variable {cfg.api_key_env} is not set")
         if not (api_key.isascii() and api_key.isprintable()):  # the message never echoes the key
             raise AuthError(f"environment variable {cfg.api_key_env} holds a key an HTTP header cannot carry")
+        import requests
+
         self.name = cfg.name
         self._url = cfg.base_url.rstrip("/") + "/chat/completions"
         self._headers = {

@@ -14,10 +14,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from statistics import correlation
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import GoldRecord, PredictionRecord, SpanLabel, coverage, validate_spans
-from .errors import EvaluationError
+from .errors import EvaluationError, SpanError
 
 
 def iou(pred: Sequence[SpanLabel], gold: Sequence[SpanLabel], length: int) -> float:
@@ -90,14 +90,28 @@ class EvalReport:
     overall: LangStats
 
 
+def check_labels_inside(pairs: Iterable[tuple[PredictionRecord, GoldRecord]]) -> None:
+    """Raise ``EvaluationError`` naming each prediction with a label past its gold answer."""
+    past = []
+    for pred, gold in pairs:
+        try:
+            validate_spans(pred.hard_labels, len(gold.answer))
+            validate_spans(pred.soft_labels, len(gold.answer))
+        except SpanError:
+            past.append(pred.id)
+    if past:
+        raise EvaluationError(f"prediction label past the gold answer: {past}", ids=past)
+
+
 def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> EvalReport:
     """Score predictions against gold annotations.
 
     Prediction and gold files must cover exactly the same item ids; the
     answer text (and therefore every label offset) is taken from gold. A
     prediction that carries an ``answer`` must carry gold's, since its
-    offsets would otherwise be scored against a different text. Each id
-    may occur at most once per side.
+    offsets would otherwise be scored against a different text, and every
+    prediction label must lie inside gold's answer. Each id may occur at
+    most once per side.
     """
     for side, records in (("prediction", preds), ("gold", golds)):
         counts = Counter(r.id for r in records)
@@ -123,6 +137,7 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
         raise EvaluationError(
             f"prediction answer differs from gold answer: {drifted}", ids=drifted
         )
+    check_labels_inside((p, golds_by_id[p.id]) for p in preds)
 
     per_item = []
     for pred in preds:

@@ -595,6 +595,19 @@ class TestEvaluateCommand:
         assert code == 4
         assert first["id"] in capsys.readouterr().err
 
+    def test_label_past_the_gold_answer_exits_4(self, tmp_path, capsys):
+        pred, gold = label_past_the_gold_answer(tmp_path)
+        assert cli.main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 4
+        assert capsys.readouterr().err == "error: prediction label past the gold answer: ['a']\n"
+
+
+def label_past_the_gold_answer(tmp_path):
+    """A prediction without its answer whose label ends past the 3-character gold answer."""
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    pred.write_text('{"id":"a","lang":"EN","hard_labels":[[0,10]],"soft_labels":[],"runs_used":3}\n', encoding="utf-8")
+    gold.write_text('{"id":"a","lang":"EN","model_output_text":"abc","hard_labels":[],"soft_labels":[]}\n', encoding="utf-8")
+    return pred, gold
+
 
 class TestInspectCommand:
     def annotate(self, tmp_path):
@@ -641,6 +654,11 @@ class TestInspectCommand:
         }) + "\n", encoding="utf-8")
         assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
         assert capsys.readouterr().err == f"error: {pred}:1: span [0, 10) exceeds text length 3\n"
+
+    def test_label_past_the_gold_answer_exits_4_before_printing(self, tmp_path, capsys):
+        pred, gold = label_past_the_gold_answer(tmp_path)
+        assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4
+        assert capsys.readouterr() == ("", "error: prediction label past the gold answer: ['a']\n")
 
     def test_overlapping_gold_labels_render_each_character_once(self, tmp_path, capsys):
         pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"

@@ -225,6 +225,16 @@ class TestEvaluate:
         assert excinfo.value.ids == ["b"]
         assert "b" in str(excinfo.value)
 
+    def test_prediction_label_past_the_gold_answer_is_refused(self):
+        # a prediction without its own answer is checked against gold's
+        inside = pred("a", "EN", [(0, 3)], [(0, 3, 0.5)])
+        hard_past, soft_past = pred("b", "EN", [(0, 4)]), pred("c", "EN", soft=[(2, 4, 0.5)])
+        golds = [gold(i, "EN", "xyz") for i in "abc"]
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate([inside, hard_past, soft_past], golds)
+        assert excinfo.value.ids == ["b", "c"]
+        assert str(excinfo.value) == "prediction label past the gold answer: ['b', 'c']"
+
     def test_prediction_with_gold_answer_or_none_is_scored(self):
         same = PredictionRecord("a", "EN", (SpanLabel(0, 2),), (), 12, answer="xyz")
         report = evaluate(
