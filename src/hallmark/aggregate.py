@@ -21,7 +21,6 @@ from .errors import AggregationError
 class AnnotationRun:
     """One annotator's output for one item."""
 
-    raw_text: str
     spans: tuple[SpanLabel, ...] = ()
     similarity: float = 0.0
     valid: bool = False

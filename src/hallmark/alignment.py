@@ -13,17 +13,33 @@ is the length of the longest common subsequence. Adjacent cells of a row
 of that score table differ by 0 or 1, so a row is stored as one Python
 int with one bit per column: bit ``j`` of row ``i`` is 0 exactly when
 ``score[i][j+1] == score[i][j] + 1``. Each row follows from the one above
-with a handful of whole-row integer operations, the bit-parallel LCS
-recurrence of Allison & Dix (1986, "A bit-string longest-common-subsequence
-algorithm") in the form given by Hyyrö (2004, "Bit-parallel LCS-length
-computation revisited"). The traceback reads any score back as ``j``
-minus the count of set bits below ``j``. Every row is kept, so memory is
-m·n bits (about 3.6 MB for two 5000-character texts) instead of m·n integers.
+with four whole-row integer operations, the bit-parallel LCS recurrence of
+Allison & Dix (1986, "A bit-string longest-common-subsequence algorithm")
+in the form given by Hyyrö (2004, "Bit-parallel LCS-length computation
+revisited"): ``u = v & M`` and ``v' = (v + u) | (v ^ u)``, where ``M``
+marks the columns holding the row's character (``u`` lies inside ``v``, so
+``v ^ u`` is ``v`` with those columns cleared). No mask keeps a row to its
+``n`` columns: a carry out of the top column only sets bits above them, at
+most one more per row, which no read looks at and the forward pass clears
+at each checkpoint. The traceback reads any score back as ``j`` minus the
+count of set bits below ``j``.
+
+Rows are checkpointed (Grice, Hughey & Speck 1997, "Reduced space sequence
+alignment"): the forward pass keeps one row in every ``k = isqrt(m)``, and
+the traceback, which only moves up, rebuilds one block of ``k`` rows at a
+time from its checkpoint. Carries only run towards higher bits, so the low
+``j`` bits of a row depend only on the low ``j`` bits of the row above; a
+block is rebuilt only as wide as the column the traceback has reached.
+Memory is about 2·sqrt(m)·n bits (about 0.1 MB of rows for two
+5000-character texts) instead of m·n. The score of the whole alignment is
+known after the forward pass, so a caller's similarity gate is decided
+before any traceback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .core import SpanLabel
 from .marking import ParsedMarking
@@ -44,13 +60,15 @@ class AlignmentResult:
     similarity: float
 
 
-def align(clean: str, original: str) -> AlignmentResult:
+def align(clean: str, original: str, min_similarity: float = 0.0) -> AlignmentResult:
     """Globally align ``clean`` against ``original``.
 
     Ties are broken deterministically, preferring match, then
     substitution, then deleting a character of ``clean``, then skipping a
     character of ``original``. Substituted pairs are kept in the mapping;
-    only deletions leave gaps.
+    only deletions leave gaps. When the similarity is below
+    ``min_similarity`` there is no traceback: the result carries the
+    exact similarity and maps every character to None.
     """
     m, n = len(clean), len(original)
     if m == 0 and n == 0:
@@ -61,28 +79,52 @@ def align(clean: str, original: str) -> AlignmentResult:
         # the full traceback takes the diagonal match at every step
         return AlignmentResult(tuple(range(n)), 1.0)
 
+    # a character of ``clean`` found nowhere in ``original`` has no mask: its
+    # row equals the row above
     masks: dict[str, int] = {}
     for j, ch in enumerate(original):
         masks[ch] = masks.get(ch, 0) | (1 << j)
 
     full = (1 << n) - 1
-    rows = [full]  # rows[i] encodes score[i][0..n]; row 0 scores 0, all bits set
+    k = isqrt(m)
+    checkpoints = []  # rows 0, k, 2k, ...; row 0 scores 0, all bits set
     v = full
-    for ch in clean:
-        u = v & masks.get(ch, 0)
-        v = ((v + u) | (v - u)) & full
-        rows.append(v)
+    for base in range(0, m, k):
+        v &= full
+        checkpoints.append(v)
+        for ch in clean[base : base + k]:
+            match = masks.get(ch)
+            if match is not None:
+                u = v & match
+                v = (v + u) | (v ^ u)
+    total = n - (v & full).bit_count()
+    similarity = total / max(m, n)
+    if similarity < min_similarity:  # the quotient ``validate_run`` compares
+        return AlignmentResult((None,) * m, similarity)
 
-    def score(i: int, j: int) -> int:
-        return j - (rows[i] & ((1 << j) - 1)).bit_count()
+    def block(i: int, j: int) -> tuple[int, list[int]]:
+        """The first row of ``i``'s block and the low ``j`` bits of its rows up to ``i``."""
+        base = (i - 1) // k * k
+        v = checkpoints[base // k] & ((1 << j) - 1)
+        rows = [v]
+        for ch in clean[base:i]:
+            match = masks.get(ch)
+            if match is not None:
+                u = v & match
+                v = (v + u) | (v ^ u)
+            rows.append(v)
+        return base, rows
 
     mapping: list[int | None] = [None] * m
     i, j = m, n
-    cur = score(m, n)
-    total = cur
+    base, rows = block(i, j)
+    cur = total
     while i > 0 and j > 0:
-        up = score(i - 1, j)
-        diag = up - (1 - ((rows[i - 1] >> (j - 1)) & 1))
+        if i == base:
+            base, rows = block(i, j)
+        below, above = rows[i - base], rows[i - 1 - base]
+        up = j - (above & ((1 << j) - 1)).bit_count()
+        diag = up - (1 - ((above >> (j - 1)) & 1))
         same = clean[i - 1] == original[j - 1]
         if (same and cur == diag + 1) or (not same and cur == diag):
             mapping[i - 1] = j - 1
@@ -92,10 +134,10 @@ def align(clean: str, original: str) -> AlignmentResult:
         elif cur == up:
             i -= 1
         else:
-            cur -= 1 - ((rows[i] >> (j - 1)) & 1)
+            cur -= 1 - ((below >> (j - 1)) & 1)
             j -= 1
 
-    return AlignmentResult(tuple(mapping), total / max(m, n))
+    return AlignmentResult(tuple(mapping), similarity)
 
 
 def project_spans(parsed: ParsedMarking, alignment: AlignmentResult) -> list[SpanLabel]:

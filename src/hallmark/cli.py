@@ -1,8 +1,8 @@
 """Command-line entry point: annotate, evaluate, inspect.
 
 Exit codes: 0 success, 1 usage or input error, 2 annotation finished with
-some items unannotated, 3 missing API key, 4 id mismatch, unknown id or a
-prediction label past the gold answer.
+some items unannotated, 3 missing API key, 4 id or answer mismatch,
+unknown id or a prediction label past the gold answer.
 Human-readable text goes to stdout; machine output goes only to files.
 """
 
@@ -37,7 +37,7 @@ from .llm import (
 from .marking import insert_markers
 from .pipeline import PipelineConfig, annotate_dataset
 from .prompts import validate_templates
-from .scoring import check_labels_inside, evaluate, iou, render_table, report_to_dict
+from .scoring import check_against_gold, evaluate, iou, render_table, report_to_dict
 
 logger = logging.getLogger(__name__)
 
@@ -259,7 +259,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         gold = golds.get(args.item_id)
         if gold is None:
             raise EvaluationError(f"id {args.item_id!r} not found in {args.gold}", ids=[args.item_id])
-        check_labels_inside([(pred, gold)])
+        check_against_gold([(pred, gold)])
 
     answer = pred.answer if pred.answer is not None else (gold.answer if gold else None)
     if answer is None:

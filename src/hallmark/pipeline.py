@@ -133,15 +133,15 @@ def _execute_run(
         )
     except ProviderError as exc:
         logger.warning("item %s %s: provider failure (%s)", item.id, seed_tag, exc)
-        return AnnotationRun(raw_text="", valid=False, role=role)
+        return AnnotationRun(valid=False, role=role)
 
     try:
         parsed = parse_marked(extract_final_marked(reply), item.answer)
     except MarkerError as exc:
         logger.debug("item %s %s: rejected run (%s)", item.id, seed_tag, exc)
-        return AnnotationRun(raw_text=reply, valid=False, role=role)
+        return AnnotationRun(valid=False, role=role)
 
-    alignment = align(parsed.clean_text, item.answer)
+    alignment = align(parsed.clean_text, item.answer, cfg.min_similarity)
     if not validate_run(alignment, cfg.min_similarity):
         logger.debug(
             "item %s %s: rejected run (similarity %.3f < %.3f)",
@@ -150,13 +150,10 @@ def _execute_run(
             alignment.similarity,
             cfg.min_similarity,
         )
-        return AnnotationRun(
-            raw_text=reply, similarity=alignment.similarity, valid=False, role=role
-        )
+        return AnnotationRun(similarity=alignment.similarity, valid=False, role=role)
 
     spans = tuple(project_spans(parsed, alignment))
     return AnnotationRun(
-        raw_text=reply,
         spans=spans,
         similarity=alignment.similarity,
         valid=True,

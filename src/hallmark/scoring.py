@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from statistics import correlation
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .core import GoldRecord, PredictionRecord, SpanLabel, coverage, validate_spans
 from .errors import EvaluationError, SpanError
@@ -90,8 +90,18 @@ class EvalReport:
     overall: LangStats
 
 
-def check_labels_inside(pairs: Iterable[tuple[PredictionRecord, GoldRecord]]) -> None:
-    """Raise ``EvaluationError`` naming each prediction with a label past its gold answer."""
+def check_against_gold(pairs: Sequence[tuple[PredictionRecord, GoldRecord]]) -> None:
+    """Raise ``EvaluationError`` naming each prediction that gold cannot score.
+
+    A prediction that carries an ``answer`` must carry gold's, since its
+    offsets would otherwise be read against a different text, and every
+    prediction label must lie inside gold's answer.
+    """
+    drifted = [p.id for p, g in pairs if p.answer is not None and p.answer != g.answer]
+    if drifted:
+        raise EvaluationError(
+            f"prediction answer differs from gold answer: {drifted}", ids=drifted
+        )
     past = []
     for pred, gold in pairs:
         try:
@@ -107,11 +117,9 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
     """Score predictions against gold annotations.
 
     Prediction and gold files must cover exactly the same item ids; the
-    answer text (and therefore every label offset) is taken from gold. A
-    prediction that carries an ``answer`` must carry gold's, since its
-    offsets would otherwise be scored against a different text, and every
-    prediction label must lie inside gold's answer. Each id may occur at
-    most once per side.
+    answer text (and therefore every label offset) is taken from gold, so
+    each pair must pass ``check_against_gold``. Each id may occur at most
+    once per side.
     """
     for side, records in (("prediction", preds), ("gold", golds)):
         counts = Counter(r.id for r in records)
@@ -130,14 +138,7 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
             ids=missing + extra,
         )
 
-    drifted = [
-        p.id for p in preds if p.answer is not None and p.answer != golds_by_id[p.id].answer
-    ]
-    if drifted:
-        raise EvaluationError(
-            f"prediction answer differs from gold answer: {drifted}", ids=drifted
-        )
-    check_labels_inside((p, golds_by_id[p.id]) for p in preds)
+    check_against_gold([(p, golds_by_id[p.id]) for p in preds])
 
     per_item = []
     for pred in preds:

@@ -20,7 +20,7 @@ from .reference import recount_probs
 
 def run_with(spans, valid=True):
     return AnnotationRun(
-        raw_text="", spans=tuple(SpanLabel(s, e) for s, e in spans), similarity=1.0, valid=valid
+        spans=tuple(SpanLabel(s, e) for s, e in spans), similarity=1.0, valid=valid
     )
 
 

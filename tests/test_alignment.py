@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -230,14 +231,79 @@ def test_matches_reference_on_long_drifted_pair():
     assert_same_as_reference(*long_drifted_pair())
 
 
-def test_long_alignment_memory_bound():
-    # m*n bits for the score rows: about 3 MB at 5000 x 5000, where one
-    # int32 per cell took 100 MB
-    clean, original = long_drifted_pair()
+def align_peak_bytes(clean, original):
     tracemalloc.start()
     try:
         align(clean, original)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 1024 * 1024
+    return peak
+
+
+def test_long_alignment_memory_bound():
+    # about 2*sqrt(m)*n bits of checkpointed rows plus the mapping: about
+    # 0.3 MB at 5000 x 5000
+    assert align_peak_bytes(*long_drifted_pair()) < 1 * 1024 * 1024
+
+
+def test_longer_alignment_memory_bound():
+    # about 0.65 MB at 10,000 x 10,000, where m*n bits alone are 12.5 MB
+    assert align_peak_bytes(*long_drifted_pair(10_000)) < 2 * 1024 * 1024
+
+
+# Rows are checkpointed every isqrt(len(clean)) rows and rebuilt a block at
+# a time, only as wide as the traceback's column: lengths at and next to a
+# square put rows on either side of a block boundary, and drift near the
+# start, middle or end bends the path across the widths a block is rebuilt at.
+
+
+@st.composite
+def block_boundary_pairs(draw):
+    k = draw(st.integers(1, 7))
+    m = k * k + draw(st.sampled_from([-1, 0, 1, k]))
+    clean = draw(st.text(alphabet=DRIFT_ALPHABET, min_size=m, max_size=m))
+    chars = list(clean)
+    at = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    edits = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["sub", "ins", "del"]),
+                st.integers(-2, 2),
+                st.sampled_from(DRIFT_ALPHABET),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    for op, nudge, ch in edits:
+        pos = min(max(round(at * len(chars)) + nudge, 0), len(chars))
+        if op == "ins":
+            chars.insert(pos, ch)
+        elif pos < len(chars) and op == "sub":
+            chars[pos] = ch
+        elif pos < len(chars):
+            del chars[pos]
+    return clean, "".join(chars)
+
+
+@given(block_boundary_pairs())
+@settings(max_examples=300)
+def test_matches_reference_across_block_boundaries(pair):
+    assert_same_as_reference(*pair)
+
+
+@given(drifted_pairs(), st.floats(0.0, 1.0))
+@settings(max_examples=300)
+def test_gate_skips_only_the_traceback(pair, drawn):
+    clean, original = pair
+    full = align(clean, original)
+    # the similarity itself and the next float above it are the edges of the
+    # gate; a gate is a similarity, so none lies above 1
+    for gate in (drawn, full.similarity, min(math.nextafter(full.similarity, 2.0), 1.0)):
+        gated = align(clean, original, gate)
+        assert gated.similarity == full.similarity
+        if full.similarity < gate:
+            assert gated.mapping == (None,) * len(clean)
+        else:
+            assert gated == full

@@ -600,12 +600,26 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 4
         assert capsys.readouterr().err == "error: prediction label past the gold answer: ['a']\n"
 
+    def test_answer_drifted_from_gold_exits_4(self, tmp_path, capsys):
+        pred, gold = answer_drifted_from_gold(tmp_path)
+        assert cli.main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 4
+        assert capsys.readouterr().err == "error: prediction answer differs from gold answer: ['a']\n"
+
 
 def label_past_the_gold_answer(tmp_path):
     """A prediction without its answer whose label ends past the 3-character gold answer."""
     pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
     pred.write_text('{"id":"a","lang":"EN","hard_labels":[[0,10]],"soft_labels":[],"runs_used":3}\n', encoding="utf-8")
     gold.write_text('{"id":"a","lang":"EN","model_output_text":"abc","hard_labels":[],"soft_labels":[]}\n', encoding="utf-8")
+    return pred, gold
+
+
+def answer_drifted_from_gold(tmp_path):
+    """A prediction whose answer has gold's length but not gold's text."""
+    pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+    record = {"id": "a", "lang": "EN", "soft_labels": []}
+    pred.write_text(json.dumps({**record, "hard_labels": [[0, 2]], "runs_used": 3, "model_output_text": "xyz"}) + "\n", encoding="utf-8")
+    gold.write_text(json.dumps({**record, "hard_labels": [], "model_output_text": "abc"}) + "\n", encoding="utf-8")
     return pred, gold
 
 
@@ -659,6 +673,11 @@ class TestInspectCommand:
         pred, gold = label_past_the_gold_answer(tmp_path)
         assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4
         assert capsys.readouterr() == ("", "error: prediction label past the gold answer: ['a']\n")
+
+    def test_answer_drifted_from_gold_exits_4_before_printing(self, tmp_path, capsys):
+        pred, gold = answer_drifted_from_gold(tmp_path)
+        assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4
+        assert capsys.readouterr() == ("", "error: prediction answer differs from gold answer: ['a']\n")
 
     def test_overlapping_gold_labels_render_each_character_once(self, tmp_path, capsys):
         pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"

@@ -19,6 +19,7 @@ from hallmark import (
     MockProvider,
     ProviderConfig,
     QAItem,
+    SpanLabel,
     annotate_dataset,
     annotate_item,
     build_main_prompt,
@@ -493,6 +494,29 @@ def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
     run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
     assert isinstance(run, AnnotationRun)
     assert not run.valid
+
+
+def test_run_at_the_gate_keeps_its_spans():
+    # 55 of 100 characters match: 55/100 >= 0.55, though 0.55 * 100 > 55 in
+    # floating point, so the gate must compare the quotient
+    assert 55 / 100 >= 0.55 and 0.55 * 100 > 55
+    item = QAItem(id="g", lang="EN", question="q", answer="a" * 55 + "b" * 45)
+    reply = "⟨⟨" + "a" * 5 + "⟩⟩" + "a" * 50 + "c" * 45
+    cfg = config(min_similarity=0.55)
+    llm = LLMClient(MockProvider(default_reply=reply))
+    run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, llm)
+    assert run.valid
+    assert run.similarity == 0.55
+    assert run.spans == (SpanLabel(0, 5),)
+
+
+def test_traced_entry_points_resolve():
+    # the benchmark's tracer patches these names; a rename would otherwise
+    # break only traced benchmark runs
+    from perfbench.trace import TRACED
+
+    for owner, attr, _ in TRACED:
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 class Interrupter:
