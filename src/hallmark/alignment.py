@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .core import SpanLabel
+from .core import SpanLabel, coverage, runs_of
 from .marking import ParsedMarking
 
 
@@ -143,29 +143,17 @@ def align(clean: str, original: str, min_similarity: float = 0.0) -> AlignmentRe
 def project_spans(parsed: ParsedMarking, alignment: AlignmentResult) -> list[SpanLabel]:
     """Map marked spans from the cleaned text onto original-answer offsets.
 
-    Each span becomes the smallest original range covering its aligned
-    characters; spans aligned entirely to gaps are dropped. The result is
-    sorted and overlap-free.
+    Each span becomes the range from its first to its last aligned
+    character; spans aligned entirely to gaps are dropped. The result is
+    sorted and disjoint; touching spans are joined.
     """
     projected: list[SpanLabel] = []
     for span in parsed.marked_spans:
-        mapped = [
-            alignment.mapping[i]
-            for i in range(span.start, span.end)
-            if alignment.mapping[i] is not None
-        ]
-        if not mapped:
-            continue
-        projected.append(SpanLabel(min(mapped), max(mapped) + 1))
-
-    projected.sort(key=lambda s: (s.start, s.end))
-    merged: list[SpanLabel] = []
-    for span in projected:
-        if merged and span.start < merged[-1].end:
-            merged[-1] = SpanLabel(merged[-1].start, max(merged[-1].end, span.end))
-        else:
-            merged.append(span)
-    return merged
+        mapped = [m for m in alignment.mapping[span.start : span.end] if m is not None]
+        if mapped:  # mapped indices increase, so these are its smallest and largest
+            projected.append(SpanLabel(mapped[0], mapped[-1] + 1))
+    end = max((s.end for s in projected), default=0)
+    return [SpanLabel(s.start, s.end) for s in runs_of(coverage(projected, end))]
 
 
 def validate_run(alignment: AlignmentResult, min_similarity: float = 0.7) -> bool:

@@ -162,14 +162,14 @@ def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: Provide
     return PipelineConfig(provider=provider, **values)
 
 
-def _fixture_spans(raw, item) -> tuple[tuple[int, int], ...]:
+def _fixture_spans(raw, item) -> tuple[SpanLabel, ...]:
     """One fixture span list, checked to be sorted, disjoint and inside the answer."""
     try:
-        spans = [SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw]
+        spans = tuple(SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw)
         validate_spans(spans, len(item.answer))
     except SpanError as exc:
         raise ValueError(f"item {item.id!r}: {exc}") from exc
-    return tuple((span.start, span.end) for span in spans)
+    return spans
 
 
 def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .cache import JsonFileCache, make_key
+from .core import SpanLabel
 from .errors import AuthError, MockError, ProviderError
 from .jsonl import is_json_type, load_json
 from .marking import insert_markers
@@ -204,10 +205,10 @@ class MarkingRule:
     """
 
     answer: str
-    spans: tuple[tuple[int, int], ...] = ()
-    per_run: Mapping[str, Sequence[tuple[int, int]]] | None = None
+    spans: tuple[SpanLabel, ...] = ()
+    per_run: Mapping[str, Sequence[SpanLabel]] | None = None
 
-    def spans_for(self, seed_tag: str) -> Sequence[tuple[int, int]]:
+    def spans_for(self, seed_tag: str) -> Sequence[SpanLabel]:
         if self.per_run is not None and seed_tag in self.per_run:
             return self.per_run[seed_tag]
         return self.spans
@@ -219,9 +220,10 @@ class MockProvider:
     Resolution order per request: exact scripted prompt, stock replies for
     the knowledge chain's seed tags (``roles-attempt-N``, ``keyword``,
     ``summary-attempt-N``), then marking rules. A rule matches when its
-    answer text occurs in the prompt; the rule with the rightmost
-    occurrence wins, because the item under annotation appears after any
-    worked example embedded in the prompt. Unmatched prompts get
+    answer text occurs in the prompt. The answer under annotation is the
+    prompt's last field, after any worked example, so the rule whose
+    occurrence ends latest wins, and of those the longest: an answer that
+    is a suffix of another ends where it does. Unmatched prompts get
     ``default_reply``, or raise MockError when it is None.
     """
 
@@ -263,14 +265,15 @@ class MockProvider:
             return '{"Knowledge": "mock refined knowledge", "Reason": "scripted"}'
 
         best: MarkingRule | None = None
-        best_pos = -1
+        best_key = (-1, 0)
         for rule in self.rules:
             if not rule.answer:
                 continue  # empty text would "match" at the end of any prompt
             pos = req.user_prompt.rfind(rule.answer)
-            if pos > best_pos:
+            key = (pos + len(rule.answer), len(rule.answer))
+            if pos != -1 and key > best_key:
                 best = rule
-                best_pos = pos
+                best_key = key
         if best is not None:
             return insert_markers(best.answer, best.spans_for(req.seed_tag))
 

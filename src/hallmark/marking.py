@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import SpanLabel
+from .core import SpanLabel, validate_spans
 from .errors import MarkerError
 
 # (open, close) pairs, in priority order
@@ -95,22 +95,20 @@ def parse_marked(marked: str, original: str = "") -> ParsedMarking:
     return ParsedMarking("".join(pieces), tuple(spans))
 
 
-def insert_markers(text: str, spans: Sequence[SpanLabel] | Sequence[tuple[int, int]]) -> str:
+def insert_markers(text: str, spans: Sequence[SpanLabel]) -> str:
     """Render ``text`` with the given spans wrapped in the first marker alphabet.
 
-    The inverse of :func:`parse_marked` for valid non-overlapping spans.
+    The inverse of :func:`parse_marked`. Raises SpanError unless the spans
+    are sorted, disjoint and inside ``text``.
     """
-    normalized = [
-        (s.start, s.end) if isinstance(s, SpanLabel) else (int(s[0]), int(s[1]))
-        for s in spans
-    ]
+    validate_spans(spans, len(text))
     pieces = []
     pos = 0
-    for start, end in sorted(normalized):
-        pieces.append(text[pos:start])
+    for span in spans:
+        pieces.append(text[pos : span.start])
         pieces.append(OPEN_MARKER)
-        pieces.append(text[start:end])
+        pieces.append(text[span.start : span.end])
         pieces.append(CLOSE_MARKER)
-        pos = end
+        pos = span.end
     pieces.append(text[pos:])
     return "".join(pieces)

@@ -19,11 +19,10 @@ from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import AggregationError, MarkerError, ProviderError
-from .knowledge import KnowledgeBundle, KnowledgeService
+from .knowledge import KnowledgeService
 from .llm import CompletionRequest, LLMClient, ProviderConfig
 from .marking import parse_marked
 from .prompts import (
-    DEFAULT_ROLE,
     NO_KNOWLEDGE_SENTINEL,
     example,
     language_name,
@@ -165,19 +164,16 @@ def annotate_item(
     item: QAItem,
     cfg: PipelineConfig,
     llm: LLMClient,
-    knowledge_svc: KnowledgeService | None = None,
+    knowledge_svc: KnowledgeService,
 ) -> PredictionRecord:
     """Annotate one item with ``cfg.runs_n`` ensemble runs."""
     if not item.answer:
         logger.warning("item %s: empty answer, emitting empty labels", item.id)
         return _empty_record(item)
 
-    if knowledge_svc is not None:
-        bundle = knowledge_svc.build_bundle(
-            item, use_roles=cfg.use_roles, use_external=cfg.use_external
-        )
-    else:
-        bundle = KnowledgeBundle(roles=(DEFAULT_ROLE,))
+    bundle = knowledge_svc.build_bundle(
+        item, use_roles=cfg.use_roles, use_external=cfg.use_external
+    )
 
     runs = []
     for i in range(cfg.runs_n):
@@ -205,7 +201,7 @@ def annotate_dataset(
     items: Sequence[QAItem],
     cfg: PipelineConfig,
     llm: LLMClient,
-    knowledge_svc: KnowledgeService | None = None,
+    knowledge_svc: KnowledgeService,
     progress: Callable[[PredictionRecord], None] | None = None,
 ) -> list[PredictionRecord]:
     """Annotate a dataset, preserving input order in the output.

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 import requests
 
-from hallmark import JsonFileCache, LLMClient, MarkingRule, MockProvider, QAItem
+from hallmark import JsonFileCache, LLMClient, MarkingRule, MockProvider, QAItem, SpanLabel
 
 SWIMMER_QUESTION = "What did Petra van Staveren win a gold medal for?"
 SWIMMER_ANSWER = (
@@ -28,9 +28,9 @@ SCRIPT_POOLS = {
 }
 
 
-def swimmer_spans() -> list[tuple[int, int]]:
+def swimmer_spans() -> list[SpanLabel]:
     return [
-        (SWIMMER_ANSWER.index(sub), SWIMMER_ANSWER.index(sub) + len(sub))
+        SpanLabel(SWIMMER_ANSWER.index(sub), SWIMMER_ANSWER.index(sub) + len(sub))
         for sub in SWIMMER_HALLUCINATED
     ]
 

@@ -92,7 +92,7 @@ def test_unanimous_replay_end_to_end():
     record = annotate_item(swimmer_item(), mock_config(), llm, svc)
 
     expected = swimmer_spans()
-    assert [(s.start, s.end) for s in record.hard_labels] == expected
+    assert list(record.hard_labels) == expected
     assert [SWIMMER_ANSWER[s.start : s.end] for s in record.hard_labels] == [
         "silver",
         "2008",
@@ -105,8 +105,8 @@ def test_unanimous_replay_end_to_end():
         id="acc-1",
         lang="EN",
         answer=SWIMMER_ANSWER,
-        hard_labels=tuple(SpanLabel(s, e) for s, e in expected),
-        soft_labels=tuple(SpanLabel(s, e, 1.0) for s, e in expected),
+        hard_labels=tuple(expected),
+        soft_labels=tuple(SpanLabel(s.start, s.end, 1.0) for s in expected),
     )
     report = evaluate([record], [gold])
     assert report.overall.mean_iou == 1.0
@@ -196,7 +196,7 @@ def test_marker_round_trip_multilingual():
     for i in range(1000):
         text = random_text(rng, pools[i % len(pools)], min_len=1, max_len=60)
         spans = random_nonadjacent_spans(rng, len(text))
-        parsed = parse_marked(insert_markers(text, spans))
+        parsed = parse_marked(insert_markers(text, [SpanLabel(*s) for s in spans]))
         assert parsed.clean_text == text
         alignment = align(parsed.clean_text, text)
         assert alignment.similarity == 1.0
@@ -238,16 +238,16 @@ def test_threshold_semantics():
             swimmer_item(), mock_config(threshold=threshold), llm, svc
         )
         assert record.runs_used == 12
-        assert [(s.start, s.end) for s in record.hard_labels] == expected
+        assert list(record.hard_labels) == expected
         if record.soft_labels:
             assert record.soft_labels[0].prob == 7 / 12
 
     probs = aggregate(
-        [AnnotationRun((SpanLabel(*span),), 1.0, True)] * 7
+        [AnnotationRun((span,), 1.0, True)] * 7
         + [AnnotationRun((), 1.0, True)] * 5,
         len(SWIMMER_ANSWER),
     )
-    assert to_hard_labels(probs, 0.5) == [SpanLabel(*span)]
+    assert to_hard_labels(probs, 0.5) == [span]
     assert to_hard_labels(probs, 0.6) == []
     record_pass("threshold semantics: 7/12 kept at 0.5, dropped at 0.6")
 
@@ -271,13 +271,13 @@ def test_robustness_invalid_runs_shrink_denominator():
 
     llm = offline_client(SeedScriptedProvider())
     record = annotate_item(
-        swimmer_item(), mock_config(use_roles=False), llm, None
+        swimmer_item(), mock_config(use_roles=False), llm, KnowledgeService(llm, None, "m")
     )
     assert record.runs_used == 10
-    assert record.soft_labels == (SpanLabel(span[0], span[1], 0.5),)
+    assert record.soft_labels == (SpanLabel(span.start, span.end, 0.5),)
     allowed = {k / 10 for k in range(11)}
     assert all(s.prob in allowed for s in record.soft_labels)
-    assert record.hard_labels == (SpanLabel(*span),)
+    assert record.hard_labels == (span,)
     record_pass("robustness: 2 invalid runs excluded, probabilities in tenths of 10")
 
 

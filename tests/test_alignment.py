@@ -110,6 +110,13 @@ class TestProjectSpans:
         assert result.mapping == (0, 1, None, None, 2, 3)
         assert project_spans(parsed, result) == []
 
+    def test_touching_projections_are_one_span(self):
+        # the rewrite added an "X" between two marks; without it they meet
+        parsed = ParsedMarking("abXcd", (SpanLabel(0, 2), SpanLabel(3, 5)))
+        result = align("abXcd", "abcd")
+        assert result.mapping == (0, 1, None, 2, 3)
+        assert project_spans(parsed, result) == [SpanLabel(0, 4)]
+
     def test_typo_span_recovers_original_word(self):
         marked = "won a ⟨⟨siver⟩⟩ medal"
         original = "won a silver medal"

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 from jsonschema import validate as validate_schema
 
 import hallmark.cli as cli
-from hallmark import MockProvider, read_items, read_predictions
+from hallmark import MockProvider, SpanLabel, read_items, read_predictions
 
 from .conftest import nested
 
@@ -692,3 +693,14 @@ class TestInspectCommand:
     def test_unknown_id_exits_4(self, tmp_path, capsys):
         pred = self.annotate(tmp_path)
         assert cli.main(["inspect", "--pred", str(pred), "--id", "nope"]) == 4
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    code = section.split("```python\n")[1].split("```")[0]
+    shutil.copytree(SAMPLE_DIR, tmp_path / "data" / "sample")
+    monkeypatch.chdir(tmp_path)
+    exec(code, {})
+    records = read_predictions(tmp_path / "pred.jsonl")
+    assert [r.id for r in records] == [item.id for item in read_items(SAMPLE_ITEMS)]
+    assert (records[0].runs_used, records[0].hard_labels) == (12, (SpanLabel(25, 31),))

@@ -126,3 +126,8 @@ class TestPredictionRecord:
 def test_one_span_rule():
     # "sorted, disjoint, inside the text" is written once; every other span check calls it
     assert call_sites(r"overlaps or is out of order|exceeds text length") == {"core.py:validate_spans"}
+
+
+def test_one_span_form():
+    # a span is a SpanLabel everywhere; no (start, end) pair type is left beside it
+    assert call_sites(r"tuple\[int, int\]") == set()

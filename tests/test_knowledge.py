@@ -15,6 +15,7 @@ from hallmark import (
     PipelineConfig,
     ProviderConfig,
     QAItem,
+    SpanLabel,
     annotate_dataset,
 )
 from hallmark import __version__
@@ -307,7 +308,7 @@ MALFORMED_WIKIPEDIA = [
 @pytest.mark.parametrize("search, extract", MALFORMED_WIKIPEDIA)
 def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, search, extract):
     wiki = WikipediaClient(session=ReplaySession({"search": search, "extract": extract}))
-    provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))])
+    provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))])
     llm = LLMClient(provider, sleep=lambda _: None)
     svc = KnowledgeService(llm, wiki, "m", cache=JsonFileCache(tmp_path))
     with pytest.raises(KnowledgeError):
@@ -549,7 +550,7 @@ class TestProviderFailures:
         provider = FailingOn(
             "expert identities",
             TransientProviderError("HTTP 503"),
-            rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+            rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
         )
         (record,), svc, item = self.annotate(provider, use_external=False)
         assert record.runs_used == 3
@@ -564,7 +565,7 @@ class TestProviderFailures:
         provider = FailingOn(
             "extract a keyword",
             TransientProviderError("HTTP 429"),
-            rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+            rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
         )
         (record,), svc, item = self.annotate(provider)
         assert record.runs_used == 3
@@ -596,7 +597,7 @@ def test_knowledge_chain_requests_are_pinned(item):
     provider = ByTag(
         {"roles-attempt-0": "not json", "summary-attempt-0": "garbage"},
         roles_reply=("A", "B"),
-        rules=[MarkingRule(SWIMMER_ANSWER, ((0, 5),))],
+        rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
     )
     llm = LLMClient(provider, sleep=lambda _: None)
     session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})

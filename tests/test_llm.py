@@ -16,6 +16,7 @@ from hallmark import (
     PipelineConfig,
     ProviderConfig,
     RateLimiter,
+    SpanLabel,
 )
 from hallmark.errors import AuthError, MockError, ProviderError
 from hallmark.llm import TransientProviderError
@@ -75,11 +76,19 @@ class TestMockProvider:
     def test_rightmost_rule_wins(self):
         # the prompt embeds a worked example before the item under
         # annotation; the rule for the later occurrence must win
-        example_rule = MarkingRule(answer="example answer", spans=((0, 7),))
+        example_rule = MarkingRule(answer="example answer", spans=(SpanLabel(0, 7),))
         item_rule = MarkingRule(answer="item answer", spans=())
         mock = MockProvider(rules=[example_rule, item_rule])
         prompt = "Example:\nexample answer\n\nAnswer: item answer"
         assert mock.send(req(prompt)) == "item answer"
+
+    def test_rule_ending_latest_wins_over_its_own_suffix(self):
+        # "France." also occurs inside the longer answer, later than that answer starts
+        short = MarkingRule(answer="France.", spans=(SpanLabel(0, 6),))
+        long = MarkingRule(answer="Paris is the capital of France.", spans=(SpanLabel(0, 5),))
+        mock = MockProvider(rules=[short, long])
+        assert mock.send(req("Answer: Paris is the capital of France.")) == "⟨⟨Paris⟩⟩ is the capital of France."
+        assert mock.send(req("Answer: France.")) == "⟨⟨France⟩⟩."
 
     def test_knowledge_default_replies(self):
         mock = MockProvider(roles_reply=("A", "B"))

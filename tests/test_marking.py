@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hallmark import insert_markers, parse_marked
-from hallmark.errors import MarkerError
+from hallmark import SpanLabel, insert_markers, parse_marked
+from hallmark.errors import MarkerError, SpanError
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_HALLUCINATED
 
@@ -78,9 +78,9 @@ def test_first_seen_alphabet_wins():
     assert covered_substrings(parsed) == ["y"]
 
 
-def hallucinated_spans(case) -> list[tuple[int, int]]:
+def hallucinated_spans(case) -> list[SpanLabel]:
     answer = case["answer"]
-    return [(answer.index(h), answer.index(h) + len(h)) for h in case["hallucinated"]]
+    return [SpanLabel(answer.index(h), answer.index(h) + len(h)) for h in case["hallucinated"]]
 
 
 @pytest.mark.parametrize("case", MARKER_LIKE_CASES, ids=lambda c: c["id"])
@@ -138,8 +138,18 @@ def test_adjacent_spans_stay_distinct():
 
 
 def test_insert_markers_renders_spans():
-    assert insert_markers("abcdef", [(1, 3)]) == "a⟨⟨bc⟩⟩def"
+    assert insert_markers("abcdef", [SpanLabel(1, 3)]) == "a⟨⟨bc⟩⟩def"
     assert insert_markers("abcdef", []) == "abcdef"
+
+
+@pytest.mark.parametrize(
+    "spans",
+    [[SpanLabel(1, 4), SpanLabel(3, 5)], [SpanLabel(4, 5), SpanLabel(1, 2)], [SpanLabel(4, 7)]],
+    ids=["overlapping", "unsorted", "past-end"],
+)
+def test_insert_markers_refuses_a_bad_span_list(spans):
+    with pytest.raises(SpanError):
+        insert_markers("abcdef", spans)
 
 
 @st.composite
@@ -148,7 +158,7 @@ def text_with_spans(draw):
     n = len(text)
     bounds = sorted(draw(st.sets(st.integers(0, n), max_size=6)))
     spans = [
-        (s, e)
+        SpanLabel(s, e)
         for s, e in zip(bounds[::2], bounds[1::2])
         if e > s
     ]
@@ -160,4 +170,4 @@ def test_insert_then_parse_round_trip(case):
     text, spans = case
     parsed = parse_marked(insert_markers(text, spans))
     assert parsed.clean_text == text
-    assert [(s.start, s.end) for s in parsed.marked_spans] == spans
+    assert list(parsed.marked_spans) == spans

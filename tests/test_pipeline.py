@@ -94,7 +94,7 @@ class TestAnnotateItem:
         provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, tuple(swimmer_spans()))])
         llm, svc = service(provider)
         record = annotate_item(swimmer(), config(), llm, svc)
-        assert [(s.start, s.end) for s in record.hard_labels] == swimmer_spans()
+        assert list(record.hard_labels) == swimmer_spans()
         assert all(s.prob == 1.0 for s in record.soft_labels)
         assert record.runs_used == 12
         covered = [SWIMMER_ANSWER[s.start : s.end] for s in record.hard_labels]
@@ -111,7 +111,7 @@ class TestAnnotateItem:
 
         record = annotate_item(swimmer(), config(threshold=0.5), llm, svc)
         assert record.runs_used == 12
-        assert [(s.start, s.end) for s in record.hard_labels] == [silver]
+        assert record.hard_labels == (silver,)
         assert record.soft_labels[0].prob == 7 / 12
 
         record = annotate_item(swimmer(), config(threshold=0.6), llm, svc)
@@ -252,7 +252,7 @@ class TestAnnotateItem:
         cache = JsonFileCache(tmp_path)
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
         item = QAItem(id="n", lang="EN", question="q", answer="Petra van Stoveren won a silver medal")
-        (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, None)
+        (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, KnowledgeService(llm, None, "m"))
         assert record.runs_used == 3
         assert [item.answer[s.start : s.end] for s in record.hard_labels] == ["silver"]
         entries = list(cache_rows(tmp_path).values())
@@ -268,7 +268,7 @@ class TestAnnotateItem:
             "trams, bikes and walkers over the river in central Rotterdam, Europe."
         )
         assert (len(answer), answer.index("Rotterdam")) == (234, 216)
-        marked = insert_markers(answer, [(216, 225)])
+        marked = insert_markers(answer, [SpanLabel(216, 225)])
 
         class HalfCutSession:
             def __init__(self):
@@ -287,7 +287,7 @@ class TestAnnotateItem:
         )
         llm = LLMClient(provider, sleep=lambda _: None)
         item = QAItem(id="r", lang="EN", question="q", answer=answer)
-        record = annotate_item(item, config(use_roles=False, runs_n=12), llm, None)
+        record = annotate_item(item, config(use_roles=False, runs_n=12), llm, KnowledgeService(llm, None, "m"))
         assert record.runs_used == 6
         assert [(s.start, s.end, s.prob) for s in record.soft_labels] == [(216, 225, 1.0)]
 
@@ -299,9 +299,8 @@ class TestAnnotateItem:
                 raise AuthError("key rejected")
 
         llm = LLMClient(AngryProvider(), sleep=lambda _: None)
-        _, svc = service(MockProvider(default_reply=""))
         with pytest.raises(AuthError):
-            annotate_item(swimmer(), config(use_roles=False), llm, None)
+            annotate_item(swimmer(), config(use_roles=False), llm, KnowledgeService(llm, None, "m"))
 
 
 class TestAnnotateDataset:
@@ -313,7 +312,7 @@ class TestAnnotateDataset:
         return items
 
     def rules_for(self, items):
-        return [MarkingRule(it.answer, ((0, 6),)) for it in items]
+        return [MarkingRule(it.answer, (SpanLabel(0, 6),)) for it in items]
 
     def test_order_preserved(self, tmp_path):
         items = self.make_items()
@@ -404,7 +403,7 @@ class TestAnnotateDataset:
         provider = self.slow_provider(AuthError("key rejected"))
         llm = LLMClient(provider, sleep=lambda _: None)
         with pytest.raises(AuthError):
-            annotate_dataset(items, config(use_roles=False, max_parallel_items=1), llm, None)
+            annotate_dataset(items, config(use_roles=False, max_parallel_items=1), llm, KnowledgeService(llm, None, "m"))
         assert provider.call_count <= 2
 
     def test_interrupt_stops_the_batch(self):
@@ -417,7 +416,7 @@ class TestAnnotateDataset:
 
         cfg = config(use_roles=False, runs_n=2, max_parallel_items=1)
         with pytest.raises(KeyboardInterrupt):
-            annotate_dataset(items, cfg, llm, None, progress=interrupt)
+            annotate_dataset(items, cfg, llm, KnowledgeService(llm, None, "m"), progress=interrupt)
         assert len({c.user_prompt for c in provider.calls}) <= 2
 
 
@@ -584,7 +583,7 @@ def rerun_batch(directory, at=None):
             render(load_template("extract_keyword"), {"question": f"Who is {keyword}?"}): f"Keyword: {keyword}"
             for keyword in RERUN_KEYWORDS.values()
         },
-        rules=[MarkingRule(it.answer, ((0, 3),)) for it in RERUN_ITEMS],
+        rules=[MarkingRule(it.answer, (SpanLabel(0, 3),)) for it in RERUN_ITEMS],
     )
     cache = JsonFileCache(directory)
     try:
