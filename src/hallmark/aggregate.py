@@ -1,9 +1,9 @@
 """Aggregation of parallel annotation runs into per-character probabilities.
 
-Each run is one annotator's vote. A character's probability is the
-fraction of valid runs whose spans cover it; runs that failed parsing or
-the alignment gate drop out of both numerator and denominator, because a
-broken rewrite carries no signal about content.
+Each run is one annotator's vote, and ends in one of the outcomes below. A
+character's probability is the fraction of ``OK`` runs whose spans cover
+it; every other run drops out of both numerator and denominator, because
+a failed or broken rewrite carries no signal about content.
 """
 
 from __future__ import annotations
@@ -17,29 +17,34 @@ from .core import SpanLabel, coverage, runs_of
 from .errors import AggregationError
 
 
+OK = "ok"  # the run voted
+PROVIDER_ERROR = "provider_error"  # the provider failed after retries, or gave no usable text
+TRUNCATED = "truncated"  # the reply was cut off at max_tokens
+MARKER_ERROR = "marker_error"  # the reply's markers cannot be parsed (``MarkerError``)
+BELOW_GATE = "below_gate"  # the rewrite's alignment similarity is below the gate
+
+
 @dataclass(frozen=True)
 class AnnotationRun:
-    """One annotator's output for one item."""
+    """One annotator's output for one item: how the run ended, and the spans it votes for."""
 
+    outcome: str
     spans: tuple[SpanLabel, ...] = ()
-    similarity: float = 0.0
-    valid: bool = False
-    role: str = ""
 
 
 def aggregate(runs: Sequence[AnnotationRun], answer_len: int) -> list[float]:
-    """Count span coverage over valid runs into per-character fractions.
+    """Count span coverage over ``OK`` runs into per-character fractions.
 
     A run covers a character once, however many of its spans do and
     whatever ``prob`` they carry. Raises AggregationError when no run
     survived; the caller reports the item as unannotated instead of
     failing the batch.
     """
-    valid = [r for r in runs if r.valid]
-    if not valid:
+    voting = [r for r in runs if r.outcome == OK]
+    if not voting:
         raise AggregationError("no valid annotation runs")
-    covered = [coverage([SpanLabel(s.start, s.end) for s in run.spans], answer_len) for run in valid]
-    n = len(valid)
+    covered = [coverage([SpanLabel(s.start, s.end) for s in run.spans], answer_len) for run in voting]
+    n = len(voting)
     return [c / n for c in map(sum, zip(*covered))]
 
 

@@ -32,8 +32,8 @@ time from its checkpoint. Carries only run towards higher bits, so the low
 block is rebuilt only as wide as the column the traceback has reached.
 Memory is about 2·sqrt(m)·n bits (about 0.1 MB of rows for two
 5000-character texts) instead of m·n. The score of the whole alignment is
-known after the forward pass, so a caller's similarity gate is decided
-before any traceback.
+known after the forward pass, so a caller's similarity gate is decided,
+by ``validate_run``, before any traceback.
 """
 
 from __future__ import annotations
@@ -98,9 +98,9 @@ def align(clean: str, original: str, min_similarity: float = 0.0) -> AlignmentRe
                 u = v & match
                 v = (v + u) | (v ^ u)
     total = n - (v & full).bit_count()
-    similarity = total / max(m, n)
-    if similarity < min_similarity:  # the quotient ``validate_run`` compares
-        return AlignmentResult((None,) * m, similarity)
+    skipped = AlignmentResult((None,) * m, total / max(m, n))
+    if not validate_run(skipped, min_similarity):
+        return skipped
 
     def block(i: int, j: int) -> tuple[int, list[int]]:
         """The first row of ``i``'s block and the low ``j`` bits of its rows up to ``i``."""
@@ -137,7 +137,7 @@ def align(clean: str, original: str, min_similarity: float = 0.0) -> AlignmentRe
             cur -= 1 - ((below >> (j - 1)) & 1)
             j -= 1
 
-    return AlignmentResult(tuple(mapping), similarity)
+    return AlignmentResult(tuple(mapping), skipped.similarity)
 
 
 def project_spans(parsed: ParsedMarking, alignment: AlignmentResult) -> list[SpanLabel]:

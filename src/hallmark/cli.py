@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 annotation finished with
 some items unannotated, 3 missing API key, 4 id or answer mismatch,
-unknown id or a prediction label past the gold answer.
+unknown id, a prediction label past the gold answer, or no item to score.
 Human-readable text goes to stdout; machine output goes only to files.
 """
 

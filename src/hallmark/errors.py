@@ -34,6 +34,10 @@ class ProviderError(HallmarkError):
     """A completion provider failed after exhausting retries."""
 
 
+class TruncatedReplyError(ProviderError):
+    """The provider cut its reply off at ``max_tokens``."""
+
+
 class AuthError(HallmarkError):
     """Authentication failed or the API key environment variable is unset.
 

@@ -10,6 +10,7 @@ shapes are a fixed wire contract.
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -22,11 +23,20 @@ from .errors import SchemaError
 _LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
+def _finite(number: str) -> float:
+    """A JSON number, or Python's NaN and ±Infinity, as a float that must be finite (else ValueError)."""
+    if not math.isfinite(value := float(number)):
+        raise ValueError(f"{number[:20]} is not a finite number")
+    return value
+
+
 def load_json(data: bytes | str) -> Any:
     """The JSON value in ``data``, whose bytes must be UTF-8. Every way outside input can be bad
-    raises ValueError: bytes that are not UTF-8, text that is not JSON, nesting too deep to parse."""
+    raises ValueError: bytes that are not UTF-8, text that is not JSON (``NaN`` and ``±Infinity``
+    included), a number past the float range, nesting too deep to parse."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        return json.loads(text, parse_float=_finite, parse_constant=_finite)
     except RecursionError:
         raise ValueError("JSON nested too deep") from None
 

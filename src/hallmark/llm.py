@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 
 from .cache import JsonFileCache, make_key
 from .core import SpanLabel
-from .errors import AuthError, MockError, ProviderError
+from .errors import AuthError, MockError, ProviderError, TruncatedReplyError
 from .jsonl import is_json_type, load_json
 from .marking import insert_markers
 
@@ -138,10 +138,11 @@ class OpenAIChatProvider:
     ignores the environment. That saves a scan of ``os.environ`` per request,
     and keeps ``~/.netrc`` from replacing the bearer header with Basic auth.
     A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
-    ``ProviderError``: its copy of the answer stops short of the end. So is
-    text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
-    the response cache, cannot encode. A key that is not printable ASCII,
-    which no HTTP header can carry, is an ``AuthError`` before any request.
+    ``TruncatedReplyError``: its copy of the answer stops short of the end.
+    Text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
+    the response cache, cannot encode, is a ``ProviderError``. A key that is
+    not printable ASCII, which no HTTP header can carry, is an ``AuthError``
+    before any request.
     """
 
     def __init__(self, cfg: ProviderConfig, session: requests.Session | None = None):
@@ -190,7 +191,7 @@ class OpenAIChatProvider:
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion payload from {self.name}: {exc}") from exc
         if choice.get("finish_reason") == "length":
-            raise ProviderError(f"provider {self.name} cut the reply off at max_tokens")
+            raise TruncatedReplyError(f"provider {self.name} cut the reply off at max_tokens")
         if not is_json_type(content, str):  # null, or a string with a lone surrogate
             raise ProviderError(f"provider {self.name} returned no text content ({content!r:.80})")
         return content

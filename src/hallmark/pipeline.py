@@ -15,10 +15,11 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
+from .aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED, AnnotationRun, aggregate
+from .aggregate import to_hard_labels, to_soft_labels
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
-from .errors import AggregationError, MarkerError, ProviderError
+from .errors import AggregationError, MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
 from .llm import CompletionRequest, LLMClient, ProviderConfig
 from .marking import parse_marked
@@ -112,14 +113,7 @@ def _empty_record(item: QAItem) -> PredictionRecord:
     )
 
 
-def _execute_run(
-    item: QAItem,
-    role: str,
-    prompt: str,
-    seed_tag: str,
-    cfg: PipelineConfig,
-    llm: LLMClient,
-) -> AnnotationRun:
+def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, llm: LLMClient) -> AnnotationRun:
     try:
         reply = llm.complete(
             CompletionRequest(
@@ -130,34 +124,20 @@ def _execute_run(
                 seed_tag=seed_tag,
             )
         )
-    except ProviderError as exc:
-        logger.warning("item %s %s: provider failure (%s)", item.id, seed_tag, exc)
-        return AnnotationRun(valid=False, role=role)
-
-    try:
         parsed = parse_marked(extract_final_marked(reply), item.answer)
-    except MarkerError as exc:
-        logger.debug("item %s %s: rejected run (%s)", item.id, seed_tag, exc)
-        return AnnotationRun(valid=False, role=role)
+    except (ProviderError, MarkerError) as exc:
+        if isinstance(exc, MarkerError):
+            outcome, level = MARKER_ERROR, logging.DEBUG
+        else:
+            outcome, level = (TRUNCATED if isinstance(exc, TruncatedReplyError) else PROVIDER_ERROR), logging.WARNING
+        logger.log(level, "item %s %s: %s (%s)", item.id, seed_tag, outcome, exc)
+        return AnnotationRun(outcome)
 
     alignment = align(parsed.clean_text, item.answer, cfg.min_similarity)
     if not validate_run(alignment, cfg.min_similarity):
-        logger.debug(
-            "item %s %s: rejected run (similarity %.3f < %.3f)",
-            item.id,
-            seed_tag,
-            alignment.similarity,
-            cfg.min_similarity,
-        )
-        return AnnotationRun(similarity=alignment.similarity, valid=False, role=role)
-
-    spans = tuple(project_spans(parsed, alignment))
-    return AnnotationRun(
-        spans=spans,
-        similarity=alignment.similarity,
-        valid=True,
-        role=role,
-    )
+        logger.debug("item %s %s: %s (similarity %.3f)", item.id, seed_tag, BELOW_GATE, alignment.similarity)
+        return AnnotationRun(BELOW_GATE)
+    return AnnotationRun(OK, tuple(project_spans(parsed, alignment)))
 
 
 def annotate_item(
@@ -171,15 +151,12 @@ def annotate_item(
         logger.warning("item %s: empty answer, emitting empty labels", item.id)
         return _empty_record(item)
 
-    bundle = knowledge_svc.build_bundle(
-        item, use_roles=cfg.use_roles, use_external=cfg.use_external
-    )
+    bundle = knowledge_svc.build_bundle(item, use_roles=cfg.use_roles, use_external=cfg.use_external)
 
     runs = []
     for i in range(cfg.runs_n):
-        role = bundle.roles[i % len(bundle.roles)]
-        prompt = build_main_prompt(item, role, bundle.refined_external)
-        runs.append(_execute_run(item, role, prompt, f"run-{i}", cfg, llm))
+        prompt = build_main_prompt(item, bundle.roles[i % len(bundle.roles)], bundle.refined_external)
+        runs.append(_execute_run(item, prompt, f"run-{i}", cfg, llm))
 
     try:
         probs = aggregate(runs, len(item.answer))
@@ -192,7 +169,7 @@ def annotate_item(
         lang=item.lang,
         hard_labels=tuple(to_hard_labels(probs, cfg.threshold)),
         soft_labels=tuple(to_soft_labels(probs)),
-        runs_used=sum(r.valid for r in runs),
+        runs_used=sum(r.outcome == OK for r in runs),
         answer=item.answer,
     )
 

@@ -119,7 +119,7 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
     Prediction and gold files must cover exactly the same item ids; the
     answer text (and therefore every label offset) is taken from gold, so
     each pair must pass ``check_against_gold``. Each id may occur at most
-    once per side.
+    once per side, and there must be at least one item to score.
     """
     for side, records in (("prediction", preds), ("gold", golds)):
         counts = Counter(r.id for r in records)
@@ -138,6 +138,8 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
             ids=missing + extra,
         )
 
+    if not preds:
+        raise EvaluationError("nothing to score: the prediction and gold files hold no items")
     check_against_gold([(p, golds_by_id[p.id]) for p in preds])
 
     per_item = []

@@ -121,8 +121,8 @@ def test_aggregation_formula():
     """Vote fractions are exactly k/12; order-free and monotone."""
 
     def runs_marking(k, span, n=12):
-        marked = [AnnotationRun((SpanLabel(*span),), 1.0, True) for _ in range(k)]
-        silent = [AnnotationRun((), 1.0, True) for _ in range(n - k)]
+        marked = [AnnotationRun("ok", (SpanLabel(*span),)) for _ in range(k)]
+        silent = [AnnotationRun("ok") for _ in range(n - k)]
         return marked + silent
 
     for k in range(13):
@@ -137,7 +137,7 @@ def test_aggregation_formula():
         run_list = []
         for _ in range(n_runs):
             spans = tuple(SpanLabel(s, e) for s, e in random_nonadjacent_spans(rng, length))
-            run_list.append(AnnotationRun(spans, 1.0, True))
+            run_list.append(AnnotationRun("ok", spans))
         probs = aggregate(run_list, length)
 
         expected = recount_probs(
@@ -146,9 +146,9 @@ def test_aggregation_formula():
         assert list(probs) == expected
 
         char = rng.randrange(length)
-        grown = run_list + [AnnotationRun((SpanLabel(char, char + 1),), 1.0, True)]
+        grown = run_list + [AnnotationRun("ok", (SpanLabel(char, char + 1),))]
         assert aggregate(grown, length)[char] >= probs[char]
-        silent = run_list + [AnnotationRun((), 1.0, True)]
+        silent = run_list + [AnnotationRun("ok")]
         assert aggregate(silent, length)[char] <= probs[char]
 
         shuffled = list(run_list)
@@ -243,8 +243,8 @@ def test_threshold_semantics():
             assert record.soft_labels[0].prob == 7 / 12
 
     probs = aggregate(
-        [AnnotationRun((span,), 1.0, True)] * 7
-        + [AnnotationRun((), 1.0, True)] * 5,
+        [AnnotationRun("ok", (span,))] * 7
+        + [AnnotationRun("ok")] * 5,
         len(SWIMMER_ANSWER),
     )
     assert to_hard_labels(probs, 0.5) == [span]

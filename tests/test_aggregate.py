@@ -13,15 +13,15 @@ from hallmark import (
     to_hard_labels,
     to_soft_labels,
 )
+from hallmark.aggregate import BELOW_GATE, OK
 from hallmark.errors import AggregationError, SpanError
 
 from .reference import recount_probs
 
 
 def run_with(spans, valid=True):
-    return AnnotationRun(
-        spans=tuple(SpanLabel(s, e) for s, e in spans), similarity=1.0, valid=valid
-    )
+    # spans on a rejected run are what aggregate must ignore; the pipeline never builds one
+    return AnnotationRun(OK if valid else BELOW_GATE, tuple(SpanLabel(s, e) for s, e in spans))
 
 
 class TestAggregate:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import json
 import re
 import shutil
@@ -384,6 +385,18 @@ class TestAnnotateCommand:
         assert "Traceback" not in err
         assert not (tmp_path / "pred.jsonl").exists()
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_temperature_exits_1_before_any_call(self, tmp_path, monkeypatch, capsys, value):
+        # read as a float it passes the temperature check, and then no request body can be
+        # encoded, so every run would be retried with backoff and lost
+        monkeypatch.setattr(cli, "MockProvider", RecordingMock)
+        path = tmp_path / "conf.json"
+        path.write_text('{"temperature": %s}' % value, encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
+        assert RecordingMock.instances == []
+        assert not (tmp_path / "pred.jsonl").exists()
+
     @pytest.mark.parametrize(
         "config, key",
         [
@@ -606,6 +619,13 @@ class TestEvaluateCommand:
         assert cli.main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 4
         assert capsys.readouterr().err == "error: prediction answer differs from gold answer: ['a']\n"
 
+    def test_empty_files_exit_4(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        pred.write_text("", encoding="utf-8")
+        gold.write_text("", encoding="utf-8")
+        assert cli.main(["evaluate", "--pred", str(pred), "--gold", str(gold)]) == 4
+        assert capsys.readouterr().err == "error: nothing to score: the prediction and gold files hold no items\n"
+
 
 def label_past_the_gold_answer(tmp_path):
     """A prediction without its answer whose label ends past the 3-character gold answer."""
@@ -704,3 +724,20 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     records = read_predictions(tmp_path / "pred.jsonl")
     assert [r.id for r in records] == [item.id for item in read_items(SAMPLE_ITEMS)]
     assert (records[0].runs_used, records[0].hard_labels) == (12, (SpanLabel(25, 31),))
+
+
+def test_readme_aggregate_example_runs():
+    section = README.read_text(encoding="utf-8").split("## Library use")[1].split("\n## ")[0]
+    namespace = {}
+    exec(section.split("```python\n")[2].split("```")[0], namespace)
+    assert namespace["probs"] == [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]
+
+
+def test_readme_run_outcomes_match_the_constants():
+    # the outcome table lists every outcome constant of aggregate.py, once
+    module = importlib.import_module("hallmark.aggregate")
+    constants = [value for name, value in vars(module).items() if name.isupper() and isinstance(value, str)]
+    section = README.read_text(encoding="utf-8").split("### Run outcomes")[1].split("\n## ")[0]
+    documented = re.findall(r"^\| `([a-z_]+)` \|", section, re.MULTILINE)
+    assert sorted(documented) == sorted(constants)
+    assert len(constants) == 5

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hallmark import PredictionRecord, SpanLabel, read_gold, read_items, read_predictions, write_predictions
 from hallmark.errors import SchemaError
+from hallmark.jsonl import load_json
 
 
 def write_lines(path, lines):
@@ -343,3 +344,18 @@ def test_outside_json_has_one_decoder():
                 innermost = max(around, key=lambda f: f.lineno).name if around else None
                 sites.add(path.name if path.name == "cache.py" else f"{path.name}:{innermost}")
     assert sites == {"cache.py", "jsonl.py:load_json"}
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_non_finite_numbers_are_refused(value):
+    # Python's decoder reads the three constants, which are not JSON, and the numbers past
+    # the float range as NaN or an infinity, which would pass every range check downstream
+    with pytest.raises(ValueError, match=f"^{value} is not a finite number$"):
+        load_json('{"temperature": %s}' % value)
+
+
+def test_non_json_constant_in_a_line_names_the_line(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    path.write_text('{"id":"a","lang":"EN","model_output_text":"abc","soft_labels":[{"start":0,"end":1,"prob":NaN}]}\n', encoding="utf-8")
+    with pytest.raises(SchemaError, match=":1: NaN is not a finite number"):
+        read_gold(path)

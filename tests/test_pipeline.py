@@ -25,6 +25,8 @@ from hallmark import (
     build_main_prompt,
     write_predictions,
 )
+from hallmark.aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
+from hallmark.alignment import align
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.marking import insert_markers
@@ -472,13 +474,19 @@ def test_any_reply_yields_a_run(case, finish_reason):
         cache = JsonFileCache(directory)
         try:
             prompt = build_main_prompt(item, "expert", None)
-            run = _execute_run(item, "expert", prompt, "run-0", cfg, LLMClient(provider, cache=cache))
+            run = _execute_run(item, prompt, "run-0", cfg, LLMClient(provider, cache=cache))
         finally:
             cache.close()
     assert isinstance(run, AnnotationRun)
     assert all(0 <= s.start < s.end <= len(answer) for s in run.spans)
-    if finish_reason == "length" or any("\ud800" <= ch <= "\udfff" for ch in reply):
-        assert not run.valid
+    if finish_reason == "length":
+        assert run.outcome == TRUNCATED
+    elif any("\ud800" <= ch <= "\udfff" for ch in reply):
+        assert run.outcome == PROVIDER_ERROR
+    else:
+        assert run.outcome in (OK, MARKER_ERROR, BELOW_GATE)
+    if run.outcome != OK:
+        assert run.spans == ()
 
 
 def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
@@ -490,9 +498,8 @@ def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
     provider = OpenAIChatProvider(cfg.provider, session=DeepSession())
     item = QAItem(id="d", lang="EN", question="q", answer="an answer")
-    run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
-    assert isinstance(run, AnnotationRun)
-    assert not run.valid
+    run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
+    assert run == AnnotationRun(PROVIDER_ERROR)
 
 
 def test_run_at_the_gate_keeps_its_spans():
@@ -501,12 +508,54 @@ def test_run_at_the_gate_keeps_its_spans():
     assert 55 / 100 >= 0.55 and 0.55 * 100 > 55
     item = QAItem(id="g", lang="EN", question="q", answer="a" * 55 + "b" * 45)
     reply = "⟨⟨" + "a" * 5 + "⟩⟩" + "a" * 50 + "c" * 45
+    alignment = align("a" * 55 + "c" * 45, item.answer, 0.55)
+    assert alignment.similarity == 0.55
+    assert None not in alignment.mapping[:55]  # traced back, not skipped at the gate
     cfg = config(min_similarity=0.55)
     llm = LLMClient(MockProvider(default_reply=reply))
-    run = _execute_run(item, "expert", build_main_prompt(item, "expert", None), "run-0", cfg, llm)
-    assert run.valid
-    assert run.similarity == 0.55
-    assert run.spans == (SpanLabel(0, 5),)
+    run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, llm)
+    assert run == AnnotationRun(OK, (SpanLabel(0, 5),))
+
+
+OUTCOME_ANSWER = "Paris is the capital of France."
+
+
+class OneReplySession:
+    """Answers every post with one HTTP status and completion payload."""
+
+    def __init__(self, status, reply, finish_reason):
+        self.status, self.payload = status, completion_payload(reply, finish_reason)
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        return FakeResponse(self.status, self.payload)
+
+
+@pytest.mark.parametrize(
+    "status, reply, finish_reason, outcome, level, spans",
+    [
+        (500, OUTCOME_ANSWER, "stop", PROVIDER_ERROR, "WARNING", ()),
+        (200, OUTCOME_ANSWER, "length", TRUNCATED, "WARNING", ()),
+        (200, "⟨⟨" + OUTCOME_ANSWER, "stop", MARKER_ERROR, "DEBUG", ()),
+        (200, "Lyon is a city in the south of ⟨⟨France⟩⟩.", "stop", BELOW_GATE, "DEBUG", ()),
+        (200, "Paris is the capital of ⟨⟨France⟩⟩.", "stop", OK, None, (SpanLabel(24, 30),)),
+    ],
+    ids=["http-500", "cut-at-max-tokens", "unbalanced-marker", "rewrite-below-gate", "faithful-copy"],
+)
+def test_each_reply_ends_in_its_outcome(monkeypatch, caplog, status, reply, finish_reason, outcome, level, spans):
+    # one outcome per run, and one log line per rejected run at its level
+    monkeypatch.setenv("TEST_KEY", "sk-x")
+    caplog.set_level("DEBUG", logger="hallmark.pipeline")
+    cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
+    session = OneReplySession(status, reply, finish_reason)
+    llm = LLMClient(OpenAIChatProvider(cfg.provider, session=session), sleep=lambda _: None)
+    item = QAItem(id="o", lang="EN", question="q", answer=OUTCOME_ANSWER)
+    run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, llm)
+    assert run == AnnotationRun(outcome, spans)
+    assert session.posts == (4 if status == 500 else 1)  # the first attempt and 3 retries
+    logged = [(r.levelname, r.getMessage().split(" (")[0]) for r in caplog.records if r.name == "hallmark.pipeline"]
+    assert logged == ([] if level is None else [(level, f"item o run-0: {outcome}")])
 
 
 def test_traced_entry_points_resolve():

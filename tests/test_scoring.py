@@ -235,6 +235,11 @@ class TestEvaluate:
         assert excinfo.value.ids == ["b", "c"]
         assert str(excinfo.value) == "prediction label past the gold answer: ['b', 'c']"
 
+    def test_nothing_to_score_is_refused(self):
+        # no mean of zero items exists
+        with pytest.raises(EvaluationError, match="^nothing to score"):
+            evaluate([], [])
+
     def test_prediction_with_gold_answer_or_none_is_scored(self):
         same = PredictionRecord("a", "EN", (SpanLabel(0, 2),), (), 12, answer="xyz")
         report = evaluate(
