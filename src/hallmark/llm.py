@@ -16,6 +16,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
+from urllib.parse import urlsplit
 
 from .cache import JsonFileCache, make_key
 from .core import SpanLabel
@@ -38,13 +39,16 @@ class TransientProviderError(ProviderError):
 
 
 def transient_checked(call: Callable[[], requests.Response], service: str) -> requests.Response:
-    """``call()``'s response, unless it is one a retry may mend: a network error, 429 or 5xx."""
+    """``call()``'s response, unless it is one a retry may mend: a connection error, timeout, 429 or 5xx.
+    A request that could not be built or sent for any other reason fails at once."""
     import requests  # on first use, so commands that send nothing never load the network stack
 
     try:
         response = call()
-    except requests.RequestException as exc:
+    except (requests.ConnectionError, requests.Timeout, requests.exceptions.ChunkedEncodingError) as exc:
         raise TransientProviderError(f"network error calling {service}: {exc}") from exc
+    except requests.RequestException as exc:
+        raise ProviderError(f"cannot send the request to {service}: {exc}") from exc
     if response.status_code == 429 or response.status_code >= 500:
         raise TransientProviderError(f"{service} returned HTTP {response.status_code}")
     return response
@@ -92,6 +96,8 @@ class ProviderConfig:
             raise ValueError("requests_per_minute must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if self.base_url and urlsplit(self.base_url).scheme.lower() not in ("http", "https"):
+            raise ValueError(f"base_url {self.base_url!r} must start with http:// or https://")
 
 
 class Provider(Protocol):

@@ -11,6 +11,7 @@ batch.
 from __future__ import annotations
 
 import logging
+import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -56,8 +57,8 @@ class PipelineConfig:
             raise ValueError("threshold must be in (0, 1]")
         if not 0.0 <= self.min_similarity <= 1.0:
             raise ValueError("min_similarity must be in [0, 1]")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature <= sys.float_info.max:  # NaN, inf and an int past the float range fail
+            raise ValueError("temperature must be a finite number >= 0")
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be > 0")
         if self.max_parallel_items < 1:

@@ -78,33 +78,14 @@ class TestJsonFileCache:
         assert len(cache_rows(tmp_path)) == 8 * 200
 
 
-class TestImportOfTheFileLayout:
-    """A directory written one ``<key>.json`` file per entry is imported once."""
-
-    def test_old_entry_hits_with_zero_provider_calls(self, tmp_path):
-        request = CompletionRequest(model="m", user_prompt="p", seed_tag="run-0")
-        key = LLMClient(MockProvider())._cache_key(request)
-        (tmp_path / f"{key}.json").write_text(json.dumps({"text": "cached «r»"}, ensure_ascii=False), encoding="utf-8")
-        provider = MockProvider(script={"p": "fresh"})
-        client = LLMClient(provider, cache=JsonFileCache(tmp_path))
-        assert client.complete(request) == "cached «r»"
-        assert provider.call_count == 0
-
-    def test_unreadable_and_non_key_files_are_skipped_and_kept(self, tmp_path):
-        good = make_key("op", {"good": 1})
-        truncated = make_key("op", {"truncated": 1})
-        (tmp_path / f"{good}.json").write_text('{"text": "ok"}', encoding="utf-8")
-        (tmp_path / f"{truncated}.json").write_text('{"text": "cut o', encoding="utf-8")
-        (tmp_path / "notes.json").write_text('{"text": "not an entry"}', encoding="utf-8")
-        cache = JsonFileCache(tmp_path)
-        assert cache_rows(tmp_path) == {good: {"text": "ok"}}
-        assert cache.get(truncated) is None
-        assert sorted(p.name for p in tmp_path.glob("*.json")) == sorted(
-            [f"{good}.json", f"{truncated}.json", "notes.json"]
-        )
-
-    def test_second_open_does_not_rescan(self, tmp_path):
-        JsonFileCache(tmp_path).close()
-        late = make_key("op", {"late": 1})
-        (tmp_path / f"{late}.json").write_text('{"text": "late"}', encoding="utf-8")
-        assert JsonFileCache(tmp_path).get(late) is None
+def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path):
+    # a ``<key>.json`` entry of the one-file-per-entry layout that preceded the table
+    request = CompletionRequest(model="m", user_prompt="p", seed_tag="run-0")
+    old = tmp_path / f"{LLMClient(MockProvider())._cache_key(request)}.json"
+    old.write_text(json.dumps({"text": "cached «r»"}, ensure_ascii=False), encoding="utf-8")
+    before = old.read_bytes()
+    provider = MockProvider(script={"p": "fresh"})
+    client = LLMClient(provider, cache=JsonFileCache(tmp_path))
+    assert client.complete(request) == "fresh"
+    assert provider.call_count == 1
+    assert old.read_bytes() == before

@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -367,14 +368,21 @@ class TestAnnotateCommand:
             (["--model", "m"], {"provider": {"name": "x", "base_url": 5, "api_key_env": "HOME"}}),
             ([], {"provider": {"name": 5}}),
             ([], {"provider": {"name": "mock", "max_retries": -4}}),
+            ([], {"temperature": 10**400}),  # valid JSON, but too large for the float in the cache key
+            (["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "localhost:8000/v1"], None),
+            (["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "htp://x/v1"], None),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
             "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
-            "base_url-int", "name-int", "retries-negative",
+            "base_url-int", "name-int", "retries-negative", "temperature-past-float",
+            "base_url-no-scheme", "base_url-bad-scheme",
         ],
     )
-    def test_invalid_setting_exits_1_with_error_line(self, tmp_path, capsys, extra, config):
+    def test_invalid_setting_exits_1_with_error_line(self, tmp_path, monkeypatch, capsys, extra, config):
+        built = []  # no provider is built, so none is called
+        monkeypatch.setattr(cli, "MockProvider", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(cli, "OpenAIChatProvider", lambda *args, **kwargs: built.append(args))
         if config is not None:
             path = tmp_path / "conf.json"
             path.write_text(json.dumps(config), encoding="utf-8")
@@ -383,6 +391,7 @@ class TestAnnotateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+        assert built == []
         assert not (tmp_path / "pred.jsonl").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -724,6 +733,19 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     records = read_predictions(tmp_path / "pred.jsonl")
     assert [r.id for r in records] == [item.id for item in read_items(SAMPLE_ITEMS)]
     assert (records[0].runs_used, records[0].hard_labels) == (12, (SpanLabel(25, 31),))
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Quick start")[1].split("\n## ")[0]
+    block = section.split("```bash\n")[1].split("```")[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hallmark ")]
+    assert [command[0] for command in commands] == ["annotate", "inspect", "evaluate"]
+    shutil.copytree(SAMPLE_DIR, tmp_path / "data" / "sample")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        if command[0] == "evaluate":  # the user's own reference file; here, one agreeing with pred.jsonl
+            gold_from_predictions("pred.jsonl", SAMPLE_ITEMS, "gold.jsonl")
+        assert cli.main(command) == 0, command
 
 
 def test_readme_aggregate_example_runs():

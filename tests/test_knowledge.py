@@ -246,11 +246,22 @@ class QueuedSession:
 
 
 class TestWikipediaRetries:
-    """Only a network error, a 429 or a 5xx is asked again, after 1 s and then 2 s."""
+    """Only a connection error or timeout, a 429 or a 5xx is asked again, after 1 s and then 2 s."""
 
     @pytest.mark.parametrize("status, body", [(200, b"<html>"), (404, b'{"error": "missing"}')], ids=["html", "404"])
     def test_reply_a_retry_cannot_mend_costs_one_request(self, status, body):
         session, sleeps = QueuedSession((status, body)), []
+        with pytest.raises(KnowledgeError):
+            WikipediaClient(session=session, sleep=sleeps.append).search_first_title("kw", "en")
+        assert (len(session.calls), sleeps) == (1, [])
+
+    def test_request_that_cannot_be_built_costs_one_attempt(self):
+        class UnbuildableSession(QueuedSession):
+            def get(self, url, params=None, timeout=None):
+                self.calls.append(params)
+                raise requests.exceptions.InvalidURL("no host")
+
+        session, sleeps = UnbuildableSession(), []
         with pytest.raises(KnowledgeError):
             WikipediaClient(session=session, sleep=sleeps.append).search_first_title("kw", "en")
         assert (len(session.calls), sleeps) == (1, [])

@@ -36,6 +36,11 @@ class TestCompletionRequest:
         with pytest.raises(ValueError):
             PipelineConfig(model="m", provider=ProviderConfig("mock"), max_tokens=0)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge-int"])
+    def test_temperature_must_be_a_finite_number(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            PipelineConfig(model="m", provider=ProviderConfig("mock"), temperature=temperature)
+
     def test_cache_key_is_pinned(self):
         # a changed key would make every existing cache miss
         key = LLMClient(MockProvider())._cache_key(
@@ -155,6 +160,18 @@ class FakeSession:
     def post(self, url, json=None, headers=None, timeout=None, **kwargs):
         self.requests.append({"url": url, "json": json, "headers": headers, **kwargs})
         return self.responses.pop(0)
+
+
+class FailingSession:
+    """A session whose every post raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+        self.attempts = 0
+
+    def post(self, *args, **kwargs):
+        self.attempts += 1
+        raise self.error
 
 
 def completion_payload(text, finish_reason="stop"):
@@ -330,6 +347,52 @@ class TestOpenAIChatProvider:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
         assert len(session.requests) == 1
+
+    # raised inside this process, before anything is sent: a retry would fail the same way
+    @pytest.mark.parametrize(
+        "error",
+        [
+            requests.exceptions.InvalidJSONError,
+            requests.exceptions.MissingSchema,
+            requests.exceptions.InvalidSchema,
+            requests.exceptions.InvalidURL,
+            requests.exceptions.InvalidHeader,
+        ],
+    )
+    def test_request_that_cannot_be_built_fails_at_once(self, monkeypatch, error):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session = FailingSession(error("bad request"))
+        sleeps = []
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), sleep=sleeps.append)
+        with pytest.raises(ProviderError) as excinfo:
+            client.complete(req("p"))
+        assert not isinstance(excinfo.value, TransientProviderError)
+        assert (session.attempts, sleeps) == (1, [])
+
+    @pytest.mark.parametrize(
+        "error",
+        [requests.ConnectionError, requests.Timeout, requests.ReadTimeout, requests.exceptions.ChunkedEncodingError],
+    )
+    def test_connection_error_or_timeout_is_retried(self, monkeypatch, error):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session = FailingSession(error("connection trouble"))
+        sleeps = []
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), max_retries=3, sleep=sleeps.append)
+        with pytest.raises(ProviderError) as excinfo:
+            client.complete(req("p"))
+        assert "giving up after 4 attempts" in str(excinfo.value)
+        assert (session.attempts, sleeps) == (4, [1.0, 2.0, 4.0])
+
+    def test_body_requests_cannot_encode_is_never_sent(self, monkeypatch):
+        # a NaN temperature is no JSON: requests refuses the body before the transport sees it
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session, adapter = recording_session()
+        sleeps = []
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), sleep=sleeps.append)
+        with pytest.raises(ProviderError) as excinfo:
+            client.complete(req("p", temperature=float("nan")))
+        assert not isinstance(excinfo.value, TransientProviderError)
+        assert (adapter.sent, sleeps) == ([], [])
 
 
 class VirtualClock:
