@@ -31,7 +31,7 @@ from .llm import (
 )
 from .marking import ParsedMarking, insert_markers, parse_marked
 from .pipeline import PipelineConfig, annotate_dataset, annotate_item, build_main_prompt
-from .scoring import EvalReport, evaluate, expand_soft, iou, spearman
+from .scoring import evaluate, expand_soft, iou, spearman
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "AlignmentResult",
     "AnnotationRun",
     "CompletionRequest",
-    "EvalReport",
     "GoldRecord",
     "JsonFileCache",
     "KnowledgeBundle",

@@ -37,7 +37,7 @@ from .llm import (
 from .marking import insert_markers
 from .pipeline import PipelineConfig, annotate_dataset
 from .prompts import validate_templates
-from .scoring import check_against_gold, evaluate, iou, render_table, report_to_dict
+from .scoring import check_against_gold, evaluate, iou, render_table
 
 logger = logging.getLogger(__name__)
 
@@ -241,7 +241,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     print(render_table(report))
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report_to_dict(report), fh, indent=2, ensure_ascii=False)
+            json.dump(report, fh, indent=2, ensure_ascii=False)
             fh.write("\n")
         print(f"report written to {args.report}")
     return EXIT_OK

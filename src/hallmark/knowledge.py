@@ -9,6 +9,7 @@ leaves the item without external knowledge. Annotation never aborts for it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import CompletionRequest, LLMClient, transient_checked, with_retries
+from .llm import CompletionRequest, LLMClient, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 if TYPE_CHECKING:
@@ -51,10 +52,7 @@ def _extract_json(reply: str) -> dict:
     end = reply.rfind("}")
     if start == -1 or end <= start:
         raise ValueError("no JSON object in reply")
-    obj = load_json(reply[start : end + 1])
-    if not isinstance(obj, dict):
-        raise ValueError("reply JSON is not an object")
-    return obj
+    return load_json(reply[start : end + 1])  # text from "{" to "}" parses only as an object
 
 
 def _roles(identities: Any) -> list[str] | None:
@@ -69,7 +67,12 @@ def _knowledge(knowledge: Any) -> str | None:
 
 
 class WikipediaClient:
-    """Thin wrapper over the per-language Wikipedia query API."""
+    """Thin wrapper over the per-language Wikipedia query API.
+
+    Like ``OpenAIChatProvider``, it reads proxy and CA-bundle settings from
+    the environment once per wiki, not per request, and sends no ``~/.netrc``
+    credentials.
+    """
 
     def __init__(
         self,
@@ -87,10 +90,12 @@ class WikipediaClient:
             )
         self._session = session
         self._sleep = sleep
+        # once per API URL: each language wiki is its own host, and NO_PROXY may name just one
+        self._env_settings = functools.cache(environment_reader(session))
 
     def _get_json(self, url: str, params: dict) -> dict:
         def get() -> requests.Response:
-            return self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S)
+            return self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S, **self._env_settings(url))
 
         try:
             response = with_retries(lambda: transient_checked(get, "wikipedia"), WIKIPEDIA_RETRIES, 1.0, self._sleep)

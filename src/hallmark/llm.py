@@ -7,6 +7,7 @@ covers every endpoint this tool targets without per-provider code.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import logging
@@ -136,6 +137,23 @@ class RateLimiter:
             self._sleep(max(wait, 0.0))
 
 
+def environment_reader(session: requests.Session) -> Callable[[str], dict]:
+    """Stop ``session`` reading the environment on each request; return the function that reads it instead.
+
+    For a URL, the function gives the ``proxies``, ``stream``, ``verify`` and
+    ``cert`` that ``requests`` would work out on every request: the
+    environment as it is at the call, merged with the session's own settings.
+    Pass them to each request. The session then also leaves ``~/.netrc``
+    unread, so no stored password replaces or adds an Authorization header.
+    """
+    import requests
+
+    # a copy keeps the session's own trust_env, proxies, verify and cert for calls made after the switch below
+    reader = copy.copy(session) if isinstance(session, requests.Session) else requests.Session()
+    session.trust_env = False
+    return lambda url: reader.merge_environment_settings(url, {}, None, None, None)
+
+
 class OpenAIChatProvider:
     """POSTs to ``{base_url}/chat/completions`` with bearer auth.
 
@@ -168,11 +186,7 @@ class OpenAIChatProvider:
             "Content-Type": "application/json",
         }
         self._session = session or requests.Session()
-        # What requests would work out on every post: the environment merged
-        # with a real session's own proxies, verify and cert.
-        reader = self._session if isinstance(self._session, requests.Session) else requests.Session()
-        self._env_settings = reader.merge_environment_settings(self._url, {}, None, None, None)
-        self._session.trust_env = False
+        self._env_settings = environment_reader(self._session)(self._url)
 
     def send(self, req: CompletionRequest) -> str:
         body = {

@@ -12,9 +12,8 @@ labeled ones.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from statistics import correlation
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import GoldRecord, PredictionRecord, SpanLabel, coverage, validate_spans
 from .errors import EvaluationError, SpanError
@@ -68,28 +67,6 @@ def expand_soft(labels: Sequence[SpanLabel], length: int) -> list[float]:
     return coverage(labels, length)
 
 
-@dataclass(frozen=True)
-class ItemScore:
-    id: str
-    lang: str
-    iou: float
-    cor: float
-
-
-@dataclass(frozen=True)
-class LangStats:
-    mean_iou: float
-    mean_cor: float
-    n: int
-
-
-@dataclass(frozen=True)
-class EvalReport:
-    per_item: tuple[ItemScore, ...]
-    per_lang: Mapping[str, LangStats]
-    overall: LangStats
-
-
 def check_against_gold(pairs: Sequence[tuple[PredictionRecord, GoldRecord]]) -> None:
     """Raise ``EvaluationError`` naming each prediction that gold cannot score.
 
@@ -113,13 +90,18 @@ def check_against_gold(pairs: Sequence[tuple[PredictionRecord, GoldRecord]]) -> 
         raise EvaluationError(f"prediction label past the gold answer: {past}", ids=past)
 
 
-def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> EvalReport:
+def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> dict:
     """Score predictions against gold annotations.
 
     Prediction and gold files must cover exactly the same item ids; the
     answer text (and therefore every label offset) is taken from gold, so
     each pair must pass ``check_against_gold``. Each id may occur at most
     once per side, and there must be at least one item to score.
+
+    The report is the JSON that ``hallmark evaluate --report`` writes:
+    ``overall`` (``mean_iou``, ``mean_cor``), ``per_lang`` (the same plus
+    ``n``, languages sorted) and ``per_item`` (``id``, ``lang``, ``iou``,
+    ``cor``, in prediction order).
     """
     for side, records in (("prediction", preds), ("gold", golds)):
         counts = Counter(r.id for r in records)
@@ -146,59 +128,31 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
     for pred in preds:
         gold = golds_by_id[pred.id]
         length = len(gold.answer)
-        if length == 0:
-            item_iou, item_cor = 1.0, 1.0
-        else:
-            item_iou = iou(pred.hard_labels, gold.hard_labels, length)
-            item_cor = spearman(
-                expand_soft(pred.soft_labels, length),
-                expand_soft(gold.soft_labels, length),
-            )
-        per_item.append(ItemScore(id=pred.id, lang=gold.lang, iou=item_iou, cor=item_cor))
+        per_item.append({
+            "id": pred.id,
+            "lang": gold.lang,
+            "iou": iou(pred.hard_labels, gold.hard_labels, length),
+            "cor": spearman(expand_soft(pred.soft_labels, length), expand_soft(gold.soft_labels, length)),
+        })
 
-    def stats(scores: Sequence[ItemScore]) -> LangStats:
+    def means(scores: list[dict]) -> dict:
         n = len(scores)
-        return LangStats(
-            mean_iou=sum(s.iou for s in scores) / n,
-            mean_cor=sum(s.cor for s in scores) / n,
-            n=n,
-        )
+        return {"mean_iou": sum(s["iou"] for s in scores) / n, "mean_cor": sum(s["cor"] for s in scores) / n}
 
-    langs = sorted({s.lang for s in per_item})
-    per_lang = {
-        lang: stats([s for s in per_item if s.lang == lang]) for lang in langs
-    }
-    return EvalReport(
-        per_item=tuple(per_item),
-        per_lang=per_lang,
-        overall=stats(per_item),
-    )
+    per_lang = {}
+    for lang in sorted({s["lang"] for s in per_item}):
+        scores = [s for s in per_item if s["lang"] == lang]
+        per_lang[lang] = {**means(scores), "n": len(scores)}
+    return {"overall": means(per_item), "per_lang": per_lang, "per_item": per_item}
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready view of a report, deterministically ordered."""
-    return {
-        "overall": {
-            "mean_iou": report.overall.mean_iou,
-            "mean_cor": report.overall.mean_cor,
-        },
-        "per_lang": {
-            lang: {"mean_iou": s.mean_iou, "mean_cor": s.mean_cor, "n": s.n}
-            for lang, s in sorted(report.per_lang.items())
-        },
-        "per_item": [
-            {"id": s.id, "lang": s.lang, "iou": s.iou, "cor": s.cor}
-            for s in report.per_item
-        ],
-    }
-
-
-def render_table(report: EvalReport) -> str:
+def render_table(report: dict) -> str:
     """Aligned plain-text summary table: Lang, IoU, Cor, N."""
     rows = [("Lang", "IoU", "Cor", "N")]
-    for lang, s in sorted(report.per_lang.items()):
-        rows.append((lang, f"{s.mean_iou:.4f}", f"{s.mean_cor:.4f}", str(s.n)))
-    rows.append(("ALL", f"{report.overall.mean_iou:.4f}", f"{report.overall.mean_cor:.4f}", str(report.overall.n)))
+    for lang, s in report["per_lang"].items():
+        rows.append((lang, f"{s['mean_iou']:.4f}", f"{s['mean_cor']:.4f}", str(s["n"])))
+    overall = report["overall"]
+    rows.append(("ALL", f"{overall['mean_iou']:.4f}", f"{overall['mean_cor']:.4f}", str(len(report["per_item"]))))
     widths = [max(len(row[col]) for row in rows) for col in range(4)]
     return "\n".join(
         "  ".join([row[0].ljust(widths[0])] + [c.rjust(w) for c, w in zip(row[1:], widths[1:])])

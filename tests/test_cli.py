@@ -353,44 +353,60 @@ class TestAnnotateCommand:
             assert record.runs_used == 2  # CLI flag beats config file
 
     @pytest.mark.parametrize(
-        "extra, config",
+        "extra, config, message",
         [
-            (["--runs", "0"], None),
-            (["--threshold", "2"], None),
-            ([], {"runs_n": "x"}),
-            ([], {"use_external": "false"}),
-            ([], {"use_roles": 0}),
-            ([], {"provider": {"name": "mock", "requests_per_minute": 0}}),
-            ([], {"provider": {"name": "mock", "max_retries": None}}),
-            ([], {"cache_dir": 5}),
-            ([], {"temperature": -1}),
-            ([], {"max_tokens": 0}),
-            (["--model", "m"], {"provider": {"name": "x", "base_url": 5, "api_key_env": "HOME"}}),
-            ([], {"provider": {"name": 5}}),
-            ([], {"provider": {"name": "mock", "max_retries": -4}}),
-            ([], {"temperature": 10**400}),  # valid JSON, but too large for the float in the cache key
-            (["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "localhost:8000/v1"], None),
-            (["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "htp://x/v1"], None),
+            (["--runs", "0"], None, "invalid setting: runs_n must be >= 1"),
+            (["--threshold", "2"], None, "invalid setting: threshold must be in (0, 1]"),
+            ([], {"runs_n": "x"}, "config key 'runs_n' must be an integer"),
+            ([], {"use_external": "false"}, "config key 'use_external' must be true or false"),
+            ([], {"use_roles": 0}, "config key 'use_roles' must be true or false"),
+            ([], {"provider": {"name": "mock", "requests_per_minute": 0}}, "invalid setting: requests_per_minute must be > 0"),
+            ([], {"provider": {"name": "mock", "max_retries": None}}, "config key 'provider.max_retries' must be an integer"),
+            ([], {"cache_dir": 5}, "config key 'cache_dir' must be a string"),
+            ([], {"temperature": -1}, "invalid setting: temperature must be a finite number >= 0"),
+            ([], {"max_tokens": 0}, "invalid setting: max_tokens must be > 0"),
+            (
+                ["--model", "m"],
+                {"provider": {"name": "x", "base_url": 5, "api_key_env": "HOME"}},
+                "config key 'provider.base_url' must be a string",
+            ),
+            ([], {"provider": {"name": 5}}, "config key 'provider.name' must be a string"),
+            ([], {"provider": {"name": "mock", "max_retries": -4}}, "invalid setting: max_retries must be >= 0"),
+            # valid JSON, but too large for the float in the cache key
+            ([], {"temperature": 10**400}, "invalid setting: temperature must be a finite number >= 0"),
+            (
+                ["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "localhost:8000/v1"],
+                None,
+                "invalid setting: base_url 'localhost:8000/v1' must start with http:// or https://",
+            ),
+            (
+                ["--provider", "x", "--model", "m", "--api-key-env", "HOME", "--base-url", "htp://x/v1"],
+                None,
+                "invalid setting: base_url 'htp://x/v1' must start with http:// or https://",
+            ),
+            ([], [1, 2], "config file {conf} must hold a JSON object"),
+            ([], {"provider": "deepseek"}, "config key 'provider' must be an object"),
+            (["--provider", "x", "--model", "m"], None, "provider 'x' needs a base URL (--base-url or config)"),
+            (["--provider", "deepseek"], None, "a model name is required (--model or config file)"),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
             "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
             "base_url-int", "name-int", "retries-negative", "temperature-past-float",
             "base_url-no-scheme", "base_url-bad-scheme",
+            "config-not-object", "provider-not-object", "no-base-url", "no-model",
         ],
     )
-    def test_invalid_setting_exits_1_with_error_line(self, tmp_path, monkeypatch, capsys, extra, config):
+    def test_invalid_setting_exits_1_with_error_line(self, tmp_path, monkeypatch, capsys, extra, config, message):
         built = []  # no provider is built, so none is called
         monkeypatch.setattr(cli, "MockProvider", lambda *args, **kwargs: built.append(args))
         monkeypatch.setattr(cli, "OpenAIChatProvider", lambda *args, **kwargs: built.append(args))
+        path = tmp_path / "conf.json"
         if config is not None:
-            path = tmp_path / "conf.json"
             path.write_text(json.dumps(config), encoding="utf-8")
             extra = [*extra, "--config", str(path)]
         assert cli.main(annotate_args(tmp_path, "pred.jsonl", *extra)) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message.format(conf=path)}\n"
         assert built == []
         assert not (tmp_path / "pred.jsonl").exists()
 
@@ -698,6 +714,23 @@ class TestInspectCommand:
         }) + "\n", encoding="utf-8")
         assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
         assert capsys.readouterr().err == f"error: {pred}:1: span [0, 10) exceeds text length 3\n"
+
+    def test_id_missing_from_gold_exits_4(self, tmp_path, capsys):
+        pred, gold = tmp_path / "pred.jsonl", tmp_path / "gold.jsonl"
+        record = {"id": "a", "lang": "EN", "model_output_text": "abc", "hard_labels": [], "soft_labels": []}
+        pred.write_text(json.dumps({**record, "runs_used": 3}) + "\n", encoding="utf-8")
+        gold.write_text(json.dumps({**record, "id": "b"}) + "\n", encoding="utf-8")
+        assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4
+        assert capsys.readouterr() == ("", f"error: id 'a' not found in {gold}\n")
+
+    def test_no_answer_text_and_no_gold_exits_1(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(
+            json.dumps({"id": "a", "lang": "EN", "hard_labels": [], "soft_labels": [], "runs_used": 3}) + "\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
+        assert capsys.readouterr() == ("", "error: prediction file carries no answer text; pass --gold to supply it\n")
 
     def test_label_past_the_gold_answer_exits_4_before_printing(self, tmp_path, capsys):
         pred, gold = label_past_the_gold_answer(tmp_path)

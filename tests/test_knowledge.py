@@ -25,6 +25,7 @@ from hallmark.llm import TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, wire_response
+from .test_llm import recording_session
 
 
 @pytest.fixture
@@ -165,7 +166,7 @@ class FakeWikiSession:
         self.fail = fail
         self.calls = []
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, url, params=None, timeout=None, **settings):
         self.calls.append({"url": url, "params": params})
         if self.fail:
             raise requests.ConnectionError("boom")
@@ -237,7 +238,7 @@ class QueuedSession:
         self.replies = list(replies)
         self.calls = []
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, url, params=None, timeout=None, **settings):
         self.calls.append(params)
         status, body = self.replies.pop(0)
         response = wire_response(body)
@@ -257,7 +258,7 @@ class TestWikipediaRetries:
 
     def test_request_that_cannot_be_built_costs_one_attempt(self):
         class UnbuildableSession(QueuedSession):
-            def get(self, url, params=None, timeout=None):
+            def get(self, url, params=None, timeout=None, **settings):
                 self.calls.append(params)
                 raise requests.exceptions.InvalidURL("no host")
 
@@ -282,6 +283,45 @@ def test_own_session_names_hallmark_in_its_user_agent():
     assert dict(session.headers) == headers
 
 
+class TestWikipediaEnvironment:
+    """Like the chat provider, the Wikipedia client reads the environment once per host and never ~/.netrc."""
+
+    def test_netrc_sends_no_credentials(self, monkeypatch, tmp_path):
+        netrc = tmp_path / "netrc"
+        netrc.write_text("default login someone password secret\n", encoding="utf-8")
+        monkeypatch.setenv("NETRC", str(netrc))
+        session, adapter = recording_session()
+        WikipediaClient(session=session).search_first_title("kw", "en")
+        (sent,) = adapter.sent
+        assert "Authorization" not in sent.headers
+
+    def test_environment_is_read_once_per_wiki(self, monkeypatch):
+        scans = []
+        real = requests.sessions.get_environ_proxies
+        monkeypatch.setattr(requests.sessions, "get_environ_proxies", lambda *a, **kw: scans.append(a) or real(*a, **kw))
+        session, adapter = recording_session()
+        wiki = WikipediaClient(session=session)
+        for _ in range(3):
+            wiki.search_first_title("kw", "en")
+        assert (len(adapter.sent), len(scans)) == (3, 1)
+        wiki.search_first_title("kw", "fi")
+        assert (len(adapter.sent), len(scans)) == (4, 2)
+
+    def test_no_proxy_can_name_one_wiki(self, monkeypatch):
+        for name in ("https_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.test:3128")
+        monkeypatch.setenv("NO_PROXY", "fi.wikipedia.org")
+        session, adapter = recording_session()
+        wiki = WikipediaClient(session=session)
+        wiki.search_first_title("kw", "fi")
+        wiki.search_first_title("kw", "en")
+        monkeypatch.delenv("HTTPS_PROXY")  # a host already asked keeps what it read
+        wiki.search_first_title("kw", "en")
+        proxy = "http://proxy.test:3128"
+        assert [s["proxies"].get("https") for s in adapter.settings] == [None, proxy, proxy]
+
+
 class ReplaySession:
     """Answers every search query with ``bodies["search"]``, every extract query with ``bodies["extract"]``."""
 
@@ -289,7 +329,7 @@ class ReplaySession:
         self.bodies = bodies
         self.calls = []
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, url, params=None, timeout=None, **settings):
         self.calls.append(params)
 
         class R:
@@ -334,7 +374,7 @@ def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, se
 
 def test_wikipedia_payload_nested_too_deep_costs_only_the_knowledge(item):
     class DeepSession:
-        def get(self, url, params=None, timeout=None):
+        def get(self, url, params=None, timeout=None, **settings):
             return wire_response(b'{"query": ' + nested(3000) + b"}")
 
     wiki = WikipediaClient(session=DeepSession(), sleep=lambda _: None)

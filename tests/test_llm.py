@@ -430,6 +430,30 @@ class TestRateLimiter:
         assert vc.sleeps
         assert vc.now >= 60.0
 
+    def test_client_acquires_once_per_attempt_and_never_on_a_cache_hit(self, tmp_path):
+        class CountingLimiter(RateLimiter):
+            def __init__(self):
+                super().__init__(60)
+                self.acquired = 0
+
+            def acquire(self):
+                self.acquired += 1
+
+        class FailsTwice(MockProvider):
+            def send(self, req):
+                if self.call_count < 2:
+                    self.calls.append(req)
+                    raise TransientProviderError("HTTP 503")
+                return super().send(req)
+
+        limiter, provider = CountingLimiter(), FailsTwice(script={"p": "r"})
+        client = LLMClient(provider, cache=JsonFileCache(tmp_path), limiter=limiter, sleep=lambda _: None)
+        assert client.complete(req("p")) == "r"
+        assert (limiter.acquired, provider.call_count) == (3, 3)
+        limiter.acquired = 0
+        assert client.complete(req("p")) == "r"
+        assert (limiter.acquired, provider.call_count) == (0, 3)
+
 
 def test_one_transient_test_and_one_backoff_loop():
     # both outside services decide what a failed call costs in the same two places

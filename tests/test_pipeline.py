@@ -603,7 +603,7 @@ class InterruptibleWiki:
         self.interrupter = interrupter
         self.pages = pages
 
-    def get(self, url, params=None, timeout=None):
+    def get(self, url, params=None, timeout=None, **settings):
         self.interrupter.request()
         lang = url.split("//")[1].split(".")[0]
         if params.get("list") == "search":

@@ -22,7 +22,7 @@ from hallmark import (
 )
 from hallmark.errors import EvaluationError, SpanError
 from hallmark.scoring import average_ranks as tied_ranks
-from hallmark.scoring import render_table, report_to_dict
+from hallmark.scoring import render_table
 
 from .reference import average_ranks, iou_reference, pearson, spearman_reference
 
@@ -183,15 +183,19 @@ class TestEvaluate:
             preds.append(pred(f"i{i}", "EN", hard, soft))
             golds.append(gold(f"i{i}", "EN", answer, hard, soft))
         report = evaluate(preds, golds)
-        assert report.overall.mean_iou == 1.0
-        assert report.overall.mean_cor == 1.0
+        assert report["overall"] == {"mean_iou": 1.0, "mean_cor": 1.0}
 
     def test_empty_prediction_vs_gold_span(self):
         report = evaluate(
             [pred("a", "EN")],
             [gold("a", "EN", "0123456789", hard=[(2, 5)], soft=[(2, 5, 1.0)])],
         )
-        assert report.per_item[0].iou == 0.0
+        assert report["per_item"][0]["iou"] == 0.0
+
+    def test_empty_answer_scores_perfect(self):
+        # iou and spearman give 1.0 on nothing; evaluate adds no case of its own
+        report = evaluate([pred("a", "EN")], [gold("a", "EN", "")])
+        assert report["per_item"] == [{"id": "a", "lang": "EN", "iou": 1.0, "cor": 1.0}]
 
     def test_missing_gold_id(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -246,7 +250,7 @@ class TestEvaluate:
             [same, pred("b", "EN", [(0, 2)])],
             [gold("a", "EN", "xyz", hard=[(0, 2)]), gold("b", "EN", "xyz", hard=[(0, 2)])],
         )
-        assert [s.iou for s in report.per_item] == [1.0, 1.0]
+        assert [s["iou"] for s in report["per_item"]] == [1.0, 1.0]
 
     def test_three_language_means_match_recount(self):
         rng = random.Random(5)
@@ -269,19 +273,26 @@ class TestEvaluate:
             )
             by_lang.setdefault(g.lang, []).append(value)
         for lang, values in by_lang.items():
-            assert report.per_lang[lang].mean_iou == pytest.approx(sum(values) / len(values))
-            assert report.per_lang[lang].n == len(values)
+            assert report["per_lang"][lang]["mean_iou"] == pytest.approx(sum(values) / len(values))
+            assert report["per_lang"][lang]["n"] == len(values)
 
     def test_report_dict_shape(self):
         report = evaluate(
-            [pred("a", "EN"), pred("b", "ZH")],
+            [pred("b", "ZH"), pred("a", "EN")],
             [gold("a", "EN", "xxxx"), gold("b", "ZH", "yyyy")],
         )
-        data = report_to_dict(report)
-        assert set(data) == {"overall", "per_lang", "per_item"}
-        assert list(data["per_lang"]) == ["EN", "ZH"]
-        assert data["per_item"][0]["id"] == "a"
-        assert data["overall"]["mean_iou"] == 1.0
+        assert report == {
+            "overall": {"mean_iou": 1.0, "mean_cor": 1.0},
+            "per_lang": {
+                "EN": {"mean_iou": 1.0, "mean_cor": 1.0, "n": 1},
+                "ZH": {"mean_iou": 1.0, "mean_cor": 1.0, "n": 1},
+            },
+            "per_item": [
+                {"id": "b", "lang": "ZH", "iou": 1.0, "cor": 1.0},
+                {"id": "a", "lang": "EN", "iou": 1.0, "cor": 1.0},
+            ],
+        }
+        assert list(report["per_lang"]) == ["EN", "ZH"]  # languages sorted, items in prediction order
 
     def test_render_table_layout(self):
         report = evaluate([pred("a", "EN")], [gold("a", "EN", "zzz")])
