@@ -119,47 +119,27 @@ def config_keys(cls: type) -> dict[str, type]:
     return keys
 
 
-def _check_known(section: dict, keys, prefix: str = "") -> None:
-    """Refuse a config-file key no setting has, so a misspelt key cannot run a different experiment."""
-    for key in section:
-        if key not in keys:
-            raise ConfigError(f"unknown config key '{prefix}{key}'")
-
-
 def _settings(args: argparse.Namespace, section: dict, keys: dict[str, type], prefix: str = "") -> dict:
-    """The values ``section`` sets for ``keys``, overlaid by the flags given; each must be exactly its JSON type."""
-    flags = {key: value for key, value in vars(args).items() if value is not None}
-    values = {}
-    for key, kind in keys.items():
-        for source, name in ((section, "config key"), (flags, "flag value for")):
-            if key in source:
-                if not is_json_type(source[key], kind):
-                    raise ConfigError(f"{name} '{prefix}{key}' must be {JSON_TYPES[kind]}")
-                values[key] = source[key]
-    return values
+    """The values ``section`` sets, overlaid by the flags given for ``keys``. A key no setting has is
+    refused, so a misspelt key cannot run a different experiment; each value must be exactly its JSON type."""
+    flags = {key: value for key, value in vars(args).items() if value is not None and key in keys}
+    for source, name in ((section, "config key"), (flags, "flag value for")):
+        for key, value in source.items():
+            if key not in keys:
+                raise ConfigError(f"unknown config key '{prefix}{key}'")
+            if not is_json_type(value, keys[key]):
+                raise ConfigError(f"{name} '{prefix}{key}' must be {JSON_TYPES[keys[key]]}")
+    return {**section, **flags}
 
 
-def _provider_config(args: argparse.Namespace, file_cfg: dict) -> ProviderConfig:
-    file_provider = file_cfg.get("provider", {})
-    if not isinstance(file_provider, dict):
-        raise ConfigError("config key 'provider' must be an object")
-    keys = config_keys(ProviderConfig)
-    _check_known(file_provider, keys, "provider.")
-    values = _settings(args, file_provider, keys, "provider.")
+def _provider_config(args: argparse.Namespace, file_provider: dict) -> ProviderConfig:
+    values = _settings(args, file_provider, config_keys(ProviderConfig), "provider.")
     name = values["name"] = values.get("name") or "mock"
     for key, default in KNOWN_PROVIDERS.get(name, {}).items():
         values[key] = values.get(key) or default
     if name != "mock" and not values.get("base_url"):
         raise ConfigError(f"provider {name!r} needs a base URL (--base-url or config)")
     return ProviderConfig(**values)
-
-
-def _pipeline_config(args: argparse.Namespace, file_cfg: dict, provider: ProviderConfig) -> PipelineConfig:
-    values = _settings(args, file_cfg, config_keys(PipelineConfig))
-    values.setdefault("model", "mock-model" if provider.name == "mock" else None)
-    if values["model"] is None:
-        raise ConfigError("a model name is required (--model or config file)")
-    return PipelineConfig(provider=provider, **values)
 
 
 def _fixture_spans(raw, item) -> tuple[SpanLabel, ...]:
@@ -191,15 +171,18 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    file_cfg = _load_config_file(args.config)
-    _check_known(file_cfg, {*config_keys(PipelineConfig), "provider", "cache_dir"})
+    keys = {**config_keys(PipelineConfig), "provider": dict, "cache_dir": str}
+    values = _settings(args, _load_config_file(args.config), keys)
     validate_templates()
+    cache_dir = values.pop("cache_dir", None) or DEFAULT_CACHE_DIR
     try:  # the config classes' own range checks
-        provider_cfg = _provider_config(args, file_cfg)
-        cfg = _pipeline_config(args, file_cfg, provider_cfg)
+        provider_cfg = _provider_config(args, values.pop("provider", {}))
+        values.setdefault("model", "mock-model" if provider_cfg.name == "mock" else None)
+        if values["model"] is None:
+            raise ConfigError("a model name is required (--model or config file)")
+        cfg = PipelineConfig(provider=provider_cfg, **values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid setting: {exc}") from exc
-    cache_dir = _settings(args, file_cfg, {"cache_dir": str}).get("cache_dir") or DEFAULT_CACHE_DIR
 
     items = read_items(args.input)
     if provider_cfg.name == "mock":
@@ -251,14 +234,14 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     preds = {p.id: p for p in read_predictions(args.pred)}
     pred = preds.get(args.item_id)
     if pred is None:
-        raise EvaluationError(f"id {args.item_id!r} not found in {args.pred}", ids=[args.item_id])
+        raise EvaluationError(f"id {args.item_id!r} not found in {args.pred}")
 
     gold = None
     if args.gold:
         golds = {g.id: g for g in read_gold(args.gold)}
         gold = golds.get(args.item_id)
         if gold is None:
-            raise EvaluationError(f"id {args.item_id!r} not found in {args.gold}", ids=[args.item_id])
+            raise EvaluationError(f"id {args.item_id!r} not found in {args.gold}")
         check_against_gold([(pred, gold)])
 
     answer = pred.answer if pred.answer is not None else (gold.answer if gold else None)

@@ -96,6 +96,8 @@ class PredictionRecord:
     answer: str | None = None
 
     def __post_init__(self) -> None:
+        if self.runs_used < 0:
+            raise ValueError(f"runs_used {self.runs_used} must be >= 0")
         length = None if self.answer is None else len(self.answer)
         validate_spans(self.hard_labels, length)
         validate_spans(self.soft_labels, length)

@@ -62,7 +62,3 @@ class CacheError(HallmarkError):
 
 class EvaluationError(HallmarkError):
     """Prediction and gold files disagree on ids, answers or label extents, or an id is unknown."""
-
-    def __init__(self, message: str, ids: list[str] | None = None):
-        super().__init__(message)
-        self.ids = ids or []

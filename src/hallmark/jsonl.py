@@ -59,7 +59,7 @@ def _records(path: str | Path, build: Callable[[dict], Any]) -> list:
 
 
 # How messages name each JSON type, keyed by the Python type that holds it.
-JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+JSON_TYPES = {str: "a string", int: "an integer", float: "a number", bool: "true or false", dict: "an object"}
 
 # JSON may escape a lone surrogate (``"\ud800"``); it decodes to a str that UTF-8 cannot encode.
 _SURROGATE = re.compile("[\ud800-\udfff]")

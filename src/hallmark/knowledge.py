@@ -93,7 +93,12 @@ class WikipediaClient:
         # once per API URL: each language wiki is its own host, and NO_PROXY may name just one
         self._env_settings = functools.cache(environment_reader(session))
 
-    def _get_json(self, url: str, params: dict) -> dict:
+    def _query(self, lang: str, params: dict, read: Callable[[Any], Any]) -> Any:
+        """``read`` applied to the ``query`` object of the Action API's reply to ``params`` on the
+        ``lang`` wiki. A failed request is a KnowledgeError, and so is a reply ``read`` cannot read."""
+        url = f"https://{lang}.wikipedia.org/w/api.php"
+        params = {"action": "query", **params, "format": "json"}
+
         def get() -> requests.Response:
             return self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S, **self._env_settings(url))
 
@@ -101,48 +106,28 @@ class WikipediaClient:
             response = with_retries(lambda: transient_checked(get, "wikipedia"), WIKIPEDIA_RETRIES, 1.0, self._sleep)
             if response.status_code != 200:
                 raise ValueError(f"HTTP {response.status_code}")
-            return load_json(response.content)
+            data = load_json(response.content)
         except (ProviderError, ValueError) as exc:
             raise KnowledgeError(f"wikipedia request failed: {exc}") from exc
-
-    @staticmethod
-    def _api_url(lang: str) -> str:
-        return f"https://{lang}.wikipedia.org/w/api.php"
+        try:
+            return read(data.get("query", {}))
+        except (AttributeError, KeyError, TypeError) as exc:
+            kind = params.get("list", "extract")  # a search is a list query, an extract a page property
+            raise KnowledgeError(f"malformed {kind} payload from {lang} wikipedia: {exc!r}") from exc
 
     def search_first_title(self, keyword: str, lang: str) -> str | None:
-        data = self._get_json(
-            self._api_url(lang),
-            {
-                "action": "query",
-                "list": "search",
-                "srsearch": keyword,
-                "srlimit": 1,
-                "format": "json",
-            },
-        )
-        try:
-            hits = data.get("query", {}).get("search", [])
+        def read(query: dict) -> str | None:
+            hits = query.get("search", [])
             return json_value(hits[0]["title"], str) if hits else None
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise KnowledgeError(f"malformed search payload from {lang} wikipedia: {exc!r}") from exc
+
+        return self._query(lang, {"list": "search", "srsearch": keyword, "srlimit": 1}, read)
 
     def fetch_extract(self, title: str, lang: str) -> str | None:
-        data = self._get_json(
-            self._api_url(lang),
-            {
-                "action": "query",
-                "prop": "extracts",
-                "explaintext": 1,
-                "redirects": 1,
-                "titles": title,
-                "format": "json",
-            },
-        )
-        try:
-            pages = data.get("query", {}).get("pages", {})
-            return next((json_value(page["extract"], str) for page in pages.values() if page.get("extract")), None)
-        except (AttributeError, TypeError) as exc:
-            raise KnowledgeError(f"malformed extract payload from {lang} wikipedia: {exc!r}") from exc
+        def read(query: dict) -> str | None:
+            pages = query.get("pages", {}).values()
+            return next((json_value(page["extract"], str) for page in pages if page.get("extract")), None)
+
+        return self._query(lang, {"prop": "extracts", "explaintext": 1, "redirects": 1, "titles": title}, read)
 
 
 class KnowledgeService:

@@ -76,9 +76,7 @@ def check_against_gold(pairs: Sequence[tuple[PredictionRecord, GoldRecord]]) -> 
     """
     drifted = [p.id for p, g in pairs if p.answer is not None and p.answer != g.answer]
     if drifted:
-        raise EvaluationError(
-            f"prediction answer differs from gold answer: {drifted}", ids=drifted
-        )
+        raise EvaluationError(f"prediction answer differs from gold answer: {drifted}")
     past = []
     for pred, gold in pairs:
         try:
@@ -87,7 +85,7 @@ def check_against_gold(pairs: Sequence[tuple[PredictionRecord, GoldRecord]]) -> 
         except SpanError:
             past.append(pred.id)
     if past:
-        raise EvaluationError(f"prediction label past the gold answer: {past}", ids=past)
+        raise EvaluationError(f"prediction label past the gold answer: {past}")
 
 
 def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> dict:
@@ -107,7 +105,7 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
         counts = Counter(r.id for r in records)
         duplicated = [i for i, n in counts.items() if n > 1]
         if duplicated:
-            raise EvaluationError(f"duplicated {side} ids: {duplicated}", ids=duplicated)
+            raise EvaluationError(f"duplicated {side} ids: {duplicated}")
     golds_by_id = {g.id: g for g in golds}
     missing = [p.id for p in preds if p.id not in golds_by_id]
     pred_ids = {p.id for p in preds}
@@ -116,8 +114,7 @@ def evaluate(preds: Sequence[PredictionRecord], golds: Sequence[GoldRecord]) -> 
         raise EvaluationError(
             "prediction/gold id mismatch"
             + (f"; predictions without gold: {missing}" if missing else "")
-            + (f"; gold without prediction: {extra}" if extra else ""),
-            ids=missing + extra,
+            + (f"; gold without prediction: {extra}" if extra else "")
         )
 
     if not preds:

@@ -732,6 +732,16 @@ class TestInspectCommand:
         assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
         assert capsys.readouterr() == ("", "error: prediction file carries no answer text; pass --gold to supply it\n")
 
+    def test_negative_runs_used_exits_1_naming_the_line(self, tmp_path, capsys):
+        pred = tmp_path / "pred.jsonl"
+        pred.write_text(
+            json.dumps({"id": "a", "lang": "EN", "hard_labels": [], "soft_labels": [], "runs_used": -3,
+                        "model_output_text": "abc"}) + "\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 1
+        assert capsys.readouterr() == ("", f"error: {pred}:1: runs_used -3 must be >= 0\n")
+
     def test_label_past_the_gold_answer_exits_4_before_printing(self, tmp_path, capsys):
         pred, gold = label_past_the_gold_answer(tmp_path)
         assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4

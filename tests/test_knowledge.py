@@ -222,6 +222,19 @@ class TestFetchWikipedia:
         langs = [c["url"].split("//")[1].split(".")[0] for c in session.calls]
         assert "fi" in langs
 
+    def test_search_and_extract_requests_are_pinned(self, item):
+        # the Action API requests, key order included, as one lookup sends them
+        session = FakeWikiSession(search_results={"fi": ["Osuma"]}, extracts={("fi", "Osuma"): "teksti"})
+        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        assert svc.fetch_wikipedia("avainsana", "FI") == ("teksti", "https://fi.wikipedia.org/wiki/Osuma")
+        api = "https://fi.wikipedia.org/w/api.php"
+        search = [("action", "query"), ("list", "search"), ("srsearch", "avainsana"), ("srlimit", 1), ("format", "json")]
+        extract = [
+            ("action", "query"), ("prop", "extracts"), ("explaintext", 1), ("redirects", 1), ("titles", "Osuma"),
+            ("format", "json"),
+        ]
+        assert [(c["url"], list(c["params"].items())) for c in session.calls] == [(api, search), (api, extract)]
+
     def test_network_failure_wrapped(self, item):
         session = FakeWikiSession(fail=True)
         wiki = WikipediaClient(session=session, sleep=lambda _: None)

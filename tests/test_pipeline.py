@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hallmark import (
@@ -463,14 +463,17 @@ class ReplySession:
 
 @settings(deadline=None)
 @given(answers_and_replies(), st.sampled_from(["stop", "length"]))
+@example(case=("<", "\ud800\udfff"), finish_reason="stop")  # on the wire a valid pair, read back as U+103FF
 def test_any_reply_yields_a_run(case, finish_reason):
     # a bad reply costs one vote and never the batch
     answer, reply = case
     item = QAItem(id="p", lang="EN", question="q", answer=answer)
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
+    session = ReplySession(reply, finish_reason)
+    content = session.payload["choices"][0]["message"]["content"]  # the reply as decoded from the wire
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
         mp.setenv("TEST_KEY", "sk-x")
-        provider = OpenAIChatProvider(cfg.provider, session=ReplySession(reply, finish_reason))
+        provider = OpenAIChatProvider(cfg.provider, session=session)
         cache = JsonFileCache(directory)
         try:
             prompt = build_main_prompt(item, "expert", None)
@@ -481,7 +484,7 @@ def test_any_reply_yields_a_run(case, finish_reason):
     assert all(0 <= s.start < s.end <= len(answer) for s in run.spans)
     if finish_reason == "length":
         assert run.outcome == TRUNCATED
-    elif any("\ud800" <= ch <= "\udfff" for ch in reply):
+    elif any("\ud800" <= ch <= "\udfff" for ch in content):
         assert run.outcome == PROVIDER_ERROR
     else:
         assert run.outcome in (OK, MARKER_ERROR, BELOW_GATE)

@@ -200,8 +200,9 @@ class TestEvaluate:
     def test_missing_gold_id(self):
         with pytest.raises(EvaluationError) as excinfo:
             evaluate([pred("a", "EN")], [gold("b", "EN", "xyz")])
-        assert "a" in excinfo.value.ids
-        assert "b" in excinfo.value.ids
+        assert str(excinfo.value) == (
+            "prediction/gold id mismatch; predictions without gold: ['a']; gold without prediction: ['b']"
+        )
 
     def test_duplicated_prediction_id_is_refused(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -209,8 +210,7 @@ class TestEvaluate:
                 [pred("a", "EN"), pred("a", "EN"), pred("b", "EN")],
                 [gold("a", "EN", "xyz"), gold("b", "EN", "xyz")],
             )
-        assert excinfo.value.ids == ["a"]
-        assert "duplicated prediction ids" in str(excinfo.value)
+        assert str(excinfo.value) == "duplicated prediction ids: ['a']"
 
     def test_duplicated_gold_id_is_refused(self):
         with pytest.raises(EvaluationError) as excinfo:
@@ -218,16 +218,14 @@ class TestEvaluate:
                 [pred("a", "EN"), pred("b", "EN")],
                 [gold("a", "EN", "xyz"), gold("b", "EN", "xyz"), gold("b", "EN", "abc")],
             )
-        assert excinfo.value.ids == ["b"]
-        assert "duplicated gold ids" in str(excinfo.value)
+        assert str(excinfo.value) == "duplicated gold ids: ['b']"
 
     def test_prediction_answer_differing_from_gold_is_refused(self):
         same = PredictionRecord("a", "EN", (), (), 12, answer="xyz")
         drifted = PredictionRecord("b", "EN", (SpanLabel(0, 2),), (), 12, answer="xy z")
         with pytest.raises(EvaluationError) as excinfo:
             evaluate([same, drifted], [gold("a", "EN", "xyz"), gold("b", "EN", "xyz")])
-        assert excinfo.value.ids == ["b"]
-        assert "b" in str(excinfo.value)
+        assert str(excinfo.value) == "prediction answer differs from gold answer: ['b']"
 
     def test_prediction_label_past_the_gold_answer_is_refused(self):
         # a prediction without its own answer is checked against gold's
@@ -236,7 +234,6 @@ class TestEvaluate:
         golds = [gold(i, "EN", "xyz") for i in "abc"]
         with pytest.raises(EvaluationError) as excinfo:
             evaluate([inside, hard_past, soft_past], golds)
-        assert excinfo.value.ids == ["b", "c"]
         assert str(excinfo.value) == "prediction label past the gold answer: ['b', 'c']"
 
     def test_nothing_to_score_is_refused(self):
