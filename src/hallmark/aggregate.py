@@ -56,7 +56,7 @@ def to_soft_labels(probs: Sequence[float]) -> list[SpanLabel]:
     return runs_of(probs)
 
 
-def to_hard_labels(probs: Sequence[float], threshold: float = 0.5) -> list[SpanLabel]:
+def to_hard_labels(probs: Sequence[float], threshold: float) -> list[SpanLabel]:
     """Keep characters whose probability reaches ``threshold`` (inclusive)."""
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold {threshold} outside (0, 1]")

@@ -156,6 +156,6 @@ def project_spans(parsed: ParsedMarking, alignment: AlignmentResult) -> list[Spa
     return [SpanLabel(s.start, s.end) for s in runs_of(coverage(projected, end))]
 
 
-def validate_run(alignment: AlignmentResult, min_similarity: float = 0.7) -> bool:
+def validate_run(alignment: AlignmentResult, min_similarity: float) -> bool:
     """Accept a run when its rewrite stayed close enough to the original."""
     return alignment.similarity >= min_similarity

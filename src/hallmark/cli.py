@@ -158,6 +158,9 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
     try:  # malformed JSON, or a fixture of the wrong shape
         if path is not None:
             fixture = load_json(Path(path).read_bytes())
+        unknown = sorted(fixture.keys() - {item.id for item in items})
+        if unknown:  # a misspelt id would otherwise leave its item unmarked
+            raise ValueError(f"no input item has id {', '.join(map(repr, unknown))}")
         for item in items:
             entry = fixture.get(item.id, {})
             spans = _fixture_spans(entry.get("spans", []), item)
@@ -254,6 +257,11 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     print(f"id={pred.id} lang={pred.lang} runs_used={pred.runs_used}")
     print(f"pred: {insert_markers(answer, pred.hard_labels)}")
+    for span in pred.soft_labels:
+        votes = span.prob * pred.runs_used
+        k = round(votes)  # a file from another tool may hold a prob that is no whole count of runs
+        count = f" ({k} of {pred.runs_used} runs)" if k and abs(votes - k) <= 1e-9 else ""
+        print(f"soft: [{span.start}, {span.end}) {answer[span.start : span.end]!r} prob={span.prob:.4f}{count}")
     if gold is not None:
         print(f"gold: {insert_markers(gold.answer, gold.hard_labels)}")
         print(f"IoU: {iou(pred.hard_labels, gold.hard_labels, len(gold.answer)):.4f}")

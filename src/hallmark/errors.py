@@ -49,7 +49,7 @@ class AuthError(HallmarkError):
 
 
 class MockError(ProviderError):
-    """The mock provider received a prompt it has no script for."""
+    """The mock provider received a prompt that none of its marking rules matches."""
 
 
 class ConfigError(HallmarkError):

@@ -134,10 +134,11 @@ class KnowledgeService:
     """Produces KnowledgeBundles.
 
     The LLM steps rely on ``LLMClient``'s response cache and parse their
-    replies deterministically, so a repeated call replays the same result;
-    ``cache`` holds only Wikipedia fetches, the one step that goes to the
-    network on its own. Retries of JSON-producing prompts use distinct seed
-    tags, otherwise the response cache would replay the same malformed reply.
+    replies deterministically, so a repeated call replays the same result.
+    ``cache`` holds the finished Wikipedia lookups, the one step that goes
+    to the network on its own; every lookup reads through it. Retries of
+    JSON-producing prompts use distinct seed tags, otherwise the response
+    cache would replay the same malformed reply.
     """
 
     def __init__(
@@ -145,7 +146,7 @@ class KnowledgeService:
         llm: LLMClient,
         wiki: WikipediaClient | None,
         model: str,
-        cache: JsonFileCache | None = None,
+        cache: JsonFileCache,
     ):
         self.llm = llm
         self.wiki = wiki
@@ -217,7 +218,7 @@ class KnowledgeService:
             raise KnowledgeError("no wikipedia client configured")
         wikis = list(dict.fromkeys([primary_subtag(lang) or "en", "en"]))
         key = make_key("fetch_wikipedia", {"keyword": keyword, "lang": lang, "max_chars": MAX_RAW_CHARS})
-        found = self.cache.get(key) if self.cache is not None else None
+        found = self.cache.get(key)
         if found is None:
             found = {"text": None, "provenance": None}
             for wiki_lang in wikis:
@@ -227,8 +228,7 @@ class KnowledgeService:
                     provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
                     found = {"text": extract[:MAX_RAW_CHARS], "provenance": provenance}
                     break
-            if self.cache is not None:
-                self.cache.put(key, found)
+            self.cache.put(key, found)
         if found["text"] is None:
             raise KnowledgeError(f"no wikipedia results for {keyword!r} in {wikis}")
         return found["text"], found["provenance"]

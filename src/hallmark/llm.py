@@ -1,5 +1,5 @@
-"""Uniform chat-completion client: caching, rate limiting, retries, and a
-deterministic mock provider for offline runs.
+"""Uniform chat-completion client: caching, rate limiting, retries, and the
+deterministic mock provider that ``--provider mock`` runs offline.
 
 All live providers speak the OpenAI-compatible chat-completions JSON, which
 covers every endpoint this tool targets without per-provider code.
@@ -79,9 +79,9 @@ class CompletionRequest:
 
     model: str
     user_prompt: str
-    temperature: float = 1.0
-    max_tokens: int = 2048
-    seed_tag: str = ""
+    temperature: float
+    max_tokens: int
+    seed_tag: str
 
 
 @dataclass(frozen=True)
@@ -235,49 +235,30 @@ class MarkingRule:
         return self.spans
 
 
-class MockProvider:
-    """Deterministic offline provider.
+MOCK_ROLES = ("fact-checking expert", "reference librarian")  # the mock's reply to every roles prompt
 
-    Resolution order per request: exact scripted prompt, stock replies for
-    the knowledge chain's seed tags (``roles-attempt-N``, ``keyword``,
-    ``summary-attempt-N``), then marking rules. A rule matches when its
-    answer text occurs in the prompt. The answer under annotation is the
-    prompt's last field, after any worked example, so the rule whose
-    occurrence ends latest wins, and of those the longest: an answer that
-    is a suffix of another ends where it does. Unmatched prompts get
-    ``default_reply``, or raise MockError when it is None.
+
+class MockProvider:
+    """Deterministic offline provider: what ``--provider mock`` runs.
+
+    The knowledge chain's seed tags (``roles-attempt-N``, ``keyword``,
+    ``summary-attempt-N``) get stock replies; the roles are ``MOCK_ROLES``.
+    Any other prompt is marked by the rules. A rule matches when its answer
+    text occurs in the prompt. The answer under annotation is the prompt's
+    last field, after any worked example, so the rule whose occurrence ends
+    latest wins, and of those the longest: an answer that is a suffix of
+    another ends where it does. A prompt no rule matches raises MockError.
     """
 
     name = "mock"
 
-    def __init__(
-        self,
-        script: Mapping[str, str] | None = None,
-        rules: Sequence[MarkingRule] = (),
-        default_reply: str | None = None,
-        roles_reply: Sequence[str] = ("fact-checking expert", "reference librarian"),
-    ):
-        self.script = dict(script or {})
+    def __init__(self, rules: Sequence[MarkingRule] = ()):
         self.rules = tuple(rules)
-        self.default_reply = default_reply
-        self.roles_reply = tuple(roles_reply)
-        self.calls: list[CompletionRequest] = []
-        self._lock = threading.Lock()
-
-    @property
-    def call_count(self) -> int:
-        return len(self.calls)
 
     def send(self, req: CompletionRequest) -> str:
-        with self._lock:
-            self.calls.append(req)
-
-        if req.user_prompt in self.script:
-            return self.script[req.user_prompt]
-
         if req.seed_tag.startswith("roles-attempt-"):
             return json.dumps(
-                {"Identities": list(self.roles_reply), "Reason": "scripted"},
+                {"Identities": list(MOCK_ROLES), "Reason": "scripted"},
                 ensure_ascii=False,
             )
         if req.seed_tag == "keyword":
@@ -295,22 +276,24 @@ class MockProvider:
             if pos != -1 and key > best_key:
                 best = rule
                 best_key = key
-        if best is not None:
-            return insert_markers(best.answer, best.spans_for(req.seed_tag))
-
-        if self.default_reply is None:
-            raise MockError(f"no scripted reply for prompt: {req.user_prompt[:80]!r}...")
-        return self.default_reply
+        if best is None:
+            raise MockError(f"no marking rule matches prompt: {req.user_prompt[:80]!r}...")
+        return insert_markers(best.answer, best.spans_for(req.seed_tag))
 
 
 class LLMClient:
     """Provider wrapper adding the response cache, the rate limiter, and
-    exponential-backoff retries for transient failures."""
+    exponential-backoff retries for transient failures.
+
+    Every request reads through ``cache``: a hit is answered from it without
+    a provider call, and a complete text reply is written to it. A failed
+    call is not cached, so it is asked again on the next request.
+    """
 
     def __init__(
         self,
         provider: Provider,
-        cache: JsonFileCache | None = None,
+        cache: JsonFileCache,
         limiter: RateLimiter | None = None,
         max_retries: int = 3,
         backoff_base: float = 1.0,
@@ -338,12 +321,10 @@ class LLMClient:
         )
 
     def complete(self, req: CompletionRequest) -> str:
-        key = None
-        if self.cache is not None:
-            key = self._cache_key(req)
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit["text"]
+        key = self._cache_key(req)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit["text"]
 
         def attempt() -> str:
             if self.limiter is not None:
@@ -353,6 +334,5 @@ class LLMClient:
         text = with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
         if not isinstance(text, str):
             raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
-        if self.cache is not None:
-            self.cache.put(key, {"text": text})
+        self.cache.put(key, {"text": text})
         return text

@@ -5,12 +5,16 @@ import json
 import random
 import re
 import sqlite3
+import threading
 from pathlib import Path
+from typing import Mapping
 
 import pytest
 import requests
 
-from hallmark import JsonFileCache, LLMClient, MarkingRule, MockProvider, QAItem, SpanLabel
+import hallmark.cli as cli
+from hallmark import JsonFileCache, MarkingRule, MockProvider, QAItem, SpanLabel
+from hallmark.knowledge import JSON_ATTEMPTS
 
 SWIMMER_QUESTION = "What did Petra van Staveren win a gold medal for?"
 SWIMMER_ANSWER = (
@@ -87,10 +91,6 @@ def nested(depth: int) -> bytes:
     return b"[" * depth + b"]" * depth
 
 
-def make_client(provider, cache=None) -> LLMClient:
-    return LLMClient(provider, cache=cache, sleep=lambda _: None)
-
-
 def random_text(rng: random.Random, pool: str, min_len: int = 1, max_len: int = 60) -> str:
     n = rng.randint(min_len, max_len)
     return "".join(rng.choice(pool) for _ in range(n))
@@ -112,5 +112,58 @@ def random_nonadjacent_spans(
     return spans
 
 
-def mock_provider_for(answer: str, spans, **kwargs) -> MockProvider:
-    return MockProvider(rules=[MarkingRule(answer=answer, spans=tuple(spans))], **kwargs)
+STOCK_MOCK = MockProvider()  # no rules: the knowledge chain's stock replies, and MockError for anything else
+
+
+class FakeProvider:
+    """A provider for tests: it records each request in ``calls`` and answers it from ``reply``.
+
+    ``reply`` is a function of the request, a mapping from prompt to reply,
+    or one reply for every request. A prompt the mapping lacks goes to
+    ``STOCK_MOCK``. A reply that is an exception is raised instead.
+    """
+
+    def __init__(self, reply, name: str = "fake"):
+        self.reply = reply
+        self.name = name
+        self.calls = []
+        self._lock = threading.Lock()
+
+    @property
+    def call_count(self) -> int:
+        return len(self.calls)
+
+    def send(self, req):
+        with self._lock:
+            self.calls.append(req)
+        if isinstance(self.reply, Mapping):
+            reply = self.reply[req.user_prompt] if req.user_prompt in self.reply else STOCK_MOCK.send(req)
+        else:
+            reply = self.reply(req) if callable(self.reply) else self.reply
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+
+def by_tag(replies: Mapping, otherwise=STOCK_MOCK.send):
+    """A reply function: ``replies[seed_tag]`` for a seed tag the table holds, else ``otherwise(req)``."""
+    return lambda req: replies[req.seed_tag] if req.seed_tag in replies else otherwise(req)
+
+
+def roles_replies(*roles: str) -> dict:
+    """A seed-tag table naming ``roles`` in reply to each roles attempt."""
+    reply = json.dumps({"Identities": list(roles), "Reason": "scripted"})
+    return {f"roles-attempt-{attempt}": reply for attempt in range(JSON_ATTEMPTS)}
+
+
+@pytest.fixture
+def built_mocks(monkeypatch) -> list:
+    """Each mock provider ``hallmark annotate`` builds, as a FakeProvider over it that records its requests."""
+    built = []
+
+    def build(rules):
+        built.append(FakeProvider(MockProvider(rules=rules).send))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "MockProvider", build)
+    return built

@@ -19,7 +19,7 @@ import hallmark.cli as cli
 from hallmark import (
     AnnotationRun,
     GoldRecord,
-    LLMClient,
+    JsonFileCache,
     MarkingRule,
     MockProvider,
     ProviderConfig,
@@ -37,13 +37,13 @@ from hallmark import (
     spearman,
     to_hard_labels,
 )
-from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.pipeline import PipelineConfig
 
 from .conftest import (
     SCRIPT_POOLS,
     SWIMMER_ANSWER,
     SWIMMER_QUESTION,
+    FakeProvider,
     random_nonadjacent_spans,
     random_text,
     swimmer_spans,
@@ -56,12 +56,12 @@ from .reference import (
 )
 from .test_cli import (
     PREDICTION_LINE_SCHEMA,
-    RecordingMock,
     SAMPLE_ITEMS,
     annotate_args,
     gold_from_predictions,
 )
 from .test_knowledge import FakeWikiSession
+from .test_pipeline import service
 
 
 def record_pass(name: str) -> None:
@@ -78,17 +78,12 @@ def mock_config(**kwargs) -> PipelineConfig:
     return PipelineConfig(**defaults)
 
 
-def offline_client(provider, cache=None) -> LLMClient:
-    return LLMClient(provider, cache=cache, sleep=lambda _: None)
-
-
-def test_unanimous_replay_end_to_end():
+def test_unanimous_replay_end_to_end(cache):
     """Unanimous 12-run marking reproduces the fixture spans perfectly."""
     started = time.monotonic()
 
     provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, tuple(swimmer_spans()))])
-    llm = offline_client(provider)
-    svc = KnowledgeService(llm, None, "m")
+    llm, svc = service(provider, cache)
     record = annotate_item(swimmer_item(), mock_config(), llm, svc)
 
     expected = swimmer_spans()
@@ -223,7 +218,7 @@ def test_marker_round_trip_multilingual():
     )
 
 
-def test_threshold_semantics():
+def test_threshold_semantics(tmp_path):
     """A 7-of-12 vote survives at 0.5 and drops at 0.6."""
     span = swimmer_spans()[0]
     rule = MarkingRule(
@@ -231,8 +226,7 @@ def test_threshold_semantics():
     )
 
     for threshold, expected in [(0.5, [span]), (0.6, [])]:
-        llm = offline_client(MockProvider(rules=[rule]))
-        svc = KnowledgeService(llm, None, "m")
+        llm, svc = service(MockProvider(rules=[rule]), JsonFileCache(tmp_path / str(threshold)))
         record = annotate_item(
             swimmer_item(), mock_config(threshold=threshold), llm, svc
         )
@@ -251,7 +245,7 @@ def test_threshold_semantics():
     record_pass("threshold semantics: 7/12 kept at 0.5, dropped at 0.6")
 
 
-def test_robustness_invalid_runs_shrink_denominator():
+def test_robustness_invalid_runs_shrink_denominator(cache):
     """Broken markers and drifted rewrites drop out of the vote."""
     span = swimmer_spans()[0]
 
@@ -268,10 +262,8 @@ def test_robustness_invalid_runs_shrink_denominator():
                 return insert_markers(SWIMMER_ANSWER, [span])
             return SWIMMER_ANSWER
 
-    llm = offline_client(SeedScriptedProvider())
-    record = annotate_item(
-        swimmer_item(), mock_config(use_roles=False), llm, KnowledgeService(llm, None, "m")
-    )
+    llm, svc = service(SeedScriptedProvider(), cache)
+    record = annotate_item(swimmer_item(), mock_config(use_roles=False), llm, svc)
     assert record.runs_used == 10
     assert record.soft_labels == (SpanLabel(span.start, span.end, 0.5),)
     allowed = {k / 10 for k in range(11)}
@@ -280,12 +272,9 @@ def test_robustness_invalid_runs_shrink_denominator():
     record_pass("robustness: 2 invalid runs excluded, probabilities in tenths of 10")
 
 
-def test_cli_contract(tmp_path, monkeypatch, capsys):
+def test_cli_contract(tmp_path, built_mocks, capsys):
     """annotate + evaluate on the bundled sample: exit 0, valid JSONL,
     perfect self-comparison, cached rerun."""
-    monkeypatch.setattr(cli, "MockProvider", RecordingMock)
-    RecordingMock.instances = []
-
     assert cli.main(annotate_args(tmp_path)) == 0
     pred_path = tmp_path / "pred.jsonl"
     lines = pred_path.read_text(encoding="utf-8").splitlines()
@@ -311,7 +300,7 @@ def test_cli_contract(tmp_path, monkeypatch, capsys):
     assert report["overall"] == {"mean_iou": 1.0, "mean_cor": 1.0}
 
     assert cli.main(annotate_args(tmp_path)) == 0
-    assert RecordingMock.instances[1].call_count == 0
+    assert built_mocks[1].call_count == 0
     capsys.readouterr()
     record_pass("CLI contract: exit 0, schema-valid output, all-1.0 self-report, cached rerun")
 
@@ -321,11 +310,9 @@ def test_knowledge_chain_degradation(tmp_path):
     items = [swimmer_item()]
     rule = MarkingRule(SWIMMER_ANSWER, tuple(swimmer_spans()))
 
-    def run(session):
-        provider = MockProvider(rules=[rule])
-        llm = offline_client(provider, cache=None)
-        wiki = WikipediaClient(session=session, sleep=lambda _: None)
-        svc = KnowledgeService(llm, wiki, "m")
+    def run(session, cache):
+        provider = FakeProvider(MockProvider(rules=[rule]).send)
+        llm, svc = service(provider, cache, wiki_session=session)
         records = annotate_dataset(
             items, mock_config(use_external=True), llm, svc
         )
@@ -341,8 +328,8 @@ def test_knowledge_chain_degradation(tmp_path):
     )
     broken = FakeWikiSession(fail=True)
 
-    records_ok, prompts_ok = run(working)
-    records_degraded, prompts_degraded = run(broken)
+    records_ok, prompts_ok = run(working, JsonFileCache(tmp_path / "working"))
+    records_degraded, prompts_degraded = run(broken, JsonFileCache(tmp_path / "broken"))
 
     assert records_degraded[0].runs_used == 12
     assert records_degraded == records_ok

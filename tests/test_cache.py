@@ -4,11 +4,11 @@ import json
 import sys
 import threading
 
-from hallmark import JsonFileCache, LLMClient, MockProvider
+from hallmark import JsonFileCache, LLMClient
 from hallmark.cache import make_key
 from hallmark.llm import CompletionRequest
 
-from .conftest import cache_rows
+from .conftest import FakeProvider, cache_rows
 
 KEY = make_key("op", {"x": 1})
 
@@ -80,12 +80,12 @@ class TestJsonFileCache:
 
 def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path):
     # a ``<key>.json`` entry of the one-file-per-entry layout that preceded the table
-    request = CompletionRequest(model="m", user_prompt="p", seed_tag="run-0")
-    old = tmp_path / f"{LLMClient(MockProvider())._cache_key(request)}.json"
+    request = CompletionRequest(model="m", user_prompt="p", temperature=1.0, max_tokens=2048, seed_tag="run-0")
+    provider = FakeProvider({"p": "fresh"})
+    client = LLMClient(provider, cache=JsonFileCache(tmp_path))
+    old = tmp_path / f"{client._cache_key(request)}.json"
     old.write_text(json.dumps({"text": "cached «r»"}, ensure_ascii=False), encoding="utf-8")
     before = old.read_bytes()
-    provider = MockProvider(script={"p": "fresh"})
-    client = LLMClient(provider, cache=JsonFileCache(tmp_path))
     assert client.complete(request) == "fresh"
     assert provider.call_count == 1
     assert old.read_bytes() == before

@@ -11,7 +11,7 @@ import pytest
 from jsonschema import validate as validate_schema
 
 import hallmark.cli as cli
-from hallmark import MockProvider, SpanLabel, read_items, read_predictions
+from hallmark import SpanLabel, read_items, read_predictions
 
 from .conftest import nested
 
@@ -127,20 +127,6 @@ def settings_after(tmp_path, monkeypatch, file_cfg, flags):
     return flat_settings(seen[0])
 
 
-class RecordingMock(MockProvider):
-    instances: list["RecordingMock"] = []
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        RecordingMock.instances.append(self)
-
-
-@pytest.fixture(autouse=True)
-def fresh_recorder():
-    RecordingMock.instances = []
-    yield
-
-
 class TestAnnotateCommand:
     def test_mock_sample_smoke(self, tmp_path, capsys):
         code = cli.main(annotate_args(tmp_path))
@@ -163,21 +149,19 @@ class TestAnnotateCommand:
         assert en2.soft_labels[0].prob == 7 / 12
         assert len(en2.hard_labels) == 1
 
-    def test_rerun_hits_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "MockProvider", RecordingMock)
+    def test_rerun_hits_cache(self, tmp_path, built_mocks):
         assert cli.main(annotate_args(tmp_path)) == 0
-        assert RecordingMock.instances[0].call_count > 0
+        assert built_mocks[0].call_count > 0
         assert cli.main(annotate_args(tmp_path)) == 0
-        assert RecordingMock.instances[1].call_count == 0
+        assert built_mocks[1].call_count == 0
 
-    def test_integer_temperature_hits_the_cache_of_its_float(self, tmp_path, monkeypatch):
+    def test_integer_temperature_hits_the_cache_of_its_float(self, tmp_path, built_mocks):
         # a config file's 1 and the default 1.0 are one temperature: same cache keys
-        monkeypatch.setattr(cli, "MockProvider", RecordingMock)
         assert cli.main(annotate_args(tmp_path)) == 0
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"temperature": 1}), encoding="utf-8")
         assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(config))) == 0
-        assert RecordingMock.instances[1].call_count == 0
+        assert built_mocks[1].call_count == 0
 
     def test_runs_flag_controls_vote_granularity(self, tmp_path):
         cli.main(annotate_args(tmp_path, "pred4.jsonl", "--runs", "4"))
@@ -411,15 +395,14 @@ class TestAnnotateCommand:
         assert not (tmp_path / "pred.jsonl").exists()
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e999"])
-    def test_non_finite_temperature_exits_1_before_any_call(self, tmp_path, monkeypatch, capsys, value):
+    def test_non_finite_temperature_exits_1_before_any_call(self, tmp_path, built_mocks, capsys, value):
         # read as a float it passes the temperature check, and then no request body can be
         # encoded, so every run would be retried with backoff and lost
-        monkeypatch.setattr(cli, "MockProvider", RecordingMock)
         path = tmp_path / "conf.json"
         path.write_text('{"temperature": %s}' % value, encoding="utf-8")
         assert cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(path))) == 1
         assert capsys.readouterr().err.startswith(f"error: cannot read config file {path}: ")
-        assert RecordingMock.instances == []
+        assert built_mocks == []
         assert not (tmp_path / "pred.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -548,10 +531,11 @@ class TestAnnotateCommand:
             '{"sample-en-1": {"spans": [[0, "3"]]}}',
             '{"sample-en-1": {"spans": [[0, 2.5]]}}',
             '{"sample-en-1": {"spans": [[true, 3]]}}',
+            '{"sample-en-l": {"spans": [[25, 31]]}}',
         ],
         ids=[
             "not-json", "list", "span-str", "span-short", "span-reversed", "span-past-end",
-            "spans-overlap", "per-run-negative", "span-digit-str", "span-fraction", "span-bool",
+            "spans-overlap", "per-run-negative", "span-digit-str", "span-fraction", "span-bool", "unknown-id",
         ],
     )
     def test_bad_mock_fixture_exits_1_with_error_line(self, tmp_path, capsys, fixture):
@@ -692,6 +676,28 @@ class TestInspectCommand:
         assert code == 0
         # only the 7-of-12 span reaches the hard threshold
         assert out.count("⟨⟨") == 1
+
+    def test_soft_labels_show_their_votes(self, tmp_path, capsys):
+        pred = self.annotate(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["inspect", "--pred", str(pred), "--id", "sample-en-2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "id=sample-en-2 lang=EN runs_used=12",
+            "pred: Ivanhoe was written by Walter Scott and first published in ⟨⟨1820⟩⟩.",
+            "soft: [59, 63) '1820' prob=0.5833 (7 of 12 runs)",
+        ]
+
+    def test_prob_that_counts_no_whole_votes_shows_alone(self, tmp_path, capsys):
+        # a file from another tool: 0.3 of 12 runs is 3.6 votes
+        pred = tmp_path / "pred.jsonl"
+        soft = [{"start": 0, "end": 1, "prob": 0.3}, {"start": 1, "end": 2, "prob": 0.25}]
+        record = {"id": "a", "lang": "EN", "hard_labels": [], "soft_labels": soft, "runs_used": 12}
+        pred.write_text(json.dumps({**record, "model_output_text": "xy"}) + "\n", encoding="utf-8")
+        assert cli.main(["inspect", "--pred", str(pred), "--id", "a"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "soft: [0, 1) 'x' prob=0.3000",
+            "soft: [1, 2) 'y' prob=0.2500 (3 of 12 runs)",
+        ]
 
     def test_with_gold_prints_iou(self, tmp_path, capsys):
         pred = self.annotate(tmp_path)

@@ -24,7 +24,16 @@ from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
 from hallmark.llm import TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
-from .conftest import SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, wire_response
+from .conftest import (
+    SWIMMER_ANSWER,
+    SWIMMER_QUESTION,
+    FakeProvider,
+    by_tag,
+    cache_rows,
+    nested,
+    roles_replies,
+    wire_response,
+)
 from .test_llm import recording_session
 
 
@@ -44,107 +53,93 @@ def keyword_prompt(item):
     return render(load_template("extract_keyword"), {"question": item.question})
 
 
-def service_with_script(script, item, wiki=None, cache=None):
-    provider = MockProvider(script=script)
+def service_for(provider, cache, wiki=None):
     client = LLMClient(provider, cache=cache, sleep=lambda _: None)
     return KnowledgeService(client, wiki, "m", cache=cache), provider
 
 
-class ByTag(MockProvider):
-    """Mock provider that answers ``replies[seed_tag]`` where one is given,
-    or raises it when it is an exception."""
-
-    def __init__(self, replies, **kwargs):
-        super().__init__(**kwargs)
-        self.replies = replies
-
-    def send(self, req):
-        if req.seed_tag in self.replies:
-            with self._lock:
-                self.calls.append(req)
-            reply = self.replies[req.seed_tag]
-            if isinstance(reply, Exception):
-                raise reply
-            return reply
-        return super().send(req)
+def service_with_script(script, cache, wiki=None):
+    """A service whose provider answers the prompts ``script`` holds, and the rest like the stock mock."""
+    return service_for(FakeProvider(script), cache, wiki)
 
 
-def service_by_tag(replies, **kwargs):
-    provider = ByTag(replies, **kwargs)
-    return KnowledgeService(LLMClient(provider, sleep=lambda _: None), None, "m"), provider
+def service_by_tag(replies, cache):
+    """A service whose provider answers the seed tags ``replies`` holds, and the rest like the stock mock."""
+    return service_for(FakeProvider(by_tag(replies)), cache)
 
 
 class TestAssignRoles:
-    def test_parses_identities(self, item):
+    def test_parses_identities(self, item, cache):
         script = {roles_prompt(item): '{"Identities": ["A", "B"], "Reason": "r"}'}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.assign_roles(item) == ["A", "B"]
 
-    def test_fallback_after_two_malformed_replies(self, item):
+    def test_fallback_after_two_malformed_replies(self, item, cache):
         script = {roles_prompt(item): "not json"}
-        svc, provider = service_with_script(script, item)
+        svc, provider = service_with_script(script, cache)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
         assert provider.call_count == 2
 
-    def test_truncates_to_five_and_dedupes(self, item):
+    def test_truncates_to_five_and_dedupes(self, item, cache):
         identities = ["A", "B", "A", "C", "D", "E", "F"]
         script = {roles_prompt(item): json.dumps({"Identities": identities, "Reason": ""})}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         roles = svc.assign_roles(item)
         assert roles == ["A", "B", "C", "D", "E"]
         assert 1 <= len(roles) <= 5
 
-    def test_tolerates_fenced_json(self, item):
+    def test_tolerates_fenced_json(self, item, cache):
         script = {roles_prompt(item): '```json\n{"Identities": ["X"], "Reason": ""}\n```'}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.assign_roles(item) == ["X"]
 
-    def test_empty_identities_falls_back(self, item):
+    def test_empty_identities_falls_back(self, item, cache):
         script = {roles_prompt(item): '{"Identities": [], "Reason": ""}'}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
 
-    def test_identities_must_be_a_list(self, item):
+    def test_identities_must_be_a_list(self, item, cache):
         # a string would give its characters as roles, an object its keys
         svc, provider = service_by_tag({
             "roles-attempt-0": '{"Identities": "historian", "Reason": ""}',
             "roles-attempt-1": '{"Identities": {"historian": 1}, "Reason": ""}',
-        })
+        }, cache)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
         assert provider.call_count == 2
 
-    def test_identity_with_a_lone_surrogate_is_skipped(self, item):
+    def test_identity_with_a_lone_surrogate_is_skipped(self, item, cache):
         # valid JSON, but no prompt holding it could be cached
-        svc, provider = service_by_tag({"roles-attempt-0": '{"Identities": ["\\ud800", "A"], "Reason": ""}'})
+        svc, provider = service_by_tag({"roles-attempt-0": '{"Identities": ["\\ud800", "A"], "Reason": ""}'}, cache)
         assert svc.assign_roles(item) == ["A"]
         assert provider.call_count == 1
 
-    def test_too_deeply_nested_reply_costs_one_attempt(self, item):
+    def test_too_deeply_nested_reply_costs_one_attempt(self, item, cache):
         deep = '{"Identities": ' + "[" * 5000 + "]" * 5000 + "}"
-        svc, provider = service_by_tag({"roles-attempt-0": deep, "roles-attempt-1": '{"Identities": ["A"]}'})
+        svc, provider = service_by_tag({"roles-attempt-0": deep, "roles-attempt-1": '{"Identities": ["A"]}'}, cache)
         assert svc.assign_roles(item) == ["A"]
         assert provider.call_count == 2
 
-    def test_failed_call_costs_one_attempt(self, item):
-        svc, provider = service_by_tag({"roles-attempt-0": ProviderError("null content")}, roles_reply=("A", "B"))
+    def test_failed_call_costs_one_attempt(self, item, cache):
+        replies = {**roles_replies("A", "B"), "roles-attempt-0": ProviderError("null content")}
+        svc, provider = service_by_tag(replies, cache)
         assert svc.assign_roles(item) == ["A", "B"]
         assert [c.seed_tag for c in provider.calls] == ["roles-attempt-0", "roles-attempt-1"]
 
 
 class TestExtractKeyword:
-    def test_swimmer_keyword(self, item):
+    def test_swimmer_keyword(self, item, cache):
         script = {keyword_prompt(item): "Keyword: Petra van Staveren"}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.extract_keyword(item) == "Petra van Staveren"
 
-    def test_whitespace_trimmed(self, item):
+    def test_whitespace_trimmed(self, item, cache):
         script = {keyword_prompt(item): "Keyword:  Ada Lovelace \n"}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.extract_keyword(item) == "Ada Lovelace"
 
-    def test_missing_keyword_line(self, item):
+    def test_missing_keyword_line(self, item, cache):
         script = {keyword_prompt(item): "I cannot help"}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         with pytest.raises(KnowledgeError):
             svc.extract_keyword(item)
 
@@ -185,47 +180,47 @@ class FakeWikiSession:
 
 
 class TestFetchWikipedia:
-    def test_first_result_wins(self, item):
+    def test_first_result_wins(self, item, cache):
         session = FakeWikiSession(
             search_results={"en": ["First Hit", "Second Hit"]},
             extracts={("en", "First Hit"): "extract text"},
         )
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         text, provenance = svc.fetch_wikipedia("some keyword", "EN")
         assert text == "extract text"
         assert provenance == "https://en.wikipedia.org/wiki/First_Hit"
 
-    def test_no_results_anywhere(self, item):
+    def test_no_results_anywhere(self, item, cache):
         session = FakeWikiSession(search_results={})
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         with pytest.raises(KnowledgeError):
             svc.fetch_wikipedia("kw", "EN")
 
-    def test_truncation(self, item):
+    def test_truncation(self, item, cache):
         session = FakeWikiSession(
             search_results={"en": ["Long"]},
             extracts={("en", "Long"): "x" * 12000},
         )
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         text, _ = svc.fetch_wikipedia("kw", "EN")
         assert len(text) == 8000
 
-    def test_language_fallback_to_english(self, item):
+    def test_language_fallback_to_english(self, item, cache):
         session = FakeWikiSession(
             search_results={"fi": [], "en": ["Hit"]},
             extracts={("en", "Hit"): "english text"},
         )
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         text, provenance = svc.fetch_wikipedia("kw", "FI")
         assert text == "english text"
         assert "en.wikipedia.org" in provenance
         langs = [c["url"].split("//")[1].split(".")[0] for c in session.calls]
         assert "fi" in langs
 
-    def test_search_and_extract_requests_are_pinned(self, item):
+    def test_search_and_extract_requests_are_pinned(self, item, cache):
         # the Action API requests, key order included, as one lookup sends them
         session = FakeWikiSession(search_results={"fi": ["Osuma"]}, extracts={("fi", "Osuma"): "teksti"})
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         assert svc.fetch_wikipedia("avainsana", "FI") == ("teksti", "https://fi.wikipedia.org/wiki/Osuma")
         api = "https://fi.wikipedia.org/w/api.php"
         search = [("action", "query"), ("list", "search"), ("srsearch", "avainsana"), ("srlimit", 1), ("format", "json")]
@@ -235,10 +230,10 @@ class TestFetchWikipedia:
         ]
         assert [(c["url"], list(c["params"].items())) for c in session.calls] == [(api, search), (api, extract)]
 
-    def test_network_failure_wrapped(self, item):
+    def test_network_failure_wrapped(self, item, cache):
         session = FakeWikiSession(fail=True)
         wiki = WikipediaClient(session=session, sleep=lambda _: None)
-        svc, _ = service_with_script({}, item, wiki=wiki)
+        svc, _ = service_with_script({}, cache, wiki=wiki)
         with pytest.raises(KnowledgeError):
             svc.fetch_wikipedia("kw", "EN")
         assert len(session.calls) == 3  # initial try plus two retries
@@ -372,26 +367,25 @@ MALFORMED_WIKIPEDIA = [
 @pytest.mark.parametrize("search, extract", MALFORMED_WIKIPEDIA)
 def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, search, extract):
     wiki = WikipediaClient(session=ReplaySession({"search": search, "extract": extract}))
-    provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))])
-    llm = LLMClient(provider, sleep=lambda _: None)
-    svc = KnowledgeService(llm, wiki, "m", cache=JsonFileCache(tmp_path))
+    provider = FakeProvider(MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))]).send)
+    svc, _ = service_for(provider, JsonFileCache(tmp_path), wiki)
     with pytest.raises(KnowledgeError):
         svc.fetch_wikipedia("kw", "EN")
 
     config = PipelineConfig(model="m", provider=ProviderConfig("mock"), runs_n=3)
-    (record,) = annotate_dataset([item], config, llm, svc)
+    (record,) = annotate_dataset([item], config, svc.llm, svc)
     assert record.runs_used == 3
     runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
     assert len(runs) == 3 and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
 
 
-def test_wikipedia_payload_nested_too_deep_costs_only_the_knowledge(item):
+def test_wikipedia_payload_nested_too_deep_costs_only_the_knowledge(item, cache):
     class DeepSession:
         def get(self, url, params=None, timeout=None, **settings):
             return wire_response(b'{"query": ' + nested(3000) + b"}")
 
     wiki = WikipediaClient(session=DeepSession(), sleep=lambda _: None)
-    svc, _ = service_with_script({}, item, wiki=wiki)
+    svc, _ = service_with_script({}, cache, wiki=wiki)
     bundle = svc.build_bundle(item, use_roles=False)
     assert bundle.keyword == "mock keyword"
     assert (bundle.refined_external, bundle.provenance) == (None, None)
@@ -402,10 +396,10 @@ class TestRecordedWikipediaReplay:
 
     FIXTURE = Path(__file__).resolve().parent / "fixtures" / "wikipedia_swimmer.json"
 
-    def test_first_hit_extract_round_trip(self, item):
+    def test_first_hit_extract_round_trip(self, item, cache):
         bodies = json.loads(self.FIXTURE.read_text(encoding="utf-8"))
         session = ReplaySession(bodies)
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         text, provenance = svc.fetch_wikipedia("Petra van Staveren", "EN")
 
         first_hit = bodies["search"]["query"]["search"][0]["title"]
@@ -428,31 +422,34 @@ class TestSummarize:
             },
         )
 
-    def test_parses_knowledge(self, item):
+    def test_parses_knowledge(self, item, cache):
         script = {self.summary_prompt(item, "raw"): '{"Knowledge": "K", "Reason": "R"}'}
-        svc, _ = service_with_script(script, item)
+        svc, _ = service_with_script(script, cache)
         assert svc.summarize_knowledge(item, "raw") == "K"
 
-    def test_fallback_truncates_raw(self, item):
+    def test_fallback_truncates_raw(self, item, cache):
         raw = "y" * 5000
         script = {self.summary_prompt(item, raw): "garbage"}
-        svc, provider = service_with_script(script, item)
+        svc, provider = service_with_script(script, cache)
         out = svc.summarize_knowledge(item, raw)
         assert out == raw[:2000]
         assert provider.call_count == 2
 
-    def test_failed_call_costs_one_attempt(self, item):
-        svc, provider = service_by_tag({"summary-attempt-0": ProviderError("null content")})
+    def test_failed_call_costs_one_attempt(self, item, cache):
+        svc, provider = service_by_tag({"summary-attempt-0": ProviderError("null content")}, cache)
         assert svc.summarize_knowledge(item, "raw") == "mock refined knowledge"
         assert [c.seed_tag for c in provider.calls] == ["summary-attempt-0", "summary-attempt-1"]
 
-    def test_two_failed_calls_fall_back_to_the_extract(self, item):
+    def test_two_failed_calls_fall_back_to_the_extract(self, item, cache):
         # the extract was fetched already; losing both summary calls must not throw it away
         raw = "z" * 5000
         failed = ProviderError("gave up after 4 attempts")
-        provider = ByTag({"summary-attempt-0": failed, "summary-attempt-1": failed})
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): raw})
-        svc = KnowledgeService(LLMClient(provider, sleep=lambda _: None), WikipediaClient(session=session), "m")
+        svc, _ = service_for(
+            FakeProvider(by_tag({"summary-attempt-0": failed, "summary-attempt-1": failed})),
+            cache,
+            WikipediaClient(session=session),
+        )
         bundle = svc.build_bundle(item)
         assert bundle.refined_external == raw[:FALLBACK_CHARS]
         assert bundle.provenance == "https://en.wikipedia.org/wiki/Hit"
@@ -462,7 +459,7 @@ class TestCaching:
     def test_roles_cached(self, item, tmp_path):
         cache = JsonFileCache(tmp_path)
         script = {roles_prompt(item): '{"Identities": ["A"], "Reason": ""}'}
-        svc, provider = service_with_script(script, item, cache=cache)
+        svc, provider = service_with_script(script, cache)
         assert svc.assign_roles(item) == ["A"]
         assert svc.assign_roles(item) == ["A"]
         assert provider.call_count == 1
@@ -472,7 +469,7 @@ class TestCaching:
         session = FakeWikiSession(
             search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "text"}
         )
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session), cache=cache)
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         svc.fetch_wikipedia("kw", "EN")
         calls_before = len(session.calls)
         svc.fetch_wikipedia("kw", "EN")
@@ -480,7 +477,7 @@ class TestCaching:
 
     def test_wikipedia_miss_cached(self, item, tmp_path):
         session = FakeWikiSession(search_results={})
-        svc, _ = service_with_script({}, item, wiki=WikipediaClient(session=session), cache=JsonFileCache(tmp_path))
+        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=WikipediaClient(session=session))
         with pytest.raises(KnowledgeError) as first:
             svc.fetch_wikipedia("kw", "FI")
         calls_before = len(session.calls)
@@ -492,7 +489,7 @@ class TestCaching:
     def test_failed_wikipedia_request_not_cached(self, item, tmp_path):
         session = FakeWikiSession(fail=True)
         wiki = WikipediaClient(session=session, sleep=lambda _: None)
-        svc, _ = service_with_script({}, item, wiki=wiki, cache=JsonFileCache(tmp_path))
+        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=wiki)
         with pytest.raises(KnowledgeError):
             svc.fetch_wikipedia("kw", "EN")
         assert cache_rows(tmp_path) == {}
@@ -500,9 +497,7 @@ class TestCaching:
     def test_wikipedia_cache_key_is_pinned(self, tmp_path):
         # a changed key would make every existing cache miss
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
-        svc, _ = service_with_script(
-            {}, None, wiki=WikipediaClient(session=session), cache=JsonFileCache(tmp_path)
-        )
+        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=WikipediaClient(session=session))
         svc.fetch_wikipedia("Petra van Staveren", "EN")
         assert list(cache_rows(tmp_path)) == [
             "548781f7b1fa0a1002a6da80ab3cea07b0f375b47cc444f0270031c8d5a76214"
@@ -518,9 +513,7 @@ class TestCaching:
             roles_prompt(item): '{"Identities": ["A"], "Reason": ""}',
             keyword_prompt(item): "Keyword: kw",
         }
-        provider = MockProvider(script=script)
-        client = LLMClient(provider, cache=cache, sleep=lambda _: None)
-        svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
+        svc, provider = service_with_script(script, cache, wiki=WikipediaClient(session=session))
 
         bundle = svc.build_bundle(item)
         assert bundle.refined_external is not None
@@ -534,11 +527,11 @@ class TestCaching:
 
 
     def test_only_wikipedia_fetch_is_cached_here(self, item, tmp_path):
-        # the three LLM steps live in LLMClient's response cache, which this
-        # client does not have; the service itself stores only the fetch
+        # the three LLM steps live in LLMClient's response cache, here one of
+        # its own; the service itself stores only the fetch
         cache = JsonFileCache(tmp_path)
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
-        client = LLMClient(MockProvider(), sleep=lambda _: None)
+        client = LLMClient(MockProvider(), cache=JsonFileCache(tmp_path / "completions"), sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
         assert svc.build_bundle(item).refined_external is not None
         (entry,) = cache_rows(tmp_path).values()
@@ -549,74 +542,57 @@ class TestCaching:
 
 
 class TestBuildBundle:
-    def test_full_chain(self, item, tmp_path):
+    def test_full_chain(self, item, cache):
         session = FakeWikiSession(
             search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"}
         )
-        provider = MockProvider(roles_reply=("A", "B"))
-        client = LLMClient(provider, sleep=lambda _: None)
-        svc = KnowledgeService(client, WikipediaClient(session=session), "m")
+        svc, _ = service_for(FakeProvider(by_tag(roles_replies("A", "B"))), cache, WikipediaClient(session=session))
         bundle = svc.build_bundle(item)
         assert bundle.roles == ("A", "B")
         assert bundle.keyword == "mock keyword"
         assert bundle.refined_external == "mock refined knowledge"
         assert bundle.provenance == "https://en.wikipedia.org/wiki/Hit"
 
-    def test_wiki_failure_degrades_gracefully(self, item):
+    def test_wiki_failure_degrades_gracefully(self, item, cache):
         session = FakeWikiSession(fail=True)
-        provider = MockProvider()
-        client = LLMClient(provider, sleep=lambda _: None)
-        wiki = WikipediaClient(session=session, sleep=lambda _: None)
-        svc = KnowledgeService(client, wiki, "m")
+        svc, _ = service_for(MockProvider(), cache, WikipediaClient(session=session, sleep=lambda _: None))
         bundle = svc.build_bundle(item)
         assert bundle.refined_external is None
         assert len(bundle.roles) >= 1
 
-    def test_roles_disabled(self, item):
-        provider = MockProvider()
-        client = LLMClient(provider, sleep=lambda _: None)
-        svc = KnowledgeService(client, None, "m")
+    def test_roles_disabled(self, item, cache):
+        svc, provider = service_for(FakeProvider(MockProvider().send), cache)
         bundle = svc.build_bundle(item, use_roles=False, use_external=False)
         assert bundle.roles == (DEFAULT_ROLE,)
         assert provider.call_count == 0
 
 
-class FailingOn(MockProvider):
-    """Mock provider that raises ``error`` for prompts containing ``phrase``."""
-
-    def __init__(self, phrase, error, **kwargs):
-        super().__init__(**kwargs)
-        self.phrase = phrase
-        self.error = error
-
-    def send(self, req):
-        if self.phrase in req.user_prompt:
-            with self._lock:
-                self.calls.append(req)
-            raise self.error
-        return super().send(req)
+def failing_on(phrase, error, rules):
+    """A provider that raises ``error`` for prompts containing ``phrase``, and marks the others by ``rules``."""
+    mock = MockProvider(rules=rules)
+    return FakeProvider(lambda req: error if phrase in req.user_prompt else mock.send(req))
 
 
 class TestProviderFailures:
     """A provider failure in the knowledge chain costs knowledge, never the batch."""
 
-    def annotate(self, provider, **cfg):
+    def annotate(self, provider, cache, **cfg):
         item = QAItem(id="k-1", lang="EN", question=SWIMMER_QUESTION, answer=SWIMMER_ANSWER)
-        llm = LLMClient(provider, max_retries=1, sleep=lambda _: None)
+        llm = LLMClient(provider, cache=cache, max_retries=1, sleep=lambda _: None)
         wiki = WikipediaClient(
             session=FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "text"})
         )
-        svc = KnowledgeService(llm, wiki, "m")
+        svc = KnowledgeService(llm, wiki, "m", cache=cache)
         config = PipelineConfig(model="m", provider=ProviderConfig("mock"), runs_n=3, **cfg)
         return annotate_dataset([item], config, llm, svc), svc, item
 
-    def test_roles_failure_falls_back_to_default_role(self):
-        provider = FailingOn(
+    def test_roles_failure_falls_back_to_default_role(self, cache):
+        provider = failing_on(
             "expert identities",
             TransientProviderError("HTTP 503"),
             rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
         )
-        (record,), svc, item = self.annotate(provider, use_external=False)
+        (record,), svc, item = self.annotate(provider, cache, use_external=False)
         assert record.runs_used == 3
         assert [(s.start, s.end) for s in record.hard_labels] == [(0, 5)]
         roles_calls = [c for c in provider.calls if "expert identities" in c.user_prompt]
@@ -625,25 +601,23 @@ class TestProviderFailures:
         assert all(c.user_prompt.startswith(f"You are a {DEFAULT_ROLE}.") for c in runs)
         assert svc.assign_roles(item) == [DEFAULT_ROLE]
 
-    def test_external_chain_failure_leaves_item_without_knowledge(self):
-        provider = FailingOn(
+    def test_external_chain_failure_leaves_item_without_knowledge(self, cache):
+        provider = failing_on(
             "extract a keyword",
             TransientProviderError("HTTP 429"),
             rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
         )
-        (record,), svc, item = self.annotate(provider)
+        (record,), svc, item = self.annotate(provider, cache)
         assert record.runs_used == 3
         runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
         assert runs and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
         assert svc.build_bundle(item).refined_external is None
 
     @pytest.mark.parametrize("phrase", ["expert identities", "extract a keyword", "refine the given knowledge"])
-    def test_auth_error_still_propagates(self, phrase):
-        provider = FailingOn(
-            phrase, AuthError("key rejected"), rules=[MarkingRule(SWIMMER_ANSWER, ())]
-        )
+    def test_auth_error_still_propagates(self, cache, phrase):
+        provider = failing_on(phrase, AuthError("key rejected"), rules=[MarkingRule(SWIMMER_ANSWER, ())])
         with pytest.raises(AuthError):
-            self.annotate(provider)
+            self.annotate(provider, cache)
 
 
 # SHA-256 of each distinct prompt the pinned item sends; see the test below.
@@ -654,19 +628,15 @@ RUN_A_SHA = "9e84e63ecf3187eae7ab274f1116eeae81b4707f852e22a8ba1d296e377a8c69"
 RUN_B_SHA = "fa1465991c1ae0ed58a0d49c79e362bc4d34fc5b1deea77be22e91c290794cb7"
 
 
-def test_knowledge_chain_requests_are_pinned(item):
+def test_knowledge_chain_requests_are_pinned(item, cache):
     # One item whose first roles reply and first summary reply do not parse.
     # The seed tags, prompts and sampling settings of its requests are pinned:
     # a changed prompt or tag would make every existing cache miss.
-    provider = ByTag(
-        {"roles-attempt-0": "not json", "summary-attempt-0": "garbage"},
-        roles_reply=("A", "B"),
-        rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))],
-    )
-    llm = LLMClient(provider, sleep=lambda _: None)
+    mock = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))])
+    replies = {**roles_replies("A", "B"), "roles-attempt-0": "not json", "summary-attempt-0": "garbage"}
     session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
-    svc = KnowledgeService(llm, WikipediaClient(session=session), "m")
-    (record,) = annotate_dataset([item], PipelineConfig(model="m", provider=ProviderConfig("mock")), llm, svc)
+    svc, provider = service_for(FakeProvider(by_tag(replies, mock.send)), cache, WikipediaClient(session=session))
+    (record,) = annotate_dataset([item], PipelineConfig(model="m", provider=ProviderConfig("mock")), svc.llm, svc)
 
     sent = [
         (c.seed_tag, hashlib.sha256(c.user_prompt.encode("utf-8")).hexdigest(), c.model, c.temperature, c.max_tokens)

@@ -19,13 +19,13 @@ from hallmark import (
     SpanLabel,
 )
 from hallmark.errors import AuthError, MockError, ProviderError
-from hallmark.llm import TransientProviderError
+from hallmark.llm import MOCK_ROLES, TransientProviderError
 
-from .conftest import SWIMMER_ANSWER, cache_rows, call_sites, swimmer_spans
+from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, swimmer_spans
 
 
-def req(prompt="hello", seed_tag="run-0", **kwargs):
-    return CompletionRequest(model="m", user_prompt=prompt, seed_tag=seed_tag, **kwargs)
+def req(prompt="hello", seed_tag="run-0", temperature=1.0):
+    return CompletionRequest(model="m", user_prompt=prompt, temperature=temperature, max_tokens=2048, seed_tag=seed_tag)
 
 
 class TestCompletionRequest:
@@ -41,23 +41,19 @@ class TestCompletionRequest:
         with pytest.raises(ValueError, match="finite"):
             PipelineConfig(model="m", provider=ProviderConfig("mock"), temperature=temperature)
 
-    def test_cache_key_is_pinned(self):
+    def test_cache_key_is_pinned(self, cache):
         # a changed key would make every existing cache miss
-        key = LLMClient(MockProvider())._cache_key(
-            CompletionRequest(model="m", user_prompt="héllo «x»", seed_tag="run-3")
+        key = LLMClient(MockProvider(), cache)._cache_key(
+            CompletionRequest(model="m", user_prompt="héllo «x»", temperature=1.0, max_tokens=2048, seed_tag="run-3")
         )
         assert key == "7827acb3fb46d93fda67f50c18ce56095787afaab5e5abaec2735ce5b64993fc"
 
 
 class TestMockProvider:
-    def test_scripted_reply(self):
-        mock = MockProvider(script={"hello": "world"})
-        assert mock.send(req("hello")) == "world"
-
     def test_strict_unknown_prompt(self):
-        mock = MockProvider(script={})
+        mock = MockProvider(rules=[MarkingRule(answer=SWIMMER_ANSWER)])
         with pytest.raises(MockError):
-            mock.send(req("unscripted"))
+            mock.send(req("an answer no rule holds"))
 
     def test_rule_mode_marks_fixture_spans(self):
         mock = MockProvider(rules=[MarkingRule(answer=SWIMMER_ANSWER, spans=tuple(swimmer_spans()))])
@@ -96,30 +92,24 @@ class TestMockProvider:
         assert mock.send(req("Answer: France.")) == "⟨⟨France⟩⟩."
 
     def test_knowledge_default_replies(self):
-        mock = MockProvider(roles_reply=("A", "B"))
+        mock = MockProvider()
         roles = json.loads(mock.send(req("identify up to 5 distinct expert identities ...", "roles-attempt-0")))
-        assert roles["Identities"] == ["A", "B"]
+        assert roles["Identities"] == list(MOCK_ROLES)
         assert mock.send(req("you need to extract a keyword ...", "keyword")).startswith("Keyword:")
         summary = json.loads(mock.send(req("refine the given knowledge ...", "summary-attempt-1")))
         assert "Knowledge" in summary
 
-    def test_call_recording(self):
-        mock = MockProvider(script={"a": "1"})
-        mock.send(req("a"))
-        assert mock.call_count == 1
-        assert mock.calls[0].user_prompt == "a"
-
 
 class TestLLMClientCache:
     def test_second_call_served_from_cache(self, tmp_path):
-        mock = MockProvider(script={"p": "r"})
+        mock = FakeProvider({"p": "r"})
         client = LLMClient(mock, cache=JsonFileCache(tmp_path))
         assert client.complete(req("p")) == "r"
         assert client.complete(req("p")) == "r"
         assert mock.call_count == 1
 
     def test_seed_tag_distinguishes_runs(self, tmp_path):
-        mock = MockProvider(script={"p": "r"})
+        mock = FakeProvider({"p": "r"})
         client = LLMClient(mock, cache=JsonFileCache(tmp_path))
         client.complete(req("p", seed_tag="run-0"))
         client.complete(req("p", seed_tag="run-1"))
@@ -127,20 +117,14 @@ class TestLLMClientCache:
 
     def test_provider_name_is_part_of_the_key(self, tmp_path):
         cache = JsonFileCache(tmp_path)
-
-        class Named(MockProvider):
-            def __init__(self, name):
-                super().__init__(script={"p": f"from {name}"})
-                self.name = name
-
-        first = LLMClient(Named("a"), cache=cache)
-        second = LLMClient(Named("b"), cache=cache)
+        first = LLMClient(FakeProvider({"p": "from a"}, name="a"), cache=cache)
+        second = LLMClient(FakeProvider({"p": "from b"}, name="b"), cache=cache)
         assert first.complete(req("p")) == "from a"
         assert second.complete(req("p")) == "from b"
 
     def test_non_text_reply_is_not_cached(self, tmp_path):
         cache = JsonFileCache(tmp_path)
-        client = LLMClient(MockProvider(script={"p": None}), cache=cache)
+        client = LLMClient(FakeProvider({"p": None}), cache=cache)
         with pytest.raises(ProviderError):
             client.complete(req("p"))
         assert cache_rows(tmp_path) == {}
@@ -232,37 +216,37 @@ class TestOpenAIChatProvider:
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(200, completion_payload("ok"))])
         provider = OpenAIChatProvider(provider_config(), session=session)
-        out = provider.send(CompletionRequest(model="m", user_prompt="u", temperature=0.2))
+        out = provider.send(req("u", temperature=0.2))
         assert out == "ok"
         sent = session.requests[0]
         assert sent["url"] == "https://api.test/v1/chat/completions"
         assert sent["json"]["messages"] == [{"role": "user", "content": "u"}]
         assert sent["headers"]["Authorization"] == "Bearer sk-x"
 
-    def test_retry_after_429(self, monkeypatch):
+    def test_retry_after_429(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(429), FakeResponse(200, completion_payload("ok"))])
         provider = OpenAIChatProvider(provider_config(), session=session)
         sleeps = []
-        client = LLMClient(provider, sleep=sleeps.append)
+        client = LLMClient(provider, cache, sleep=sleeps.append)
         assert client.complete(req("p")) == "ok"
         assert len(session.requests) == 2
         assert sleeps == [1.0]
 
-    def test_auth_error_fails_fast(self, monkeypatch):
+    def test_auth_error_fails_fast(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(401)])
         provider = OpenAIChatProvider(provider_config(), session=session)
-        client = LLMClient(provider, sleep=lambda _: None)
+        client = LLMClient(provider, cache, sleep=lambda _: None)
         with pytest.raises(AuthError):
             client.complete(req("p"))
         assert len(session.requests) == 1
 
-    def test_exhausted_retries(self, monkeypatch):
+    def test_exhausted_retries(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(503)] * 4)
         provider = OpenAIChatProvider(provider_config(), session=session)
-        client = LLMClient(provider, max_retries=3, sleep=lambda _: None)
+        client = LLMClient(provider, cache, max_retries=3, sleep=lambda _: None)
         with pytest.raises(ProviderError):
             client.complete(req("p"))
         assert len(session.requests) == 4
@@ -338,11 +322,11 @@ class TestOpenAIChatProvider:
         (sent,) = adapter.sent
         assert sent.headers["Authorization"] == "Bearer sk-x"
 
-    def test_non_retryable_status(self, monkeypatch):
+    def test_non_retryable_status(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FakeSession([FakeResponse(400)])
         provider = OpenAIChatProvider(provider_config(), session=session)
-        client = LLMClient(provider, sleep=lambda _: None)
+        client = LLMClient(provider, cache, sleep=lambda _: None)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
@@ -359,11 +343,11 @@ class TestOpenAIChatProvider:
             requests.exceptions.InvalidHeader,
         ],
     )
-    def test_request_that_cannot_be_built_fails_at_once(self, monkeypatch, error):
+    def test_request_that_cannot_be_built_fails_at_once(self, cache, monkeypatch, error):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FailingSession(error("bad request"))
         sleeps = []
-        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), sleep=sleeps.append)
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache, sleep=sleeps.append)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
@@ -373,22 +357,23 @@ class TestOpenAIChatProvider:
         "error",
         [requests.ConnectionError, requests.Timeout, requests.ReadTimeout, requests.exceptions.ChunkedEncodingError],
     )
-    def test_connection_error_or_timeout_is_retried(self, monkeypatch, error):
+    def test_connection_error_or_timeout_is_retried(self, cache, monkeypatch, error):
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session = FailingSession(error("connection trouble"))
         sleeps = []
-        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), max_retries=3, sleep=sleeps.append)
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        client = LLMClient(provider, cache, max_retries=3, sleep=sleeps.append)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert "giving up after 4 attempts" in str(excinfo.value)
         assert (session.attempts, sleeps) == (4, [1.0, 2.0, 4.0])
 
-    def test_body_requests_cannot_encode_is_never_sent(self, monkeypatch):
+    def test_body_requests_cannot_encode_is_never_sent(self, cache, monkeypatch):
         # a NaN temperature is no JSON: requests refuses the body before the transport sees it
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session, adapter = recording_session()
         sleeps = []
-        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), sleep=sleeps.append)
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache, sleep=sleeps.append)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p", temperature=float("nan")))
         assert not isinstance(excinfo.value, TransientProviderError)
@@ -439,14 +424,8 @@ class TestRateLimiter:
             def acquire(self):
                 self.acquired += 1
 
-        class FailsTwice(MockProvider):
-            def send(self, req):
-                if self.call_count < 2:
-                    self.calls.append(req)
-                    raise TransientProviderError("HTTP 503")
-                return super().send(req)
-
-        limiter, provider = CountingLimiter(), FailsTwice(script={"p": "r"})
+        limiter = CountingLimiter()
+        provider = FakeProvider(lambda req: TransientProviderError("HTTP 503") if provider.call_count <= 2 else "r")
         client = LLMClient(provider, cache=JsonFileCache(tmp_path), limiter=limiter, sleep=lambda _: None)
         assert client.complete(req("p")) == "r"
         assert (limiter.acquired, provider.call_count) == (3, 3)

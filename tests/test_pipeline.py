@@ -33,7 +33,18 @@ from hallmark.marking import insert_markers
 from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL, load_template, render
 
-from .conftest import SCRIPT_POOLS, SWIMMER_ANSWER, SWIMMER_QUESTION, cache_rows, nested, swimmer_spans, wire_response
+from .conftest import (
+    SCRIPT_POOLS,
+    SWIMMER_ANSWER,
+    SWIMMER_QUESTION,
+    FakeProvider,
+    by_tag,
+    cache_rows,
+    nested,
+    roles_replies,
+    swimmer_spans,
+    wire_response,
+)
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
 from .test_llm import FakeResponse, completion_payload
@@ -49,7 +60,7 @@ def swimmer():
     return QAItem(id="s1", lang="EN", question=SWIMMER_QUESTION, answer=SWIMMER_ANSWER)
 
 
-def service(provider, cache=None, wiki_session=None):
+def service(provider, cache, wiki_session=None):
     client = LLMClient(provider, cache=cache, sleep=lambda _: None)
     wiki = WikipediaClient(session=wiki_session, sleep=lambda _: None) if wiki_session else None
     return client, KnowledgeService(client, wiki, "m", cache=cache)
@@ -92,9 +103,9 @@ class TestExtractFinalMarked:
 
 
 class TestAnnotateItem:
-    def test_unanimous_marking(self):
+    def test_unanimous_marking(self, cache):
         provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, tuple(swimmer_spans()))])
-        llm, svc = service(provider)
+        llm, svc = service(provider, cache)
         record = annotate_item(swimmer(), config(), llm, svc)
         assert list(record.hard_labels) == swimmer_spans()
         assert all(s.prob == 1.0 for s in record.soft_labels)
@@ -102,14 +113,14 @@ class TestAnnotateItem:
         covered = [SWIMMER_ANSWER[s.start : s.end] for s in record.hard_labels]
         assert covered == ["silver", "2008", "Beijing, China"]
 
-    def test_split_vote_seven_of_twelve(self):
+    def test_split_vote_seven_of_twelve(self, cache):
         silver = swimmer_spans()[0]
         rule = MarkingRule(
             SWIMMER_ANSWER,
             spans=(silver,),
             per_run={f"run-{i}": () for i in range(7, 12)},
         )
-        llm, svc = service(MockProvider(rules=[rule]))
+        llm, svc = service(MockProvider(rules=[rule]), cache)
 
         record = annotate_item(swimmer(), config(threshold=0.5), llm, svc)
         assert record.runs_used == 12
@@ -119,33 +130,32 @@ class TestAnnotateItem:
         record = annotate_item(swimmer(), config(threshold=0.6), llm, svc)
         assert record.hard_labels == ()
 
-    def test_all_runs_unparseable(self):
-        provider = MockProvider(default_reply="⟨⟨broken")
-        llm, svc = service(provider)
+    def test_all_runs_unparseable(self, cache):
+        provider = FakeProvider("⟨⟨broken")
+        llm, svc = service(provider, cache)
         record = annotate_item(swimmer(), config(), llm, svc)
         assert record.runs_used == 0
         assert record.hard_labels == ()
         assert record.soft_labels == ()
 
-    def test_wholesale_rewrite_rejected(self):
-        provider = MockProvider(default_reply="something else entirely")
-        llm, svc = service(provider)
+    def test_wholesale_rewrite_rejected(self, cache):
+        provider = FakeProvider("something else entirely")
+        llm, svc = service(provider, cache)
         record = annotate_item(swimmer(), config(), llm, svc)
         assert record.runs_used == 0
 
-    def test_empty_answer_skipped(self):
+    def test_empty_answer_skipped(self, cache):
         item = QAItem(id="e", lang="EN", question="q", answer="")
-        provider = MockProvider(default_reply="")
-        llm, svc = service(provider)
+        provider = FakeProvider("")
+        llm, svc = service(provider, cache)
         record = annotate_item(item, config(), llm, svc)
         assert record.runs_used == 0
         assert provider.call_count == 0
 
-    def test_roles_assigned_round_robin(self):
-        provider = MockProvider(
-            rules=[MarkingRule(SWIMMER_ANSWER, ())], roles_reply=("R0", "R1", "R2")
-        )
-        llm, svc = service(provider)
+    def test_roles_assigned_round_robin(self, cache):
+        mock = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, ())])
+        provider = FakeProvider(by_tag(roles_replies("R0", "R1", "R2"), mock.send))
+        llm, svc = service(provider, cache)
         annotate_item(swimmer(), config(runs_n=6), llm, svc)
         annotation_calls = [c for c in provider.calls if c.seed_tag.startswith("run-")]
         assert len(annotation_calls) == 6
@@ -156,24 +166,24 @@ class TestAnnotateItem:
                     roles_seen.append(role)
         assert roles_seen == ["R0", "R1", "R2", "R0", "R1", "R2"]
 
-    def test_soft_probs_are_fractions_of_runs_used(self):
+    def test_soft_probs_are_fractions_of_runs_used(self, cache):
         silver, year, place = swimmer_spans()
         rule = MarkingRule(
             SWIMMER_ANSWER,
             spans=(silver,),
             per_run={"run-1": (silver, year), "run-2": (place,), "run-3": ()},
         )
-        llm, svc = service(MockProvider(rules=[rule]))
+        llm, svc = service(MockProvider(rules=[rule]), cache)
         record = annotate_item(swimmer(), config(runs_n=8), llm, svc)
         assert record.runs_used == 8
         allowed = {k / 8 for k in range(1, 9)}
         assert all(s.prob in allowed for s in record.soft_labels)
 
-    def test_bare_baseline_prompt(self):
+    def test_bare_baseline_prompt(self, cache):
         # with roles and external knowledge both off, every run gets the
         # default role and the no-knowledge sentinel
-        provider = MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, ())])
-        llm, svc = service(provider)
+        provider = FakeProvider(MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, ())]).send)
+        llm, svc = service(provider, cache)
         annotate_item(swimmer(), config(use_roles=False, runs_n=3), llm, svc)
         prompts = [c.user_prompt for c in provider.calls]
         assert len(prompts) == 3
@@ -182,7 +192,7 @@ class TestAnnotateItem:
             assert NO_KNOWLEDGE_SENTINEL in prompt
         assert len(set(prompts)) == 1
 
-    def test_hard_labels_covered_by_strong_soft_labels(self):
+    def test_hard_labels_covered_by_strong_soft_labels(self, cache):
         rng_spans = swimmer_spans()
         rule = MarkingRule(
             SWIMMER_ANSWER,
@@ -194,7 +204,7 @@ class TestAnnotateItem:
                 "run-9": (rng_spans[2],),
             },
         )
-        llm, svc = service(MockProvider(rules=[rule]))
+        llm, svc = service(MockProvider(rules=[rule]), cache)
         cfg = config(threshold=0.5)
         record = annotate_item(swimmer(), cfg, llm, svc)
         from hallmark import coverage
@@ -205,18 +215,18 @@ class TestAnnotateItem:
         assert hard_chars <= {i for i, v in enumerate(coverage(strong_soft, n)) if v}
 
     @pytest.mark.parametrize("case", MARKER_LIKE_CASES, ids=lambda c: c["id"])
-    def test_marker_like_answer_labels_only_marked_terms(self, case):
+    def test_marker_like_answer_labels_only_marked_terms(self, cache, case):
         # « » and << in the answer itself are text, not markers: a verbatim
         # copy is a valid run that labels nothing the annotator left unmarked
         answer = case["answer"]
         rule = MarkingRule(answer, tuple(hallucinated_spans(case)))
-        llm, svc = service(MockProvider(rules=[rule]))
+        llm, svc = service(MockProvider(rules=[rule]), cache)
         item = QAItem(id=case["id"], lang=case["lang"], question="q", answer=answer)
         record = annotate_item(item, config(use_roles=False, runs_n=3), llm, svc)
         assert record.runs_used == 3
         assert [answer[s.start : s.end] for s in record.hard_labels] == case["hallucinated"]
 
-    def test_marking_with_the_answers_own_alphabet_rejects_the_run(self):
+    def test_marking_with_the_answers_own_alphabet_rejects_the_run(self, cache):
         # run-0 marks with the « » the answer already holds: that run is
         # rejected and leaves the vote denominator
         answer = "Le roman « Les Misérables » est de Hugo."
@@ -228,7 +238,7 @@ class TestAnnotateItem:
                 marks = ("«", "»") if req.seed_tag == "run-0" else ("⟨⟨", "⟩⟩")
                 return answer.replace("Hugo", "Hugo".join(marks))
 
-        llm, svc = service(GuillemetsOnFirstRun())
+        llm, svc = service(GuillemetsOnFirstRun(), cache)
         item = QAItem(id="fr", lang="FR", question="q", answer=answer)
         record = annotate_item(item, config(use_roles=False, runs_n=3), llm, svc)
         assert record.runs_used == 2
@@ -254,14 +264,15 @@ class TestAnnotateItem:
         cache = JsonFileCache(tmp_path)
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
         item = QAItem(id="n", lang="EN", question="q", answer="Petra van Stoveren won a silver medal")
-        (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, KnowledgeService(llm, None, "m"))
+        svc = KnowledgeService(llm, None, "m", cache=cache)
+        (record,) = annotate_dataset([item], config(use_roles=False, runs_n=4), llm, svc)
         assert record.runs_used == 3
         assert [item.answer[s.start : s.end] for s in record.hard_labels] == ["silver"]
         entries = list(cache_rows(tmp_path).values())
         assert len(entries) == 3
         assert all(isinstance(e["text"], str) for e in entries)
 
-    def test_replies_cut_at_max_tokens_do_not_vote(self, monkeypatch):
+    def test_replies_cut_at_max_tokens_do_not_vote(self, cache, monkeypatch):
         # six runs mark "Rotterdam"; six more were cut off at max_tokens before
         # reaching it, yet copied 86% of the answer, enough to pass the gate
         answer = (
@@ -287,22 +298,16 @@ class TestAnnotateItem:
             ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
             session=HalfCutSession(),
         )
-        llm = LLMClient(provider, sleep=lambda _: None)
+        llm, svc = service(provider, cache)
         item = QAItem(id="r", lang="EN", question="q", answer=answer)
-        record = annotate_item(item, config(use_roles=False, runs_n=12), llm, KnowledgeService(llm, None, "m"))
+        record = annotate_item(item, config(use_roles=False, runs_n=12), llm, svc)
         assert record.runs_used == 6
         assert [(s.start, s.end, s.prob) for s in record.soft_labels] == [(216, 225, 1.0)]
 
-    def test_auth_error_propagates(self):
-        class AngryProvider:
-            name = "angry"
-
-            def send(self, req):
-                raise AuthError("key rejected")
-
-        llm = LLMClient(AngryProvider(), sleep=lambda _: None)
+    def test_auth_error_propagates(self, cache):
+        llm, svc = service(FakeProvider(AuthError("key rejected")), cache)
         with pytest.raises(AuthError):
-            annotate_item(swimmer(), config(use_roles=False), llm, KnowledgeService(llm, None, "m"))
+            annotate_item(swimmer(), config(use_roles=False), llm, svc)
 
 
 class TestAnnotateDataset:
@@ -326,7 +331,7 @@ class TestAnnotateDataset:
     def test_rerun_is_fully_cached(self, tmp_path):
         items = self.make_items()
         cache = JsonFileCache(tmp_path)
-        provider = MockProvider(rules=self.rules_for(items))
+        provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache=cache)
         first = annotate_dataset(items, config(), llm, svc)
         calls = provider.call_count
@@ -337,23 +342,25 @@ class TestAnnotateDataset:
     def test_parallel_matches_serial(self, tmp_path):
         items = self.make_items()
         provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider)
+        llm, svc = service(provider, JsonFileCache(tmp_path / "serial"))
         serial = annotate_dataset(items, config(), llm, svc)
+        # a cache of its own, so the parallel batch sends its requests too
+        llm, svc = service(provider, JsonFileCache(tmp_path / "parallel"))
         parallel = annotate_dataset(items, config(max_parallel_items=3), llm, svc)
         assert parallel == serial
 
-    def test_no_external_means_no_wiki_traffic(self):
+    def test_no_external_means_no_wiki_traffic(self, cache):
         items = self.make_items(3)
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider, wiki_session=session)
+        llm, svc = service(provider, cache, wiki_session=session)
         annotate_dataset(items, config(use_external=False), llm, svc)
         assert session.calls == []
 
-    def test_progress_callback_in_order(self):
+    def test_progress_callback_in_order(self, cache):
         items = self.make_items(4)
         provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider)
+        llm, svc = service(provider, cache)
         seen = []
         annotate_dataset(items, config(), llm, svc, progress=lambda r: seen.append(r.id))
         assert seen == [it.id for it in items]
@@ -363,62 +370,55 @@ class TestAnnotateDataset:
         firsts = [c.user_prompt for c in provider.calls if c.seed_tag == "run-0"]
         return [next(it.id for it in items if it.answer in p) for p in firsts]
 
-    def test_longest_answer_starts_first(self):
+    def test_longest_answer_starts_first(self, cache):
         items = [
             QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n)
             for n in (1, 4, 2, 8)
         ]
-        provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider)
+        provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
+        llm, svc = service(provider, cache)
         records = annotate_dataset(items, config(max_parallel_items=1), llm, svc)
         assert self.start_order(provider, items) == ["len-8", "len-4", "len-2", "len-1"]
         assert [r.id for r in records] == [it.id for it in items]
 
-    def test_equal_lengths_start_in_input_order(self):
+    def test_equal_lengths_start_in_input_order(self, cache):
         items = self.make_items(5)[::-1]
-        provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider)
+        provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
+        llm, svc = service(provider, cache)
         annotate_dataset(items, config(max_parallel_items=1), llm, svc)
         assert self.start_order(provider, items) == [it.id for it in items]
 
-    def test_repeated_item_gets_one_record_per_position(self):
+    def test_repeated_item_gets_one_record_per_position(self, cache):
         a, b = self.make_items(2)
         provider = MockProvider(rules=self.rules_for([a, b]))
-        llm, svc = service(provider)
+        llm, svc = service(provider, cache)
         records = annotate_dataset([a, b, a], config(max_parallel_items=2), llm, svc)
         assert [r.id for r in records] == ["it-0", "it-1", "it-0"]
         assert records[0] == records[2]
 
-    def slow_provider(self, exc=None):
-        class SlowProvider(MockProvider):
-            def send(self, req):
-                time.sleep(0.02)
-                reply = super().send(req)
-                if exc is not None:
-                    raise exc
-                return reply
+    def slow_provider(self, reply=""):
+        """A provider that takes 20 ms to give ``reply``."""
+        return FakeProvider(lambda req: time.sleep(0.02) or reply)
 
-        return SlowProvider(default_reply="")
-
-    def test_auth_error_stops_the_batch(self):
+    def test_auth_error_stops_the_batch(self, cache):
         items = self.make_items(20)
         provider = self.slow_provider(AuthError("key rejected"))
-        llm = LLMClient(provider, sleep=lambda _: None)
+        llm, svc = service(provider, cache)
         with pytest.raises(AuthError):
-            annotate_dataset(items, config(use_roles=False, max_parallel_items=1), llm, KnowledgeService(llm, None, "m"))
+            annotate_dataset(items, config(use_roles=False, max_parallel_items=1), llm, svc)
         assert provider.call_count <= 2
 
-    def test_interrupt_stops_the_batch(self):
+    def test_interrupt_stops_the_batch(self, cache):
         items = self.make_items(10)
         provider = self.slow_provider()
-        llm = LLMClient(provider, sleep=lambda _: None)
+        llm, svc = service(provider, cache)
 
         def interrupt(record):
             raise KeyboardInterrupt
 
         cfg = config(use_roles=False, runs_n=2, max_parallel_items=1)
         with pytest.raises(KeyboardInterrupt):
-            annotate_dataset(items, cfg, llm, KnowledgeService(llm, None, "m"), progress=interrupt)
+            annotate_dataset(items, cfg, llm, svc, progress=interrupt)
         assert len({c.user_prompt for c in provider.calls}) <= 2
 
 
@@ -492,7 +492,7 @@ def test_any_reply_yields_a_run(case, finish_reason):
         assert run.spans == ()
 
 
-def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
+def test_payload_nested_too_deep_rejects_one_run(monkeypatch, cache):
     class DeepSession:
         def post(self, url, **kwargs):
             return wire_response(b'{"choices": ' + nested(3000) + b"}")
@@ -501,11 +501,11 @@ def test_payload_nested_too_deep_rejects_one_run(monkeypatch):
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
     provider = OpenAIChatProvider(cfg.provider, session=DeepSession())
     item = QAItem(id="d", lang="EN", question="q", answer="an answer")
-    run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider))
+    run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider, cache))
     assert run == AnnotationRun(PROVIDER_ERROR)
 
 
-def test_run_at_the_gate_keeps_its_spans():
+def test_run_at_the_gate_keeps_its_spans(cache):
     # 55 of 100 characters match: 55/100 >= 0.55, though 0.55 * 100 > 55 in
     # floating point, so the gate must compare the quotient
     assert 55 / 100 >= 0.55 and 0.55 * 100 > 55
@@ -515,7 +515,7 @@ def test_run_at_the_gate_keeps_its_spans():
     assert alignment.similarity == 0.55
     assert None not in alignment.mapping[:55]  # traced back, not skipped at the gate
     cfg = config(min_similarity=0.55)
-    llm = LLMClient(MockProvider(default_reply=reply))
+    llm = LLMClient(FakeProvider(reply), cache)
     run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, llm)
     assert run == AnnotationRun(OK, (SpanLabel(0, 5),))
 
@@ -546,13 +546,15 @@ class OneReplySession:
     ],
     ids=["http-500", "cut-at-max-tokens", "unbalanced-marker", "rewrite-below-gate", "faithful-copy"],
 )
-def test_each_reply_ends_in_its_outcome(monkeypatch, caplog, status, reply, finish_reason, outcome, level, spans):
+def test_each_reply_ends_in_its_outcome(
+    monkeypatch, caplog, cache, status, reply, finish_reason, outcome, level, spans
+):
     # one outcome per run, and one log line per rejected run at its level
     monkeypatch.setenv("TEST_KEY", "sk-x")
     caplog.set_level("DEBUG", logger="hallmark.pipeline")
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
     session = OneReplySession(status, reply, finish_reason)
-    llm = LLMClient(OpenAIChatProvider(cfg.provider, session=session), sleep=lambda _: None)
+    llm = LLMClient(OpenAIChatProvider(cfg.provider, session=session), cache, sleep=lambda _: None)
     item = QAItem(id="o", lang="EN", question="q", answer=OUTCOME_ANSWER)
     run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, llm)
     assert run == AnnotationRun(outcome, spans)
@@ -588,16 +590,6 @@ class Interrupter:
             self.sent += 1
 
 
-class InterruptibleMock(MockProvider):
-    def __init__(self, interrupter, **kwargs):
-        super().__init__(**kwargs)
-        self.interrupter = interrupter
-
-    def send(self, req):
-        self.interrupter.request()
-        return super().send(req)
-
-
 class InterruptibleWiki:
     """Wikipedia whose search for ``keyword`` in ``lang`` finds a page titled
     ``keyword`` when ``pages`` holds its text under ``(lang, keyword)``."""
@@ -629,14 +621,17 @@ RERUN_PAGES = {("en", "Ada"): "Ada text", ("en", "Bea"): "Bea text", ("es", "Dot
 def rerun_batch(directory, at=None):
     """Annotate RERUN_ITEMS on the cache in ``directory``; (predictions bytes or None, requests sent)."""
     interrupter = Interrupter(at)
-    provider = InterruptibleMock(
-        interrupter,
-        script={
-            render(load_template("extract_keyword"), {"question": f"Who is {keyword}?"}): f"Keyword: {keyword}"
-            for keyword in RERUN_KEYWORDS.values()
-        },
-        rules=[MarkingRule(it.answer, (SpanLabel(0, 3),)) for it in RERUN_ITEMS],
-    )
+    keywords = {
+        render(load_template("extract_keyword"), {"question": f"Who is {keyword}?"}): f"Keyword: {keyword}"
+        for keyword in RERUN_KEYWORDS.values()
+    }
+    mock = MockProvider(rules=[MarkingRule(it.answer, (SpanLabel(0, 3),)) for it in RERUN_ITEMS])
+
+    def reply(req):
+        interrupter.request()
+        return keywords.get(req.user_prompt) or mock.send(req)
+
+    provider = FakeProvider(reply)
     cache = JsonFileCache(directory)
     try:
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
