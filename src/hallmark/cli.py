@@ -81,7 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     annotate.add_argument("--no-external", dest="use_external", action="store_false", help="disable Wikipedia knowledge")
     annotate.add_argument("--min-similarity", type=float, help="run acceptance gate (default 0.7)")
     annotate.add_argument("--cache-dir", help=f"response cache (default {DEFAULT_CACHE_DIR})")
-    annotate.add_argument("--max-parallel", dest="max_parallel_items", type=int, help="items, and so provider requests, in flight")
+    annotate.add_argument(
+        "--max-parallel",
+        dest="max_parallel_items",
+        type=int,
+        help="provider requests on the wire; one more item than that is prepared and parsed meanwhile",
+    )
     annotate.add_argument("--config", help="JSON config file (CLI flags win)")
     annotate.add_argument("--base-url", help="override provider base URL")
     annotate.add_argument("--api-key-env", help="override API key env var name")
@@ -152,9 +157,12 @@ def _fixture_spans(raw, item) -> tuple[SpanLabel, ...]:
     return spans
 
 
-def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
+def _load_mock_rules(path: str | None, items, runs_n: int) -> list[MarkingRule]:
+    """The fixture's rules, one per item. An id, entry key or ``per_run`` tag that would mark nothing
+    (a misspelling, or a run past ``runs_n``) is refused."""
     fixture: dict = {}
     rules = []
+    seed_tags = [f"run-{i}" for i in range(runs_n)]
     try:  # malformed JSON, or a fixture of the wrong shape
         if path is not None:
             fixture = load_json(Path(path).read_bytes())
@@ -163,9 +171,18 @@ def _load_mock_rules(path: str | None, items) -> list[MarkingRule]:
             raise ValueError(f"no input item has id {', '.join(map(repr, unknown))}")
         for item in items:
             entry = fixture.get(item.id, {})
+            unknown = sorted(entry.keys() - {"spans", "per_run"})
+            if unknown:
+                raise ValueError(f"item {item.id!r}: unknown key {', '.join(map(repr, unknown))}")
             spans = _fixture_spans(entry.get("spans", []), item)
             per_run = entry.get("per_run")
             if per_run is not None:
+                unknown = [tag for tag in per_run if tag not in seed_tags]
+                if unknown:
+                    raise ValueError(
+                        f"item {item.id!r}: no run has the per_run tag {', '.join(map(repr, unknown))} "
+                        f"(the runs are {seed_tags[0]} … {seed_tags[-1]})"
+                    )
                 per_run = {tag: _fixture_spans(raw, item) for tag, raw in per_run.items()}
             rules.append(MarkingRule(answer=item.answer, spans=spans, per_run=per_run))
     except (AttributeError, TypeError, ValueError) as exc:
@@ -189,7 +206,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     items = read_items(args.input)
     if provider_cfg.name == "mock":
-        provider = MockProvider(rules=_load_mock_rules(args.mock_fixture, items))
+        provider = MockProvider(rules=_load_mock_rules(args.mock_fixture, items, cfg.runs_n))
         limiter = None
     else:
         provider = OpenAIChatProvider(provider_cfg)

@@ -135,8 +135,8 @@ class KnowledgeService:
 
     The LLM steps rely on ``LLMClient``'s response cache and parse their
     replies deterministically, so a repeated call replays the same result.
-    ``cache`` holds the finished Wikipedia lookups, the one step that goes
-    to the network on its own; every lookup reads through it. Retries of
+    ``cache`` holds the answer to each Wikipedia request, the one step that
+    goes to the network on its own; every request reads through it. Retries of
     JSON-producing prompts use distinct seed tags, otherwise the response
     cache would replay the same malformed reply.
     """
@@ -203,35 +203,49 @@ class KnowledgeService:
                     return keyword
         raise KnowledgeError(f"item {item.id}: reply contains no 'Keyword:' line")
 
+    def _wiki_request(self, operation: str, inputs: dict, send: Callable[[], Any]) -> Any:
+        """``send()``'s answer to one Wikipedia request, read through the cache, where each request has its
+        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached; a stopped batch
+        sends none."""
+        key = make_key(operation, inputs)
+        found = self.cache.get(key)
+        if found is None:
+            self.llm.check_running()
+            found = {"value": send()}
+            self.cache.put(key, found)
+        return found["value"]
+
     def fetch_wikipedia(self, keyword: str, lang: str) -> tuple[str, str]:
         """Fetch the plain-text extract of the first search hit.
 
         Searches the item-language wiki first and falls back to English;
         returns (text, provenance URL). Raises KnowledgeError when both
-        wikis come up empty or the network gives out. Both wikis coming up
-        empty is an answer too, and is cached like a hit; a failed request
-        is not.
+        wikis come up empty or the network gives out. Each search and each
+        extract is cached as it comes back, an empty one too, so a rerun
+        sends none of them again; a failed request is not cached.
         """
         if not keyword:
             raise KnowledgeError("empty keyword")
-        if self.wiki is None:
+        wiki = self.wiki
+        if wiki is None:
             raise KnowledgeError("no wikipedia client configured")
         wikis = list(dict.fromkeys([primary_subtag(lang) or "en", "en"]))
-        key = make_key("fetch_wikipedia", {"keyword": keyword, "lang": lang, "max_chars": MAX_RAW_CHARS})
-        found = self.cache.get(key)
-        if found is None:
-            found = {"text": None, "provenance": None}
-            for wiki_lang in wikis:
-                title = self.wiki.search_first_title(keyword, wiki_lang)
-                extract = self.wiki.fetch_extract(title, wiki_lang) if title is not None else None
-                if extract:
-                    provenance = f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
-                    found = {"text": extract[:MAX_RAW_CHARS], "provenance": provenance}
-                    break
-            self.cache.put(key, found)
-        if found["text"] is None:
-            raise KnowledgeError(f"no wikipedia results for {keyword!r} in {wikis}")
-        return found["text"], found["provenance"]
+        for wiki_lang in wikis:
+            title = self._wiki_request(
+                "wikipedia_search",
+                {"wiki": wiki_lang, "keyword": keyword},
+                lambda: wiki.search_first_title(keyword, wiki_lang),
+            )
+            if title is None:
+                continue
+            extract = self._wiki_request(
+                "wikipedia_extract",
+                {"wiki": wiki_lang, "title": title, "max_chars": MAX_RAW_CHARS},
+                lambda: (wiki.fetch_extract(title, wiki_lang) or "")[:MAX_RAW_CHARS],
+            )
+            if extract:
+                return extract, f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
+        raise KnowledgeError(f"no wikipedia results for {keyword!r} in {wikis}")
 
     def summarize_knowledge(self, item: QAItem, raw: str) -> str:
         """Refine a raw extract into a compact reference paragraph.

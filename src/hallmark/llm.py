@@ -15,8 +15,10 @@ import os
 import threading
 import time
 from collections import deque
+from concurrent.futures import CancelledError
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from .cache import JsonFileCache, make_key
@@ -161,6 +163,11 @@ class OpenAIChatProvider:
     the provider is built, and passed to every request; the session itself
     ignores the environment. That saves a scan of ``os.environ`` per request,
     and keeps ``~/.netrc`` from replacing the bearer header with Basic auth.
+    The URL, the session's headers, hooks and auth, and the bearer header
+    are prepared once, too; each call prepares only the session's cookies
+    and the JSON body, with requests' own encoder, so the bytes on the wire
+    are those of ``session.post``. (A session ``auth`` that signs the body
+    would sign the empty one; the sessions built here have none.)
     A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
     ``TruncatedReplyError``: its copy of the answer stops short of the end.
     Text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
@@ -180,13 +187,21 @@ class OpenAIChatProvider:
         import requests
 
         self.name = cfg.name
-        self._url = cfg.base_url.rstrip("/") + "/chat/completions"
-        self._headers = {
-            "Authorization": f"Bearer {api_key}",
-            "Content-Type": "application/json",
-        }
+        url = cfg.base_url.rstrip("/") + "/chat/completions"
         self._session = session or requests.Session()
-        self._env_settings = environment_reader(self._session)(self._url)
+        self._env_settings = environment_reader(self._session)(url)
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        self._template = self._session.prepare_request(requests.Request("POST", url, headers=headers))
+        # each call prepares the cookies and then the body, as requests does, so headers keep its order
+        for name in ("Cookie", "Content-Length"):
+            self._template.headers.pop(name, None)
+
+    def _post(self, body: dict) -> requests.Response:
+        """``session.post(url, json=body, headers=…)``, prepared from the template built at construction."""
+        prepared = self._template.copy()
+        prepared.prepare_cookies(self._session.cookies)
+        prepared.prepare_body(None, None, json=body)
+        return self._session.send(prepared, timeout=PROVIDER_TIMEOUT_S, **self._env_settings)
 
     def send(self, req: CompletionRequest) -> str:
         body = {
@@ -195,12 +210,7 @@ class OpenAIChatProvider:
             "temperature": req.temperature,
             "max_tokens": req.max_tokens,
         }
-        response = transient_checked(
-            lambda: self._session.post(
-                self._url, json=body, headers=self._headers, timeout=PROVIDER_TIMEOUT_S, **self._env_settings
-            ),
-            f"provider {self.name}",
-        )
+        response = transient_checked(lambda: self._post(body), f"provider {self.name}")
         if response.status_code == 401:
             raise AuthError(f"provider {self.name} rejected the API key (HTTP 401)")
         if response.status_code != 200:
@@ -281,6 +291,49 @@ class MockProvider:
         return insert_markers(best.answer, best.spans_for(req.seed_tag))
 
 
+class RequestSlots:
+    """The provider requests one batch may have on the wire: ``n`` slots, taken first come, first served,
+    until the batch stops. A freed slot passes straight to the longest-waiting request, so the thread that
+    frees it cannot take it back before the others have had their turn."""
+
+    def __init__(self, n: int):
+        self._free = n
+        self._waiting: deque[threading.Lock] = deque()
+        self._lock = threading.Lock()
+        self.stopped = False
+
+    def stop(self) -> None:
+        """Send nothing new: a request that has not yet taken a slot raises ``CancelledError``."""
+        self.stopped = True
+
+    def check(self) -> None:
+        if self.stopped:
+            raise CancelledError("the batch has stopped")
+
+    @contextmanager
+    def hold(self) -> Iterator[None]:
+        self.check()
+        with self._lock:
+            turn = None
+            if self._free and not self._waiting:
+                self._free -= 1
+            else:
+                turn = threading.Lock()
+                turn.acquire()
+                self._waiting.append(turn)
+        if turn is not None:
+            turn.acquire()  # released by the request that hands this one its slot
+        try:
+            self.check()
+            yield
+        finally:
+            with self._lock:
+                if self._waiting:
+                    self._waiting.popleft().release()
+                else:
+                    self._free += 1
+
+
 class LLMClient:
     """Provider wrapper adding the response cache, the rate limiter, and
     exponential-backoff retries for transient failures.
@@ -288,6 +341,12 @@ class LLMClient:
     Every request reads through ``cache``: a hit is answered from it without
     a provider call, and a complete text reply is written to it. A failed
     call is not cached, so it is asked again on the next request.
+
+    Inside ``bounded(slots)``, each provider attempt holds one of the
+    batch's slots while it waits on the rate limiter and on the provider,
+    and nothing else does: cache reads and writes, key hashing and backoff
+    sleeps run outside it, so the slots stay busy while the threads that
+    hold none do that work. Outside a batch no slot is taken.
     """
 
     def __init__(
@@ -305,6 +364,23 @@ class LLMClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self._sleep = sleep
+        self._slots: RequestSlots | None = None
+
+    @contextmanager
+    def bounded(self, slots: RequestSlots) -> Iterator[None]:
+        """Make every provider attempt hold one of ``slots`` until the block exits; one batch at a time."""
+        if self._slots is not None:
+            raise RuntimeError("another batch is running on this client")
+        self._slots = slots
+        try:
+            yield
+        finally:
+            self._slots = None
+
+    def check_running(self) -> None:
+        """Raise ``CancelledError`` once the batch running on this client has stopped."""
+        if self._slots is not None:
+            self._slots.check()
 
     def _cache_key(self, req: CompletionRequest) -> str:
         return make_key(
@@ -326,10 +402,13 @@ class LLMClient:
         if hit is not None:
             return hit["text"]
 
+        slots = self._slots
+
         def attempt() -> str:
-            if self.limiter is not None:
-                self.limiter.acquire()
-            return self.provider.send(req)
+            with slots.hold() if slots is not None else nullcontext():
+                if self.limiter is not None:
+                    self.limiter.acquire()  # inside the slot, so its stamps are send times
+                return self.provider.send(req)
 
         text = with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
         if not isinstance(text, str):

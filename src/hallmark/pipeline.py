@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -22,7 +23,7 @@ from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import AggregationError, MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
-from .llm import CompletionRequest, LLMClient, ProviderConfig
+from .llm import CompletionRequest, LLMClient, ProviderConfig, RequestSlots
 from .marking import parse_marked
 from .prompts import (
     NO_KNOWLEDGE_SENTINEL,
@@ -184,21 +185,34 @@ def annotate_dataset(
 ) -> list[PredictionRecord]:
     """Annotate a dataset, preserving input order in the output.
 
-    Up to ``cfg.max_parallel_items`` items run at once, and each item makes
-    its provider calls one after another, so that bound is also the number
-    of provider requests in flight. Items start longest answer first (ties
-    in input order): every reply copies the answer, so the longest items
-    cost most, and starting them last would leave request slots idle at the
-    end of the batch. Records and ``progress`` calls still follow input
-    order, so on a mixed batch the first ``progress`` call can wait for the
-    longest items. An error or interrupt cancels the items not yet started.
-    All completions land in the shared response cache, so an interrupted
-    batch resumes from where it stopped when rerun.
+    At most ``cfg.max_parallel_items`` provider requests are on the wire at
+    once, counting the knowledge chain's, and one more item than that is
+    prepared and parsed meanwhile: ``max_parallel_items + 1`` items run at
+    once, each sending its requests one after another, and each request
+    holds one of the batch's slots only while it waits on the rate limiter
+    and the provider (see ``LLMClient``). So while one item hashes, reads the
+    cache, parses or aligns, another item's request takes its slot. One
+    batch at a time may run on ``llm`` and on ``knowledge_svc.llm``.
+
+    Items start longest answer first (ties in input order): every reply
+    copies the answer, so the longest items cost most, and starting them
+    last would leave request slots idle at the end of the batch. Records
+    and ``progress`` calls still follow input order, so on a mixed batch the
+    first ``progress`` call can wait for the longest items. An error or
+    interrupt, here or in ``progress``, stops the batch: items not yet
+    started are cancelled, requests already on the wire finish, and no new
+    request is sent to either service. All completions land in the shared
+    response cache, so a stopped batch resumes from where it stopped when
+    rerun.
     """
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)
     reported = 0
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel_items) as pool:
+    slots = RequestSlots(cfg.max_parallel_items)
+    with ExitStack() as batch:
+        for client in dict.fromkeys((llm, knowledge_svc.llm)):  # one client, or two sharing the slots
+            batch.enter_context(client.bounded(slots))
+        pool = batch.enter_context(ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1))
         try:
             futures = {
                 pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order
@@ -212,6 +226,7 @@ def annotate_dataset(
                         progress(records[reported])
                     reported += 1
         except BaseException:
+            slots.stop()
             pool.shutdown(cancel_futures=True)
             raise
     return records

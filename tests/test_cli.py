@@ -70,6 +70,17 @@ def annotate_args(tmp_path, out_name="pred.jsonl", *extra, items=SAMPLE_ITEMS):
     ]
 
 
+def fixture_for_runs(tmp_path, runs_n):
+    """The sample fixture with only the ``per_run`` tags of ``runs_n`` runs; returns its path."""
+    fixture = json.loads(SAMPLE_FIXTURE.read_text(encoding="utf-8"))
+    for entry in fixture.values():
+        if "per_run" in entry:
+            entry["per_run"] = {f"run-{i}": entry["per_run"][f"run-{i}"] for i in range(runs_n)}
+    path = tmp_path / f"fixture-{runs_n}.json"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    return path
+
+
 def gold_from_predictions(pred_path, items_path, gold_path):
     """Self-comparison gold: sample answers plus the predicted labels."""
     answers = {item.id: item for item in read_items(items_path)}
@@ -164,7 +175,7 @@ class TestAnnotateCommand:
         assert built_mocks[1].call_count == 0
 
     def test_runs_flag_controls_vote_granularity(self, tmp_path):
-        cli.main(annotate_args(tmp_path, "pred4.jsonl", "--runs", "4"))
+        cli.main(annotate_args(tmp_path, "pred4.jsonl", "--runs", "4", "--mock-fixture", str(fixture_for_runs(tmp_path, 4))))
         allowed = {0.25, 0.5, 0.75, 1.0}
         for record in read_predictions(tmp_path / "pred4.jsonl"):
             assert record.runs_used == 4
@@ -332,7 +343,8 @@ class TestAnnotateCommand:
     def test_config_file_and_cli_precedence(self, tmp_path):
         config = tmp_path / "conf.json"
         config.write_text(json.dumps({"runs_n": 3, "use_roles": False}), encoding="utf-8")
-        cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(config), "--runs", "2"))
+        fixture = fixture_for_runs(tmp_path, 2)
+        cli.main(annotate_args(tmp_path, "pred.jsonl", "--config", str(config), "--runs", "2", "--mock-fixture", str(fixture)))
         for record in read_predictions(tmp_path / "pred.jsonl"):
             assert record.runs_used == 2  # CLI flag beats config file
 
@@ -532,10 +544,13 @@ class TestAnnotateCommand:
             '{"sample-en-1": {"spans": [[0, 2.5]]}}',
             '{"sample-en-1": {"spans": [[true, 3]]}}',
             '{"sample-en-l": {"spans": [[25, 31]]}}',
+            '{"sample-en-1": {"span": [[25, 31]]}}',
+            '{"sample-en-2": {"per_run": {"run_0": [], "run-12": []}}}',
         ],
         ids=[
             "not-json", "list", "span-str", "span-short", "span-reversed", "span-past-end",
             "spans-overlap", "per-run-negative", "span-digit-str", "span-fraction", "span-bool", "unknown-id",
+            "unknown-entry-key", "per-run-tag-of-no-run",
         ],
     )
     def test_bad_mock_fixture_exits_1_with_error_line(self, tmp_path, capsys, fixture):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import CancelledError
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,7 @@ from hallmark import (
 from hallmark import __version__
 from hallmark.errors import AuthError, KnowledgeError, ProviderError
 from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
-from hallmark.llm import TransientProviderError
+from hallmark.llm import RequestSlots, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import (
@@ -229,6 +230,16 @@ class TestFetchWikipedia:
             ("format", "json"),
         ]
         assert [(c["url"], list(c["params"].items())) for c in session.calls] == [(api, search), (api, extract)]
+
+    def test_stopped_batch_sends_no_request(self, item, cache):
+        # a batch that has stopped sends nothing new to Wikipedia either
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
+        slots = RequestSlots(1)
+        slots.stop()
+        with svc.llm.bounded(slots), pytest.raises(CancelledError):
+            svc.fetch_wikipedia("kw", "EN")
+        assert session.calls == []
 
     def test_network_failure_wrapped(self, item, cache):
         session = FakeWikiSession(fail=True)
@@ -495,13 +506,14 @@ class TestCaching:
         assert cache_rows(tmp_path) == {}
 
     def test_wikipedia_cache_key_is_pinned(self, tmp_path):
-        # a changed key would make every existing cache miss
+        # a changed key would make every existing cache miss; one entry per request, search then extract
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=WikipediaClient(session=session))
         svc.fetch_wikipedia("Petra van Staveren", "EN")
-        assert list(cache_rows(tmp_path)) == [
-            "548781f7b1fa0a1002a6da80ab3cea07b0f375b47cc444f0270031c8d5a76214"
-        ]
+        assert cache_rows(tmp_path) == {
+            "2a20b8aeca425e513b8056e490c35b8a985b0ac81442fb9b50c92a9e4619ba5e": {"value": "Hit"},
+            "b1f4f427bc5bae81f9e2d6b9ac042c9f339bcb2c4d4c9faf7133debfdab5fe2e": {"value": "t"},
+        }
 
     def test_full_chain_zero_calls_on_repeat(self, item, tmp_path):
         cache = JsonFileCache(tmp_path)
@@ -528,17 +540,13 @@ class TestCaching:
 
     def test_only_wikipedia_fetch_is_cached_here(self, item, tmp_path):
         # the three LLM steps live in LLMClient's response cache, here one of
-        # its own; the service itself stores only the fetch
+        # its own; the service itself stores only the fetch's two requests
         cache = JsonFileCache(tmp_path)
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         client = LLMClient(MockProvider(), cache=JsonFileCache(tmp_path / "completions"), sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
         assert svc.build_bundle(item).refined_external is not None
-        (entry,) = cache_rows(tmp_path).values()
-        assert entry == {
-            "text": "t",
-            "provenance": "https://en.wikipedia.org/wiki/Hit",
-        }
+        assert list(cache_rows(tmp_path).values()) == [{"value": "Hit"}, {"value": "t"}]
 
 
 class TestBuildBundle:

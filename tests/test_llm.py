@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
+from concurrent.futures import CancelledError
 
 import pytest
 import requests
@@ -19,9 +23,9 @@ from hallmark import (
     SpanLabel,
 )
 from hallmark.errors import AuthError, MockError, ProviderError
-from hallmark.llm import MOCK_ROLES, TransientProviderError
+from hallmark.llm import MOCK_ROLES, RequestSlots, TransientProviderError
 
-from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, swimmer_spans
+from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, swimmer_spans, wire_response
 
 
 def req(prompt="hello", seed_tag="run-0", temperature=1.0):
@@ -130,32 +134,11 @@ class TestLLMClientCache:
         assert cache_rows(tmp_path) == {}
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self.content = json.dumps(payload or {}).encode("utf-8")
-
-
-class FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.requests = []
-
-    def post(self, url, json=None, headers=None, timeout=None, **kwargs):
-        self.requests.append({"url": url, "json": json, "headers": headers, **kwargs})
-        return self.responses.pop(0)
-
-
-class FailingSession:
-    """A session whose every post raises ``error``."""
-
-    def __init__(self, error):
-        self.error = error
-        self.attempts = 0
-
-    def post(self, *args, **kwargs):
-        self.attempts += 1
-        raise self.error
+def http_response(status_code, payload=None):
+    """A response with ``status_code`` whose body is ``payload`` as JSON."""
+    response = wire_response(json.dumps(payload or {}).encode("utf-8"))
+    response.status_code = status_code
+    return response
 
 
 def completion_payload(text, finish_reason="stop"):
@@ -163,19 +146,21 @@ def completion_payload(text, finish_reason="stop"):
 
 
 class RecordingAdapter(BaseAdapter):
-    """A ``requests`` transport that records each prepared request and answers ``ok``."""
+    """A ``requests`` transport that records each prepared request and the settings it was sent with, and
+    answers it with ``reply(request)``: a response, or an exception to raise. By default it answers ``ok``."""
 
-    def __init__(self):
+    def __init__(self, reply=None):
         super().__init__()
+        self.reply = reply or (lambda request: http_response(200, completion_payload("ok")))
         self.sent = []
         self.settings = []
 
     def send(self, request, **kwargs):
         self.sent.append(request)
         self.settings.append(kwargs)
-        response = requests.Response()
-        response.status_code = 200
-        response._content = json.dumps(completion_payload("ok")).encode("utf-8")
+        response = self.reply(request)
+        if isinstance(response, Exception):
+            raise response
         response.request = request
         return response
 
@@ -183,11 +168,18 @@ class RecordingAdapter(BaseAdapter):
         pass
 
 
-def recording_session():
-    adapter = RecordingAdapter()
+def recording_session(reply=None):
+    """A real session with a ``RecordingAdapter`` mounted for https; returns both."""
+    adapter = RecordingAdapter(reply)
     session = requests.Session()
     session.mount("https://", adapter)
     return session, adapter
+
+
+def replaying_session(*responses):
+    """A recording session that answers each request with the next of ``responses``."""
+    queue = list(responses)
+    return recording_session(lambda request: queue.pop(0))
 
 
 def provider_config():
@@ -205,55 +197,81 @@ class TestOpenAIChatProvider:
     @pytest.mark.parametrize("key", ["sk-\u2026", "sk-x\n", "sk-\udcff"], ids=["ellipsis", "newline", "not-utf8"])
     def test_key_no_header_can_carry_is_refused(self, monkeypatch, key):
         monkeypatch.setenv("TEST_KEY", key)
-        session = FakeSession([FakeResponse(200, completion_payload("ok"))])
+        session, adapter = recording_session()
         with pytest.raises(AuthError) as excinfo:
             OpenAIChatProvider(provider_config(), session=session)
         assert "TEST_KEY" in str(excinfo.value)
         assert "sk-" not in str(excinfo.value)
-        assert session.requests == []
+        assert adapter.sent == []
 
     def test_request_shape(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(200, completion_payload("ok"))])
+        session, adapter = recording_session()
         provider = OpenAIChatProvider(provider_config(), session=session)
         out = provider.send(req("u", temperature=0.2))
         assert out == "ok"
-        sent = session.requests[0]
-        assert sent["url"] == "https://api.test/v1/chat/completions"
-        assert sent["json"]["messages"] == [{"role": "user", "content": "u"}]
-        assert sent["headers"]["Authorization"] == "Bearer sk-x"
+        sent = adapter.sent[0]
+        assert sent.url == "https://api.test/v1/chat/completions"
+        assert json.loads(sent.body)["messages"] == [{"role": "user", "content": "u"}]
+        assert sent.headers["Authorization"] == "Bearer sk-x"
+
+    def test_request_on_the_wire_is_pinned(self, monkeypatch):
+        # method, URL, headers in order, and body bytes, as requests' own session.post prepares them;
+        # the second request shows that nothing of the first carries over
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session, adapter = recording_session()
+        session.cookies.set("sid", "abc", domain="api.test")
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        provider.send(req("Petra «won» a ⟨⟨silver⟩⟩ medal\n", temperature=0.2))
+        session.cookies.set("sid", "def", domain="api.test")
+        provider.send(req("u", seed_tag="run-1"))
+        bodies = [
+            b'{"model": "m", "messages": [{"role": "user", "content": "Petra \\u00abwon\\u00bb a '
+            b'\\u27e8\\u27e8silver\\u27e9\\u27e9 medal\\n"}], "temperature": 0.2, "max_tokens": 2048}',
+            b'{"model": "m", "messages": [{"role": "user", "content": "u"}], "temperature": 1.0, "max_tokens": 2048}',
+        ]
+        assert [sent.body for sent in adapter.sent] == bodies
+        for sent, body, cookie in zip(adapter.sent, bodies, ["sid=abc", "sid=def"]):
+            assert (sent.method, sent.url) == ("POST", "https://api.test/v1/chat/completions")
+            assert list(sent.headers.items()) == [
+                *requests.utils.default_headers().items(),
+                ("Authorization", "Bearer sk-x"),
+                ("Content-Type", "application/json"),
+                ("Cookie", cookie),
+                ("Content-Length", str(len(body))),
+            ]
 
     def test_retry_after_429(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(429), FakeResponse(200, completion_payload("ok"))])
+        session, adapter = replaying_session(http_response(429), http_response(200, completion_payload("ok")))
         provider = OpenAIChatProvider(provider_config(), session=session)
         sleeps = []
         client = LLMClient(provider, cache, sleep=sleeps.append)
         assert client.complete(req("p")) == "ok"
-        assert len(session.requests) == 2
+        assert len(adapter.sent) == 2
         assert sleeps == [1.0]
 
     def test_auth_error_fails_fast(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(401)])
+        session, adapter = replaying_session(http_response(401))
         provider = OpenAIChatProvider(provider_config(), session=session)
         client = LLMClient(provider, cache, sleep=lambda _: None)
         with pytest.raises(AuthError):
             client.complete(req("p"))
-        assert len(session.requests) == 1
+        assert len(adapter.sent) == 1
 
     def test_exhausted_retries(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(503)] * 4)
+        session, adapter = recording_session(lambda request: http_response(503))
         provider = OpenAIChatProvider(provider_config(), session=session)
         client = LLMClient(provider, cache, max_retries=3, sleep=lambda _: None)
         with pytest.raises(ProviderError):
             client.complete(req("p"))
-        assert len(session.requests) == 4
+        assert len(adapter.sent) == 4
 
     def test_null_content_is_a_provider_error(self, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(200, completion_payload(None))])
+        session, _ = replaying_session(http_response(200, completion_payload(None)))
         provider = OpenAIChatProvider(provider_config(), session=session)
         with pytest.raises(ProviderError):
             provider.send(req("p"))
@@ -261,7 +279,7 @@ class TestOpenAIChatProvider:
     def test_lone_surrogate_is_a_provider_error(self, monkeypatch, tmp_path):
         # ``"\ud800"`` is valid JSON, but no UTF-8 text: the run is rejected, not the batch
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(200, completion_payload("Revised answer: \ud800"))])
+        session, _ = replaying_session(http_response(200, completion_payload("Revised answer: \ud800")))
         client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
         with pytest.raises(ProviderError):
             client.complete(req("p"))
@@ -271,12 +289,12 @@ class TestOpenAIChatProvider:
         # a reply stopped by max_tokens copied only part of the answer; it is
         # rejected like any failed run, and never cached
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(200, completion_payload("Revised answer: The Eras", "length"))])
+        session, adapter = replaying_session(http_response(200, completion_payload("Revised answer: The Eras", "length")))
         client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
-        assert len(session.requests) == 1
+        assert len(adapter.sent) == 1
         assert cache_rows(tmp_path) == {}
 
     def test_environment_is_read_once_per_provider(self, monkeypatch):
@@ -296,11 +314,11 @@ class TestOpenAIChatProvider:
         for name in ("https_proxy", "no_proxy", "NO_PROXY"):
             monkeypatch.delenv(name, raising=False)
         monkeypatch.setenv("HTTPS_PROXY", "http://proxy.test:3128")
-        session = FakeSession([FakeResponse(200, completion_payload("ok"))])
+        session, adapter = recording_session()
         provider = OpenAIChatProvider(provider_config(), session=session)
         monkeypatch.delenv("HTTPS_PROXY")  # later changes to the environment are not read
         provider.send(req("p"))
-        assert session.requests[0]["proxies"]["https"] == "http://proxy.test:3128"
+        assert adapter.settings[0]["proxies"]["https"] == "http://proxy.test:3128"
         assert session.trust_env is False
 
     def test_session_keeps_its_own_ca_bundle(self, monkeypatch):
@@ -324,13 +342,13 @@ class TestOpenAIChatProvider:
 
     def test_non_retryable_status(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FakeSession([FakeResponse(400)])
+        session, adapter = replaying_session(http_response(400))
         provider = OpenAIChatProvider(provider_config(), session=session)
         client = LLMClient(provider, cache, sleep=lambda _: None)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
-        assert len(session.requests) == 1
+        assert len(adapter.sent) == 1
 
     # raised inside this process, before anything is sent: a retry would fail the same way
     @pytest.mark.parametrize(
@@ -345,13 +363,13 @@ class TestOpenAIChatProvider:
     )
     def test_request_that_cannot_be_built_fails_at_once(self, cache, monkeypatch, error):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FailingSession(error("bad request"))
+        session, adapter = recording_session(lambda request: error("bad request"))
         sleeps = []
         client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache, sleep=sleeps.append)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
-        assert (session.attempts, sleeps) == (1, [])
+        assert (len(adapter.sent), sleeps) == (1, [])
 
     @pytest.mark.parametrize(
         "error",
@@ -359,14 +377,14 @@ class TestOpenAIChatProvider:
     )
     def test_connection_error_or_timeout_is_retried(self, cache, monkeypatch, error):
         monkeypatch.setenv("TEST_KEY", "sk-x")
-        session = FailingSession(error("connection trouble"))
+        session, adapter = recording_session(lambda request: error("connection trouble"))
         sleeps = []
         provider = OpenAIChatProvider(provider_config(), session=session)
         client = LLMClient(provider, cache, max_retries=3, sleep=sleeps.append)
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert "giving up after 4 attempts" in str(excinfo.value)
-        assert (session.attempts, sleeps) == (4, [1.0, 2.0, 4.0])
+        assert (len(adapter.sent), sleeps) == (4, [1.0, 2.0, 4.0])
 
     def test_body_requests_cannot_encode_is_never_sent(self, cache, monkeypatch):
         # a NaN temperature is no JSON: requests refuses the body before the transport sees it
@@ -438,3 +456,38 @@ def test_one_transient_test_and_one_backoff_loop():
     # both outside services decide what a failed call costs in the same two places
     assert call_sites(r"sleep\(") == {"llm.py:with_retries", "llm.py:acquire"}
     assert call_sites(r"\b429\b") == {"llm.py:transient_checked"}
+
+
+def test_request_slots_hold_the_bound_under_contention():
+    # more threads than cores, switching often: a lost update to the free count
+    # would let a third holder in, or leave a waiter with no slot to take
+    slots, lock = RequestSlots(2), threading.Lock()
+    inside, peak, finished = [0], [0], []
+
+    def worker():
+        for _ in range(100):
+            with slots.hold():
+                with lock:
+                    inside[0] += 1
+                    peak[0] = max(peak[0], inside[0])
+                time.sleep(0.0002)
+                with lock:
+                    inside[0] -= 1
+        finished.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert (len(finished), peak[0]) == (8, 2)
+    slots.stop()
+    with pytest.raises(CancelledError):
+        with slots.hold():
+            pass

@@ -25,6 +25,7 @@ from hallmark import (
     build_main_prompt,
     write_predictions,
 )
+from hallmark import pipeline
 from hallmark.aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
 from hallmark.alignment import align
 from hallmark.errors import AuthError
@@ -47,7 +48,7 @@ from .conftest import (
 )
 from .test_marking import MARKER_LIKE_CASES, hallucinated_spans
 from .test_knowledge import FakeWikiSession
-from .test_llm import FakeResponse, completion_payload
+from .test_llm import completion_payload, http_response, recording_session
 
 
 def config(**kwargs):
@@ -247,19 +248,15 @@ class TestAnnotateItem:
     def test_null_content_rejects_one_run(self, tmp_path, monkeypatch):
         # an OpenAI-compatible endpoint may answer ``"content": null`` (a
         # refusal or a content filter); that run is rejected, uncached
-        class NullFirstSession:
-            def __init__(self):
-                self.posts = 0
+        def null_first(request):
+            content = None if len(adapter.sent) == 1 else "Petra van Stoveren won a ⟨⟨silver⟩⟩ medal"
+            return http_response(200, completion_payload(content))
 
-            def post(self, url, json=None, headers=None, timeout=None, **kwargs):
-                self.posts += 1
-                content = None if self.posts == 1 else "Petra van Stoveren won a ⟨⟨silver⟩⟩ medal"
-                return FakeResponse(200, completion_payload(content))
-
+        session, adapter = recording_session(null_first)
         monkeypatch.setenv("TEST_KEY", "sk-x")
         provider = OpenAIChatProvider(
             ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
-            session=NullFirstSession(),
+            session=session,
         )
         cache = JsonFileCache(tmp_path)
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
@@ -283,20 +280,16 @@ class TestAnnotateItem:
         assert (len(answer), answer.index("Rotterdam")) == (234, 216)
         marked = insert_markers(answer, [SpanLabel(216, 225)])
 
-        class HalfCutSession:
-            def __init__(self):
-                self.posts = 0
+        def half_cut(request):
+            if len(adapter.sent) <= 6:
+                return http_response(200, completion_payload(marked))
+            return http_response(200, completion_payload(marked[: int(len(marked) * 0.85)], "length"))
 
-            def post(self, url, json=None, headers=None, timeout=None, **kwargs):
-                self.posts += 1
-                if self.posts <= 6:
-                    return FakeResponse(200, completion_payload(marked))
-                return FakeResponse(200, completion_payload(marked[: int(len(marked) * 0.85)], "length"))
-
+        session, adapter = recording_session(half_cut)
         monkeypatch.setenv("TEST_KEY", "sk-x")
         provider = OpenAIChatProvider(
             ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
-            session=HalfCutSession(),
+            session=session,
         )
         llm, svc = service(provider, cache)
         item = QAItem(id="r", lang="EN", question="q", answer=answer)
@@ -365,28 +358,40 @@ class TestAnnotateDataset:
         annotate_dataset(items, config(), llm, svc, progress=lambda r: seen.append(r.id))
         assert seen == [it.id for it in items]
 
-    def start_order(self, provider, items):
-        """Item ids in the order their first annotation call was sent."""
-        firsts = [c.user_prompt for c in provider.calls if c.seed_tag == "run-0"]
-        return [next(it.id for it in items if it.answer in p) for p in firsts]
+    def start_order(self, monkeypatch):
+        """The ids of the items ``annotate_dataset`` starts, in the order it starts them.
 
-    def test_longest_answer_starts_first(self, cache):
+        Two items are in flight at ``max_parallel_items=1``, so which of them
+        sends its first run first is up to the thread scheduler."""
+        started = []
+        annotate = pipeline.annotate_item
+
+        def recording(item, *args):
+            started.append(item.id)
+            return annotate(item, *args)
+
+        monkeypatch.setattr(pipeline, "annotate_item", recording)
+        return started
+
+    def test_longest_answer_starts_first(self, cache, monkeypatch):
         items = [
             QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n)
             for n in (1, 4, 2, 8)
         ]
         provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache)
+        started = self.start_order(monkeypatch)
         records = annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert self.start_order(provider, items) == ["len-8", "len-4", "len-2", "len-1"]
+        assert started == ["len-8", "len-4", "len-2", "len-1"]
         assert [r.id for r in records] == [it.id for it in items]
 
-    def test_equal_lengths_start_in_input_order(self, cache):
+    def test_equal_lengths_start_in_input_order(self, cache, monkeypatch):
         items = self.make_items(5)[::-1]
         provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache)
+        started = self.start_order(monkeypatch)
         annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert self.start_order(provider, items) == [it.id for it in items]
+        assert started == [it.id for it in items]
 
     def test_repeated_item_gets_one_record_per_position(self, cache):
         a, b = self.make_items(2)
@@ -421,6 +426,78 @@ class TestAnnotateDataset:
             annotate_dataset(items, cfg, llm, svc, progress=interrupt)
         assert len({c.user_prompt for c in provider.calls}) <= 2
 
+    @pytest.mark.parametrize("max_parallel", [1, 2])
+    def test_stopped_batch_sends_nothing_new(self, cache, max_parallel):
+        # after the raise, only a request that already held a slot may still go out
+        items = self.make_items(6)
+        raised = threading.Event()
+        late = []
+
+        def reply(req):
+            if raised.is_set():
+                late.append(req)
+            time.sleep(0.02)
+            return ""
+
+        def interrupt(record):
+            raised.set()
+            raise KeyboardInterrupt
+
+        llm, svc = service(FakeProvider(reply), cache)
+        cfg = config(use_roles=False, runs_n=12, max_parallel_items=max_parallel)
+        with pytest.raises(KeyboardInterrupt):
+            annotate_dataset(items, cfg, llm, svc, progress=interrupt)
+        assert len(late) <= max_parallel
+
+    @pytest.mark.parametrize(
+        "max_parallel, shared", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "2-two-clients"]
+    )
+    def test_provider_requests_on_the_wire_never_exceed_max_parallel(self, tmp_path, max_parallel, shared):
+        # the knowledge chain's requests count too, also when the knowledge service has its own client
+        items = self.make_items(8)
+        provider = InFlightProvider(MockProvider(rules=self.rules_for(items)).send)
+        wiki = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
+        cfg = config(use_external=True, runs_n=4, max_parallel_items=max_parallel)
+
+        llm, svc = service(provider, JsonFileCache(tmp_path / "serial"), wiki_session=wiki)
+        write_predictions([annotate_item(it, cfg, llm, svc) for it in items], tmp_path / "serial.jsonl")
+        provider.peak = 0
+
+        llm, svc = service(provider, JsonFileCache(tmp_path / "batch"), wiki_session=wiki)
+        if not shared:
+            svc.llm = LLMClient(provider, cache=svc.cache, sleep=lambda _: None)
+        write_predictions(annotate_dataset(items, cfg, llm, svc), tmp_path / "batch.jsonl")
+        assert provider.peak == max_parallel
+        assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+
+    def test_one_batch_at_a_time_per_client(self, cache):
+        items = self.make_items(2)
+        llm, svc = service(MockProvider(rules=self.rules_for(items)), cache)
+        with pytest.raises(RuntimeError, match="another batch"):
+            annotate_dataset(items, config(), llm, svc, progress=lambda record: annotate_dataset(items, config(), llm, svc))
+        assert annotate_dataset(items, config(), llm, svc)[0].runs_used == 12  # the client is free again
+
+
+class InFlightProvider(FakeProvider):
+    """A FakeProvider whose sends take 5 ms; ``peak`` is the most that were in progress at once."""
+
+    def __init__(self, reply):
+        super().__init__(reply)
+        self.peak = 0
+        self._in_flight = 0
+        self._count_lock = threading.Lock()
+
+    def send(self, req):
+        with self._count_lock:
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        try:
+            time.sleep(0.005)
+            return super().send(req)
+        finally:
+            with self._count_lock:
+                self._in_flight -= 1
+
 
 class TestPipelineConfig:
     def test_validation(self):
@@ -451,16 +528,6 @@ def answers_and_replies(draw):
     return answer, "".join(draw(st.lists(piece, max_size=12)))
 
 
-class ReplySession:
-    """Answers every post with one completion payload, passed through JSON as on the wire."""
-
-    def __init__(self, reply, finish_reason):
-        self.payload = json.loads(json.dumps(completion_payload(reply, finish_reason)))
-
-    def post(self, url, **kwargs):
-        return FakeResponse(200, self.payload)
-
-
 @settings(deadline=None)
 @given(answers_and_replies(), st.sampled_from(["stop", "length"]))
 @example(case=("<", "\ud800\udfff"), finish_reason="stop")  # on the wire a valid pair, read back as U+103FF
@@ -469,8 +536,9 @@ def test_any_reply_yields_a_run(case, finish_reason):
     answer, reply = case
     item = QAItem(id="p", lang="EN", question="q", answer=answer)
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
-    session = ReplySession(reply, finish_reason)
-    content = session.payload["choices"][0]["message"]["content"]  # the reply as decoded from the wire
+    payload = json.loads(json.dumps(completion_payload(reply, finish_reason)))  # passed through JSON as on the wire
+    session, _ = recording_session(lambda request: http_response(200, payload))
+    content = payload["choices"][0]["message"]["content"]  # the reply as decoded from the wire
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
         mp.setenv("TEST_KEY", "sk-x")
         provider = OpenAIChatProvider(cfg.provider, session=session)
@@ -493,13 +561,10 @@ def test_any_reply_yields_a_run(case, finish_reason):
 
 
 def test_payload_nested_too_deep_rejects_one_run(monkeypatch, cache):
-    class DeepSession:
-        def post(self, url, **kwargs):
-            return wire_response(b'{"choices": ' + nested(3000) + b"}")
-
+    session, _ = recording_session(lambda request: wire_response(b'{"choices": ' + nested(3000) + b"}"))
     monkeypatch.setenv("TEST_KEY", "sk-x")
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
-    provider = OpenAIChatProvider(cfg.provider, session=DeepSession())
+    provider = OpenAIChatProvider(cfg.provider, session=session)
     item = QAItem(id="d", lang="EN", question="q", answer="an answer")
     run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, LLMClient(provider, cache))
     assert run == AnnotationRun(PROVIDER_ERROR)
@@ -523,18 +588,6 @@ def test_run_at_the_gate_keeps_its_spans(cache):
 OUTCOME_ANSWER = "Paris is the capital of France."
 
 
-class OneReplySession:
-    """Answers every post with one HTTP status and completion payload."""
-
-    def __init__(self, status, reply, finish_reason):
-        self.status, self.payload = status, completion_payload(reply, finish_reason)
-        self.posts = 0
-
-    def post(self, url, **kwargs):
-        self.posts += 1
-        return FakeResponse(self.status, self.payload)
-
-
 @pytest.mark.parametrize(
     "status, reply, finish_reason, outcome, level, spans",
     [
@@ -553,12 +606,12 @@ def test_each_reply_ends_in_its_outcome(
     monkeypatch.setenv("TEST_KEY", "sk-x")
     caplog.set_level("DEBUG", logger="hallmark.pipeline")
     cfg = config(provider=ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"))
-    session = OneReplySession(status, reply, finish_reason)
+    session, adapter = recording_session(lambda request: http_response(status, completion_payload(reply, finish_reason)))
     llm = LLMClient(OpenAIChatProvider(cfg.provider, session=session), cache, sleep=lambda _: None)
     item = QAItem(id="o", lang="EN", question="q", answer=OUTCOME_ANSWER)
     run = _execute_run(item, build_main_prompt(item, "expert", None), "run-0", cfg, llm)
     assert run == AnnotationRun(outcome, spans)
-    assert session.posts == (4 if status == 500 else 1)  # the first attempt and 3 retries
+    assert len(adapter.sent) == (4 if status == 500 else 1)  # the first attempt and 3 retries
     logged = [(r.levelname, r.getMessage().split(" (")[0]) for r in caplog.records if r.name == "hallmark.pipeline"]
     assert logged == ([] if level is None else [(level, f"item o run-0: {outcome}")])
 
@@ -609,13 +662,17 @@ class InterruptibleWiki:
         return wire_response(json.dumps(payload).encode("utf-8"))
 
 
-RERUN_KEYWORDS = {"EN": "Ada", "FI": "Bea", "DE": "Cid", "ES": "Dot"}
+RERUN_KEYWORDS = {"EN": "Ada", "FI": "Bea", "DE": "Cid", "ES": "Dot", "SV": "Eve"}
 RERUN_ITEMS = [
     QAItem(id=f"r-{lang}", lang=lang, question=f"Who is {keyword}?", answer=f"{keyword} won {n} medals in the games.")
     for n, (lang, keyword) in enumerate(RERUN_KEYWORDS.items())
 ]
-# A hit in the item's wiki, a hit on the English fallback, a miss in both, and a hit again.
-RERUN_PAGES = {("en", "Ada"): "Ada text", ("en", "Bea"): "Bea text", ("es", "Dot"): "Dot text"}
+# A hit in the item's wiki, a hit on the English fallback, a miss in both, a hit again, and a page in the
+# item's wiki whose extract is empty, before a hit on the English fallback.
+RERUN_PAGES = {
+    ("en", "Ada"): "Ada text", ("en", "Bea"): "Bea text", ("es", "Dot"): "Dot text", ("sv", "Eve"): "",
+    ("en", "Eve"): "Eve text",
+}
 
 
 def rerun_batch(directory, at=None):
@@ -652,8 +709,8 @@ def rerun_batch(directory, at=None):
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_rerun_after_an_interrupt_asks_nothing_it_already_knows(data):
-    # Each item in flight loses at most the Wikipedia searches of its
-    # unfinished fetch, which are two only for an English-fallback item.
+    # Every request that came back, to either service, is cached as it
+    # does, so the rerun sends exactly the requests the interrupt cut off.
     with tempfile.TemporaryDirectory() as clean, tempfile.TemporaryDirectory() as resumed:
         expected, total = rerun_batch(clean)
         at = data.draw(st.integers(0, total - 1), label="interrupted request")
@@ -661,5 +718,5 @@ def test_rerun_after_an_interrupt_asks_nothing_it_already_knows(data):
         assert interrupted is None
         predictions, sent_after = rerun_batch(resumed)
         assert predictions == expected
-        assert sent_before + sent_after <= total + 2  # max_parallel_items
+        assert sent_before + sent_after == total
         assert rerun_batch(resumed) == (expected, 0)
