@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-parallel",
         dest="max_parallel_items",
         type=int,
-        help="provider requests on the wire; one more item than that is prepared and parsed meanwhile",
+        help="provider requests on the wire, and as many Wikipedia requests; one more item than that is prepared and parsed meanwhile",
     )
     annotate.add_argument("--config", help="JSON config file (CLI flags win)")
     annotate.add_argument("--base-url", help="override provider base URL")

@@ -12,14 +12,15 @@ from __future__ import annotations
 import functools
 import logging
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
 
 from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import CompletionRequest, LLMClient, environment_reader, transient_checked, with_retries
+from .llm import CompletionRequest, LLMClient, RequestSlots, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 if TYPE_CHECKING:
@@ -138,7 +139,8 @@ class KnowledgeService:
     ``cache`` holds the answer to each Wikipedia request, the one step that
     goes to the network on its own; every request reads through it. Retries of
     JSON-producing prompts use distinct seed tags, otherwise the response
-    cache would replay the same malformed reply.
+    cache would replay the same malformed reply. Inside ``bounded(slots)``,
+    each Wikipedia request holds one of ``slots``.
     """
 
     def __init__(
@@ -152,6 +154,16 @@ class KnowledgeService:
         self.wiki = wiki
         self.model = model
         self.cache = cache
+        self._wiki_slots: RequestSlots | None = None
+
+    @contextmanager
+    def bounded(self, slots: RequestSlots) -> Iterator[None]:
+        """Make every Wikipedia request hold one of ``slots`` until the block exits."""
+        self._wiki_slots = slots
+        try:
+            yield
+        finally:
+            self._wiki_slots = None
 
     def _ask(self, template: str, values: Mapping[str, str], tag: str) -> str:
         return self.llm.complete(
@@ -205,13 +217,15 @@ class KnowledgeService:
 
     def _wiki_request(self, operation: str, inputs: dict, send: Callable[[], Any]) -> Any:
         """``send()``'s answer to one Wikipedia request, read through the cache, where each request has its
-        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached; a stopped batch
-        sends none."""
+        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached. In a batch, the
+        request, with its retries, holds one of the batch's Wikipedia slots, and a stopped batch sends
+        none."""
         key = make_key(operation, inputs)
         found = self.cache.get(key)
         if found is None:
-            self.llm.check_running()
-            found = {"value": send()}
+            slots = self._wiki_slots
+            with slots.hold() if slots is not None else nullcontext():
+                found = {"value": send()}
             self.cache.put(key, found)
         return found["value"]
 

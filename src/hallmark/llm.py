@@ -23,7 +23,7 @@ from urllib.parse import urlsplit
 
 from .cache import JsonFileCache, make_key
 from .core import SpanLabel
-from .errors import AuthError, MockError, ProviderError, TruncatedReplyError
+from .errors import AuthError, ConfigError, MockError, ProviderError, TruncatedReplyError
 from .jsonl import is_json_type, load_json
 from .marking import insert_markers
 
@@ -163,11 +163,13 @@ class OpenAIChatProvider:
     the provider is built, and passed to every request; the session itself
     ignores the environment. That saves a scan of ``os.environ`` per request,
     and keeps ``~/.netrc`` from replacing the bearer header with Basic auth.
-    The URL, the session's headers, hooks and auth, and the bearer header
-    are prepared once, too; each call prepares only the session's cookies
-    and the JSON body, with requests' own encoder, so the bytes on the wire
-    are those of ``session.post``. (A session ``auth`` that signs the body
-    would sign the empty one; the sessions built here have none.)
+    The URL, the session's headers and hooks, and the bearer header are
+    prepared once, too, so a later change to ``session.headers`` or
+    ``session.hooks`` is not seen; each call prepares only the session's
+    cookies and the JSON body, with requests' own encoder, so the bytes on
+    the wire are those of ``session.post``. A session with its own ``auth``
+    is a ``ConfigError``: the key goes in the bearer header, and an auth
+    that signs the body would sign the template's empty one.
     A reply cut off at ``max_tokens`` (``finish_reason`` ``"length"``) is a
     ``TruncatedReplyError``: its copy of the answer stops short of the end.
     Text with a lone surrogate (an escaped ``\\ud800``), which UTF-8, and so
@@ -189,6 +191,8 @@ class OpenAIChatProvider:
         self.name = cfg.name
         url = cfg.base_url.rstrip("/") + "/chat/completions"
         self._session = session or requests.Session()
+        if self._session.auth is not None:
+            raise ConfigError(f"provider {cfg.name!r}: a session with its own auth is not supported")
         self._env_settings = environment_reader(self._session)(url)
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         self._template = self._session.prepare_request(requests.Request("POST", url, headers=headers))
@@ -292,28 +296,66 @@ class MockProvider:
 
 
 class RequestSlots:
-    """The provider requests one batch may have on the wire: ``n`` slots, taken first come, first served,
-    until the batch stops. A freed slot passes straight to the longest-waiting request, so the thread that
-    frees it cannot take it back before the others have had their turn."""
+    """The requests one batch may have on the wire to one service: ``n`` slots, held until the batch
+    stops.
+
+    Items take their first slot in start order: the item a thread runs
+    inside ``item(rank)`` queues its first request only once every item of
+    a lower rank has queued its own or ended, so the longest item's first
+    request goes out first. After that, slots go first come, first served:
+    a freed slot passes straight to the longest-waiting request, so the
+    thread that frees it cannot take it back before the others have had
+    their turn.
+    """
 
     def __init__(self, n: int):
         self._free = n
         self._waiting: deque[threading.Lock] = deque()
-        self._lock = threading.Lock()
-        self.stopped = False
+        self._changed = threading.Condition()
+        self._stopped = False
+        self._next_start = 0  # the rank whose item queues its first request next
+        self._started: set[int] = set()  # higher ranks whose item has queued its first request or ended
+        self._item = threading.local()  # .rank: this thread's item, until its first request queues
 
     def stop(self) -> None:
         """Send nothing new: a request that has not yet taken a slot raises ``CancelledError``."""
-        self.stopped = True
+        with self._changed:
+            self._stopped = True
+            self._changed.notify_all()
 
-    def check(self) -> None:
-        if self.stopped:
+    def _check(self) -> None:
+        if self._stopped:
             raise CancelledError("the batch has stopped")
+
+    def _start(self, rank: int) -> None:
+        """Let the next item queue its first request; the caller holds ``_changed``."""
+        self._item.rank = None
+        self._started.add(rank)
+        while self._next_start in self._started:
+            self._started.remove(self._next_start)
+            self._next_start += 1
+        self._changed.notify_all()
+
+    @contextmanager
+    def item(self, rank: int) -> Iterator[None]:
+        """Run the item of start rank ``rank`` (0, 1, … in start order) in this thread."""
+        self._item.rank = rank
+        try:
+            yield
+        finally:
+            with self._changed:
+                if self._item.rank is not None:  # it sent nothing, say all from the cache
+                    self._start(rank)
 
     @contextmanager
     def hold(self) -> Iterator[None]:
-        self.check()
-        with self._lock:
+        rank = getattr(self._item, "rank", None)
+        with self._changed:
+            if rank is not None:
+                self._changed.wait_for(lambda: self._stopped or self._next_start == rank)
+            self._check()
+            if rank is not None:
+                self._start(rank)
             turn = None
             if self._free and not self._waiting:
                 self._free -= 1
@@ -324,10 +366,10 @@ class RequestSlots:
         if turn is not None:
             turn.acquire()  # released by the request that hands this one its slot
         try:
-            self.check()
+            self._check()
             yield
         finally:
-            with self._lock:
+            with self._changed:
                 if self._waiting:
                     self._waiting.popleft().release()
                 else:
@@ -376,11 +418,6 @@ class LLMClient:
             yield
         finally:
             self._slots = None
-
-    def check_running(self) -> None:
-        """Raise ``CancelledError`` once the batch running on this client has stopped."""
-        if self._slots is not None:
-            self._slots.check()
 
     def _cache_key(self, req: CompletionRequest) -> str:
         return make_key(

@@ -186,15 +186,18 @@ def annotate_dataset(
     """Annotate a dataset, preserving input order in the output.
 
     At most ``cfg.max_parallel_items`` provider requests are on the wire at
-    once, counting the knowledge chain's, and one more item than that is
-    prepared and parsed meanwhile: ``max_parallel_items + 1`` items run at
-    once, each sending its requests one after another, and each request
-    holds one of the batch's slots only while it waits on the rate limiter
-    and the provider (see ``LLMClient``). So while one item hashes, reads the
-    cache, parses or aligns, another item's request takes its slot. One
-    batch at a time may run on ``llm`` and on ``knowledge_svc.llm``.
+    once, counting the knowledge chain's, and as many Wikipedia requests,
+    and one more item than that is prepared and parsed meanwhile:
+    ``max_parallel_items + 1`` items run at once, each sending its requests
+    one after another, and each provider request holds one of the batch's
+    slots only while it waits on the rate limiter and the provider (see
+    ``LLMClient``). So while one item hashes, reads the cache, parses or
+    aligns, another item's request takes its slot. Wikipedia requests hold
+    slots of their own. One batch at a time may run on ``llm`` and on
+    ``knowledge_svc.llm``.
 
-    Items start longest answer first (ties in input order): every reply
+    Items start longest answer first (ties in input order): their first
+    requests go out in that order (see ``RequestSlots``). Every reply
     copies the answer, so the longest items cost most, and starting them
     last would leave request slots idle at the end of the batch. Records
     and ``progress`` calls still follow input order, so on a mixed batch the
@@ -208,15 +211,19 @@ def annotate_dataset(
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)
     reported = 0
-    slots = RequestSlots(cfg.max_parallel_items)
+    slots, wiki_slots = RequestSlots(cfg.max_parallel_items), RequestSlots(cfg.max_parallel_items)
     with ExitStack() as batch:
         for client in dict.fromkeys((llm, knowledge_svc.llm)):  # one client, or two sharing the slots
             batch.enter_context(client.bounded(slots))
+        batch.enter_context(knowledge_svc.bounded(wiki_slots))
         pool = batch.enter_context(ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1))
+
+        def start(rank: int, item: QAItem) -> PredictionRecord:
+            with slots.item(rank):
+                return annotate_item(item, cfg, llm, knowledge_svc)
+
         try:
-            futures = {
-                pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order
-            }
+            futures = {pool.submit(start, rank, items[i]): i for rank, i in enumerate(order)}
             # Completion order, so that any item's error stops the batch at once
             # rather than when its input position comes up.
             for future in as_completed(futures):
@@ -227,6 +234,7 @@ def annotate_dataset(
                     reported += 1
         except BaseException:
             slots.stop()
+            wiki_slots.stop()
             pool.shutdown(cancel_futures=True)
             raise
     return records

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from concurrent.futures import CancelledError
 from pathlib import Path
 
@@ -237,9 +238,24 @@ class TestFetchWikipedia:
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         slots = RequestSlots(1)
         slots.stop()
-        with svc.llm.bounded(slots), pytest.raises(CancelledError):
+        with svc.bounded(slots), pytest.raises(CancelledError):
             svc.fetch_wikipedia("kw", "EN")
         assert session.calls == []
+
+    def test_request_holds_a_slot_of_the_batch(self, item, cache):
+        # in a batch, a Wikipedia request waits for a free slot of the batch's Wikipedia slots
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
+        slots = RequestSlots(1)
+        with svc.bounded(slots):
+            with slots.hold():
+                fetch = threading.Thread(target=svc.fetch_wikipedia, args=("kw", "EN"))
+                fetch.start()
+                fetch.join(timeout=0.2)
+                assert session.calls == []
+            fetch.join(timeout=10)
+        assert not fetch.is_alive()
+        assert len(session.calls) == 2
 
     def test_network_failure_wrapped(self, item, cache):
         session = FakeWikiSession(fail=True)

@@ -22,7 +22,7 @@ from hallmark import (
     RateLimiter,
     SpanLabel,
 )
-from hallmark.errors import AuthError, MockError, ProviderError
+from hallmark.errors import AuthError, ConfigError, MockError, ProviderError
 from hallmark.llm import MOCK_ROLES, RequestSlots, TransientProviderError
 
 from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, swimmer_spans, wire_response
@@ -240,6 +240,24 @@ class TestOpenAIChatProvider:
                 ("Cookie", cookie),
                 ("Content-Length", str(len(body))),
             ]
+
+    def test_session_auth_is_refused(self, monkeypatch):
+        # each request is prepared from a template built once, so an auth that signs the body would sign
+        # an empty one; and the key belongs in the bearer header
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session, adapter = recording_session()
+        session.auth = ("user", "password")
+        with pytest.raises(ConfigError, match="session with its own auth"):
+            OpenAIChatProvider(provider_config(), session=session)
+
+    def test_session_headers_are_read_when_the_provider_is_built(self, monkeypatch):
+        monkeypatch.setenv("TEST_KEY", "sk-x")
+        session, adapter = recording_session()
+        session.headers["X-Team"] = "first"
+        provider = OpenAIChatProvider(provider_config(), session=session)
+        session.headers["X-Team"] = "second"
+        provider.send(req("u"))
+        assert adapter.sent[0].headers["X-Team"] == "first"
 
     def test_retry_after_429(self, cache, monkeypatch):
         monkeypatch.setenv("TEST_KEY", "sk-x")
@@ -491,3 +509,37 @@ def test_request_slots_hold_the_bound_under_contention():
     with pytest.raises(CancelledError):
         with slots.hold():
             pass
+
+
+def test_request_slots_queue_first_requests_in_start_order():
+    # items taken by more threads than cores, one slot, switching often: each item's first request goes
+    # out in start order, and an item that sends nothing (say, all from the cache) holds up none after it
+    slots, lock = RequestSlots(1), threading.Lock()
+    ranks, firsts, finished = iter(range(40)), [], []
+
+    def worker():
+        while True:
+            with lock:
+                rank = next(ranks, None)
+            if rank is None:
+                break
+            with slots.item(rank):
+                for request in range(0 if rank % 5 == 0 else 3):
+                    with slots.hold():
+                        if request == 0:
+                            firsts.append(rank)
+        finished.append(True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(finished) == 8
+    assert firsts == [rank for rank in range(40) if rank % 5]

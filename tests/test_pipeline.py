@@ -4,6 +4,7 @@ import json
 import tempfile
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from hallmark import (
     build_main_prompt,
     write_predictions,
 )
-from hallmark import pipeline
 from hallmark.aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
 from hallmark.alignment import align
 from hallmark.errors import AuthError
@@ -358,40 +358,41 @@ class TestAnnotateDataset:
         annotate_dataset(items, config(), llm, svc, progress=lambda r: seen.append(r.id))
         assert seen == [it.id for it in items]
 
-    def start_order(self, monkeypatch):
-        """The ids of the items ``annotate_dataset`` starts, in the order it starts them.
+    def start_order(self, provider, items):
+        """Item ids in the order their first request was sent."""
+        firsts = {}
+        for call in provider.calls:
+            firsts.setdefault(next(it.id for it in items if it.answer in call.user_prompt), None)
+        return list(firsts)
 
-        Two items are in flight at ``max_parallel_items=1``, so which of them
-        sends its first run first is up to the thread scheduler."""
-        started = []
-        annotate = pipeline.annotate_item
-
-        def recording(item, *args):
-            started.append(item.id)
-            return annotate(item, *args)
-
-        monkeypatch.setattr(pipeline, "annotate_item", recording)
-        return started
-
-    def test_longest_answer_starts_first(self, cache, monkeypatch):
+    def test_longest_answer_starts_first(self, cache):
         items = [
             QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n)
             for n in (1, 4, 2, 8)
         ]
         provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache)
-        started = self.start_order(monkeypatch)
         records = annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert started == ["len-8", "len-4", "len-2", "len-1"]
+        assert self.start_order(provider, items) == ["len-8", "len-4", "len-2", "len-1"]
         assert [r.id for r in records] == [it.id for it in items]
 
-    def test_equal_lengths_start_in_input_order(self, cache, monkeypatch):
+    def test_equal_lengths_start_in_input_order(self, cache):
         items = self.make_items(5)[::-1]
         provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache)
-        started = self.start_order(monkeypatch)
         annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert started == [it.id for it in items]
+        assert self.start_order(provider, items) == [it.id for it in items]
+
+    def test_an_item_that_sends_nothing_passes_its_start(self, cache):
+        # the longest item is all in the cache, so the next one may not wait for its first request
+        items = self.make_items(3)
+        longest = QAItem(id="long", lang="EN", question="q", answer="the longest answer of them all, by far.")
+        provider = FakeProvider(MockProvider(rules=self.rules_for([longest, *items])).send)
+        llm, svc = service(provider, cache)
+        annotate_item(longest, config(), llm, svc)
+        provider.calls.clear()
+        annotate_dataset([*items, longest], config(max_parallel_items=1), llm, svc)
+        assert self.start_order(provider, items) == [it.id for it in items]
 
     def test_repeated_item_gets_one_record_per_position(self, cache):
         a, b = self.make_items(2)
@@ -453,21 +454,24 @@ class TestAnnotateDataset:
         "max_parallel, shared", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "2-two-clients"]
     )
     def test_provider_requests_on_the_wire_never_exceed_max_parallel(self, tmp_path, max_parallel, shared):
-        # the knowledge chain's requests count too, also when the knowledge service has its own client
+        # the knowledge chain's requests count too, also when the knowledge service has its own
+        # client; Wikipedia requests have a bound of their own
         items = self.make_items(8)
-        provider = InFlightProvider(MockProvider(rules=self.rules_for(items)).send)
-        wiki = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
+        sends, wiki_gets = InFlight(), InFlight()
+        provider = InFlightProvider(MockProvider(rules=self.rules_for(items)).send, sends)
+        wiki = InFlightWikiSession(wiki_gets, search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
         cfg = config(use_external=True, runs_n=4, max_parallel_items=max_parallel)
 
         llm, svc = service(provider, JsonFileCache(tmp_path / "serial"), wiki_session=wiki)
         write_predictions([annotate_item(it, cfg, llm, svc) for it in items], tmp_path / "serial.jsonl")
-        provider.peak = 0
+        sends.peak = wiki_gets.peak = 0
 
         llm, svc = service(provider, JsonFileCache(tmp_path / "batch"), wiki_session=wiki)
         if not shared:
             svc.llm = LLMClient(provider, cache=svc.cache, sleep=lambda _: None)
         write_predictions(annotate_dataset(items, cfg, llm, svc), tmp_path / "batch.jsonl")
-        assert provider.peak == max_parallel
+        assert sends.peak == max_parallel
+        assert 1 <= wiki_gets.peak <= max_parallel
         assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
     def test_one_batch_at_a_time_per_client(self, cache):
@@ -478,25 +482,46 @@ class TestAnnotateDataset:
         assert annotate_dataset(items, config(), llm, svc)[0].runs_used == 12  # the client is free again
 
 
-class InFlightProvider(FakeProvider):
-    """A FakeProvider whose sends take 5 ms; ``peak`` is the most that were in progress at once."""
+class InFlight:
+    """Counts the requests in progress at once, to the provider and to Wikipedia; ``peak`` is the most.
+    Each takes 5 ms."""
 
-    def __init__(self, reply):
-        super().__init__(reply)
+    def __init__(self):
         self.peak = 0
         self._in_flight = 0
-        self._count_lock = threading.Lock()
+        self._lock = threading.Lock()
 
-    def send(self, req):
-        with self._count_lock:
+    @contextmanager
+    def request(self):
+        with self._lock:
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
         try:
             time.sleep(0.005)
-            return super().send(req)
+            yield
         finally:
-            with self._count_lock:
+            with self._lock:
                 self._in_flight -= 1
+
+
+class InFlightProvider(FakeProvider):
+    def __init__(self, reply, counter):
+        super().__init__(reply)
+        self.counter = counter
+
+    def send(self, req):
+        with self.counter.request():
+            return super().send(req)
+
+
+class InFlightWikiSession(FakeWikiSession):
+    def __init__(self, counter, **kwargs):
+        super().__init__(**kwargs)
+        self.counter = counter
+
+    def get(self, url, **kwargs):
+        with self.counter.request():
+            return super().get(url, **kwargs)
 
 
 class TestPipelineConfig:
