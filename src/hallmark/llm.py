@@ -296,66 +296,28 @@ class MockProvider:
 
 
 class RequestSlots:
-    """The requests one batch may have on the wire to one service: ``n`` slots, held until the batch
-    stops.
-
-    Items take their first slot in start order: the item a thread runs
-    inside ``item(rank)`` queues its first request only once every item of
-    a lower rank has queued its own or ended, so the longest item's first
-    request goes out first. After that, slots go first come, first served:
-    a freed slot passes straight to the longest-waiting request, so the
-    thread that frees it cannot take it back before the others have had
-    their turn.
-    """
+    """The requests one batch may have on the wire to one service: ``n`` slots, taken first come, first
+    served, until the batch stops. A freed slot passes straight to the longest-waiting request, so the
+    thread that frees it cannot take it back before the others have had their turn."""
 
     def __init__(self, n: int):
         self._free = n
         self._waiting: deque[threading.Lock] = deque()
-        self._changed = threading.Condition()
+        self._lock = threading.Lock()
         self._stopped = False
-        self._next_start = 0  # the rank whose item queues its first request next
-        self._started: set[int] = set()  # higher ranks whose item has queued its first request or ended
-        self._item = threading.local()  # .rank: this thread's item, until its first request queues
 
     def stop(self) -> None:
         """Send nothing new: a request that has not yet taken a slot raises ``CancelledError``."""
-        with self._changed:
-            self._stopped = True
-            self._changed.notify_all()
+        self._stopped = True
 
     def _check(self) -> None:
         if self._stopped:
             raise CancelledError("the batch has stopped")
 
-    def _start(self, rank: int) -> None:
-        """Let the next item queue its first request; the caller holds ``_changed``."""
-        self._item.rank = None
-        self._started.add(rank)
-        while self._next_start in self._started:
-            self._started.remove(self._next_start)
-            self._next_start += 1
-        self._changed.notify_all()
-
-    @contextmanager
-    def item(self, rank: int) -> Iterator[None]:
-        """Run the item of start rank ``rank`` (0, 1, … in start order) in this thread."""
-        self._item.rank = rank
-        try:
-            yield
-        finally:
-            with self._changed:
-                if self._item.rank is not None:  # it sent nothing, say all from the cache
-                    self._start(rank)
-
     @contextmanager
     def hold(self) -> Iterator[None]:
-        rank = getattr(self._item, "rank", None)
-        with self._changed:
-            if rank is not None:
-                self._changed.wait_for(lambda: self._stopped or self._next_start == rank)
+        with self._lock:
             self._check()
-            if rank is not None:
-                self._start(rank)
             turn = None
             if self._free and not self._waiting:
                 self._free -= 1
@@ -369,7 +331,7 @@ class RequestSlots:
             self._check()
             yield
         finally:
-            with self._changed:
+            with self._lock:
                 if self._waiting:
                     self._waiting.popleft().release()
                 else:

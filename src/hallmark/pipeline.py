@@ -196,17 +196,17 @@ def annotate_dataset(
     slots of their own. One batch at a time may run on ``llm`` and on
     ``knowledge_svc.llm``.
 
-    Items start longest answer first (ties in input order): their first
-    requests go out in that order (see ``RequestSlots``). Every reply
-    copies the answer, so the longest items cost most, and starting them
-    last would leave request slots idle at the end of the batch. Records
-    and ``progress`` calls still follow input order, so on a mixed batch the
-    first ``progress`` call can wait for the longest items. An error or
-    interrupt, here or in ``progress``, stops the batch: items not yet
-    started are cancelled, requests already on the wire finish, and no new
-    request is sent to either service. All completions land in the shared
-    response cache, so a stopped batch resumes from where it stopped when
-    rerun.
+    Items are submitted longest answer first (ties in input order), and
+    requests take their slots first come, first served (see
+    ``RequestSlots``). Every reply copies the answer, so the longest items
+    cost most, and starting them last would leave request slots idle at
+    the end of the batch. Records and ``progress`` calls still follow input
+    order, so on a mixed batch the first ``progress`` call can wait for the
+    longest items. An error or interrupt, here or in ``progress``, stops
+    the batch: items not yet started are cancelled, requests already on the
+    wire finish, and no new request is sent to either service. All
+    completions land in the shared response cache, so a stopped batch
+    resumes from where it stopped when rerun.
     """
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)
@@ -217,13 +217,8 @@ def annotate_dataset(
             batch.enter_context(client.bounded(slots))
         batch.enter_context(knowledge_svc.bounded(wiki_slots))
         pool = batch.enter_context(ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1))
-
-        def start(rank: int, item: QAItem) -> PredictionRecord:
-            with slots.item(rank):
-                return annotate_item(item, cfg, llm, knowledge_svc)
-
         try:
-            futures = {pool.submit(start, rank, items[i]): i for rank, i in enumerate(order)}
+            futures = {pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order}
             # Completion order, so that any item's error stops the batch at once
             # rather than when its input position comes up.
             for future in as_completed(futures):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import linecache
 import sys
 import threading
 import time
@@ -511,35 +512,33 @@ def test_request_slots_hold_the_bound_under_contention():
             pass
 
 
-def test_request_slots_queue_first_requests_in_start_order():
-    # items taken by more threads than cores, one slot, switching often: each item's first request goes
-    # out in start order, and an item that sends nothing (say, all from the cache) holds up none after it
-    slots, lock = RequestSlots(1), threading.Lock()
-    ranks, firsts, finished = iter(range(40)), [], []
+def wait_until_blocked(thread: threading.Thread) -> None:
+    """Wait until ``thread`` blocks on a lock: its innermost Python frame is on a line that calls
+    ``acquire()``, a C call that holds that frame on that line until it returns."""
+    deadline = time.monotonic() + 10
+    while True:
+        frame = sys._current_frames().get(thread.ident)
+        if frame is not None and ".acquire()" in linecache.getline(frame.f_code.co_filename, frame.f_lineno):
+            return
+        assert time.monotonic() < deadline, "the thread never blocked"
+        time.sleep(0.001)
 
-    def worker():
-        while True:
-            with lock:
-                rank = next(ranks, None)
-            if rank is None:
-                break
-            with slots.item(rank):
-                for request in range(0 if rank % 5 == 0 else 3):
-                    with slots.hold():
-                        if request == 0:
-                            firsts.append(rank)
-        finished.append(True)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
+def test_request_slots_serve_waiters_first_come_first_served():
+    # the thread that frees the slot and asks again at once queues behind those already waiting
+    slots, served = RequestSlots(1), []
+
+    def worker(name):
+        with slots.hold():
+            served.append(name)
+
+    threads = [threading.Thread(target=worker, args=(name,)) for name in ("W1", "W2")]
+    with slots.hold():
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert len(finished) == 8
-    assert firsts == [rank for rank in range(40) if rank % 5]
+            wait_until_blocked(thread)
+    with slots.hold():
+        served.append("main")
+    for thread in threads:
+        thread.join(timeout=10)
+    assert served == ["W1", "W2", "main"]

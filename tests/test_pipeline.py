@@ -358,41 +358,34 @@ class TestAnnotateDataset:
         annotate_dataset(items, config(), llm, svc, progress=lambda r: seen.append(r.id))
         assert seen == [it.id for it in items]
 
-    def start_order(self, provider, items):
-        """Item ids in the order their first request was sent."""
-        firsts = {}
-        for call in provider.calls:
-            firsts.setdefault(next(it.id for it in items if it.answer in call.user_prompt), None)
-        return list(firsts)
-
-    def test_longest_answer_starts_first(self, cache):
-        items = [
-            QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n)
-            for n in (1, 4, 2, 8)
-        ]
-        provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
+    def first_started(self, items, cfg, cache):
+        """The ids of the first ``max_parallel_items + 1`` items whose requests reach a provider that
+        takes about 1 ms per request, and the ids of the records, in their order."""
+        mock = MockProvider(rules=self.rules_for(items))
+        provider = FakeProvider(lambda req: time.sleep(0.001) or mock.send(req))
         llm, svc = service(provider, cache)
-        records = annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert self.start_order(provider, items) == ["len-8", "len-4", "len-2", "len-1"]
-        assert [r.id for r in records] == [it.id for it in items]
+        records = annotate_dataset(items, cfg, llm, svc)
+        started = {}
+        for call in provider.calls:
+            started.setdefault(next(it.id for it in items if it.answer in call.user_prompt), None)
+        return set(list(started)[: cfg.max_parallel_items + 1]), [r.id for r in records]
+
+    def test_longest_answer_starts_first(self, tmp_path):
+        # items are submitted longest first, so the first to reach the provider are the longest,
+        # in whatever order their threads take a slot; records still follow input order
+        lengths = (1, 4, 2, 8, 3)
+        items = [QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n) for n in lengths]
+        for max_parallel in (1, 2):
+            cfg = config(max_parallel_items=max_parallel)
+            started, records = self.first_started(items, cfg, JsonFileCache(tmp_path / str(max_parallel)))
+            assert started == {f"len-{n}" for n in sorted(lengths, reverse=True)[: max_parallel + 1]}
+            assert records == [it.id for it in items]
 
     def test_equal_lengths_start_in_input_order(self, cache):
         items = self.make_items(5)[::-1]
-        provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
-        llm, svc = service(provider, cache)
-        annotate_dataset(items, config(max_parallel_items=1), llm, svc)
-        assert self.start_order(provider, items) == [it.id for it in items]
-
-    def test_an_item_that_sends_nothing_passes_its_start(self, cache):
-        # the longest item is all in the cache, so the next one may not wait for its first request
-        items = self.make_items(3)
-        longest = QAItem(id="long", lang="EN", question="q", answer="the longest answer of them all, by far.")
-        provider = FakeProvider(MockProvider(rules=self.rules_for([longest, *items])).send)
-        llm, svc = service(provider, cache)
-        annotate_item(longest, config(), llm, svc)
-        provider.calls.clear()
-        annotate_dataset([*items, longest], config(max_parallel_items=1), llm, svc)
-        assert self.start_order(provider, items) == [it.id for it in items]
+        started, records = self.first_started(items, config(max_parallel_items=1), cache)
+        assert started == {it.id for it in items[:2]}
+        assert records == [it.id for it in items]
 
     def test_repeated_item_gets_one_record_per_position(self, cache):
         a, b = self.make_items(2)
