@@ -13,7 +13,7 @@ import json
 import math
 import re
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from .core import GoldRecord, PredictionRecord, QAItem, SpanLabel, coverage, runs_of
 from .errors import SchemaError
@@ -41,10 +41,9 @@ def load_json(data: bytes | str) -> Any:
         raise ValueError("JSON nested too deep") from None
 
 
-def _records(path: str | Path, build: Callable[[dict], Any]) -> list:
-    """``build(obj)`` for the JSON object on each non-blank line of ``path``; a line that is not one,
+def _numbered(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[int, Any]]:
+    """``(line, build(obj))`` for the JSON object on each non-blank line of ``path``; a line that is not one,
     or whose object ``build`` refuses with TypeError or ValueError, is a SchemaError naming ``path:line``."""
-    records = []
     for line_no, line in enumerate(_LINE_BREAK.split(Path(path).read_bytes()), start=1):
         if not line.strip():
             continue
@@ -52,10 +51,14 @@ def _records(path: str | Path, build: Callable[[dict], Any]) -> list:
             obj = load_json(line)
             if not isinstance(obj, dict):
                 raise ValueError("record is not a JSON object")
-            records.append(build(obj))
+            record = build(obj)
         except (TypeError, ValueError) as exc:
             raise SchemaError(str(path), line_no, str(exc)) from exc
-    return records
+        yield line_no, record
+
+
+def _records(path: str | Path, build: Callable[[dict], Any]) -> list:
+    return [record for _, record in _numbered(path, build)]
 
 
 # How messages name each JSON type, keyed by the Python type that holds it.
@@ -106,17 +109,23 @@ def _parse_soft_labels(raw: Any) -> tuple[SpanLabel, ...]:
         raise ValueError(f"malformed soft_labels: {exc}") from exc
 
 
-def read_items(path: str | Path) -> list[QAItem]:
-    """Read a dataset of QA pairs awaiting annotation."""
-    return _records(
-        path,
-        lambda obj: QAItem(
-            id=_require(obj, "id", str),
-            lang=_require(obj, "lang", str),
-            question=_require(obj, "model_input", str),
-            answer=_require(obj, "model_output_text", str),
-        ),
+def _item(obj: dict) -> QAItem:
+    return QAItem(
+        id=_require(obj, "id", str),
+        lang=_require(obj, "lang", str),
+        question=_require(obj, "model_input", str),
+        answer=_require(obj, "model_output_text", str),
     )
+
+
+def read_items(path: str | Path) -> list[QAItem]:
+    """Read a dataset of QA pairs awaiting annotation. An id on a second line is a SchemaError."""
+    items, first_line = [], {}
+    for line_no, item in _numbered(path, _item):
+        if first_line.setdefault(item.id, line_no) != line_no:
+            raise SchemaError(str(path), line_no, f"id {item.id!r} is already on line {first_line[item.id]}")
+        items.append(item)
+    return items
 
 
 def read_gold(path: str | Path) -> list[GoldRecord]:

@@ -12,15 +12,15 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import CompletionRequest, LLMClient, RequestSlots, environment_reader, transient_checked, with_retries
+from .llm import WIKI_SLOTS, CompletionRequest, LLMClient, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 if TYPE_CHECKING:
@@ -139,8 +139,8 @@ class KnowledgeService:
     ``cache`` holds the answer to each Wikipedia request, the one step that
     goes to the network on its own; every request reads through it. Retries of
     JSON-producing prompts use distinct seed tags, otherwise the response
-    cache would replay the same malformed reply. Inside ``bounded(slots)``,
-    each Wikipedia request holds one of ``slots``.
+    cache would replay the same malformed reply. In a batch's threads, each
+    Wikipedia request holds one of the batch's ``WIKI_SLOTS``.
     """
 
     def __init__(
@@ -154,16 +154,6 @@ class KnowledgeService:
         self.wiki = wiki
         self.model = model
         self.cache = cache
-        self._wiki_slots: RequestSlots | None = None
-
-    @contextmanager
-    def bounded(self, slots: RequestSlots) -> Iterator[None]:
-        """Make every Wikipedia request hold one of ``slots`` until the block exits."""
-        self._wiki_slots = slots
-        try:
-            yield
-        finally:
-            self._wiki_slots = None
 
     def _ask(self, template: str, values: Mapping[str, str], tag: str) -> str:
         return self.llm.complete(
@@ -223,7 +213,7 @@ class KnowledgeService:
         key = make_key(operation, inputs)
         found = self.cache.get(key)
         if found is None:
-            slots = self._wiki_slots
+            slots = WIKI_SLOTS.get()
             with slots.hold() if slots is not None else nullcontext():
                 found = {"value": send()}
             self.cache.put(key, found)

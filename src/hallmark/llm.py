@@ -17,6 +17,7 @@ import time
 from collections import deque
 from concurrent.futures import CancelledError
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
@@ -338,6 +339,11 @@ class RequestSlots:
                     self._free += 1
 
 
+# A batch's slots for each service, set in every thread of its pool; elsewhere a request takes none.
+CHAT_SLOTS: ContextVar[RequestSlots | None] = ContextVar("CHAT_SLOTS", default=None)
+WIKI_SLOTS: ContextVar[RequestSlots | None] = ContextVar("WIKI_SLOTS", default=None)
+
+
 class LLMClient:
     """Provider wrapper adding the response cache, the rate limiter, and
     exponential-backoff retries for transient failures.
@@ -346,11 +352,11 @@ class LLMClient:
     a provider call, and a complete text reply is written to it. A failed
     call is not cached, so it is asked again on the next request.
 
-    Inside ``bounded(slots)``, each provider attempt holds one of the
-    batch's slots while it waits on the rate limiter and on the provider,
-    and nothing else does: cache reads and writes, key hashing and backoff
-    sleeps run outside it, so the slots stay busy while the threads that
-    hold none do that work. Outside a batch no slot is taken.
+    In a batch, each provider attempt holds one of the batch's ``CHAT_SLOTS``
+    while it waits on the rate limiter and on the provider, and nothing
+    else does: cache reads and writes, key hashing and backoff sleeps run
+    outside it, so the slots stay busy while the threads that hold none do
+    that work. Outside a batch's threads no slot is taken.
     """
 
     def __init__(
@@ -368,18 +374,6 @@ class LLMClient:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self._sleep = sleep
-        self._slots: RequestSlots | None = None
-
-    @contextmanager
-    def bounded(self, slots: RequestSlots) -> Iterator[None]:
-        """Make every provider attempt hold one of ``slots`` until the block exits; one batch at a time."""
-        if self._slots is not None:
-            raise RuntimeError("another batch is running on this client")
-        self._slots = slots
-        try:
-            yield
-        finally:
-            self._slots = None
 
     def _cache_key(self, req: CompletionRequest) -> str:
         return make_key(
@@ -401,7 +395,7 @@ class LLMClient:
         if hit is not None:
             return hit["text"]
 
-        slots = self._slots
+        slots = CHAT_SLOTS.get()
 
         def attempt() -> str:
             with slots.hold() if slots is not None else nullcontext():

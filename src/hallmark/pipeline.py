@@ -13,7 +13,6 @@ from __future__ import annotations
 import logging
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
-from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -23,7 +22,7 @@ from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import AggregationError, MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
-from .llm import CompletionRequest, LLMClient, ProviderConfig, RequestSlots
+from .llm import CHAT_SLOTS, WIKI_SLOTS, CompletionRequest, LLMClient, ProviderConfig, RequestSlots
 from .marking import parse_marked
 from .prompts import (
     NO_KNOWLEDGE_SENTINEL,
@@ -86,16 +85,19 @@ def build_main_prompt(item: QAItem, role: str, knowledge: str | None) -> str:
     )
 
 
-def extract_final_marked(reply: str) -> str:
-    """Isolate the marked answer from a reply that may carry reasoning.
+def extract_final_marked(reply: str, answer: str) -> str:
+    """Isolate the marked ``answer`` from a reply that may carry reasoning.
 
-    Takes the text after the last sentinel line when present, otherwise
-    the whole reply; strips surrounding code fences either way.
+    Takes the text after the sentinel line that introduces the marked
+    answer: the last sentinel but as many as ``answer`` holds itself. With
+    no such line the whole reply is taken. Strips surrounding code fences
+    either way.
     """
     text = reply.strip()
-    idx = text.rfind(REPLY_SENTINEL)
-    if idx != -1:
-        text = text[idx + len(REPLY_SENTINEL) :].strip()
+    own = answer.count(REPLY_SENTINEL)
+    parts = text.rsplit(REPLY_SENTINEL, own + 1)
+    if len(parts) > own + 1:
+        text = REPLY_SENTINEL.join(parts[1:]).strip()
     if text.startswith("```"):
         first_newline = text.find("\n")
         if first_newline != -1 and text.rstrip().endswith("```"):
@@ -126,7 +128,7 @@ def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, 
                 seed_tag=seed_tag,
             )
         )
-        parsed = parse_marked(extract_final_marked(reply), item.answer)
+        parsed = parse_marked(extract_final_marked(reply, item.answer), item.answer)
     except (ProviderError, MarkerError) as exc:
         if isinstance(exc, MarkerError):
             outcome, level = MARKER_ERROR, logging.DEBUG
@@ -193,8 +195,9 @@ def annotate_dataset(
     slots only while it waits on the rate limiter and the provider (see
     ``LLMClient``). So while one item hashes, reads the cache, parses or
     aligns, another item's request takes its slot. Wikipedia requests hold
-    slots of their own. One batch at a time may run on ``llm`` and on
-    ``knowledge_svc.llm``.
+    slots of their own. The slots belong to the batch's worker threads
+    (``CHAT_SLOTS`` and ``WIKI_SLOTS``), not to the clients, so each batch
+    bounds its own requests, also when batches share ``llm``.
 
     Items are submitted longest answer first (ties in input order), and
     requests take their slots first come, first served (see
@@ -212,11 +215,12 @@ def annotate_dataset(
     records: list[PredictionRecord | None] = [None] * len(items)
     reported = 0
     slots, wiki_slots = RequestSlots(cfg.max_parallel_items), RequestSlots(cfg.max_parallel_items)
-    with ExitStack() as batch:
-        for client in dict.fromkeys((llm, knowledge_svc.llm)):  # one client, or two sharing the slots
-            batch.enter_context(client.bounded(slots))
-        batch.enter_context(knowledge_svc.bounded(wiki_slots))
-        pool = batch.enter_context(ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1))
+
+    def enter_batch() -> None:  # in each pool thread, which serves this batch only
+        CHAT_SLOTS.set(slots)
+        WIKI_SLOTS.set(wiki_slots)
+
+    with ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1, initializer=enter_batch) as pool:
         try:
             futures = {pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order}
             # Completion order, so that any item's error stops the batch at once

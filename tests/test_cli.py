@@ -212,6 +212,30 @@ class TestAnnotateCommand:
         assert code == 2
         assert "1 failures" in capsys.readouterr().out
 
+    def test_answer_holding_the_reply_sentinel_is_annotated(self, tmp_path, capsys):
+        # the mock's reply is the marked answer alone, so the answer's own sentinel is no cut point
+        answer = "The memoir Revised answer: A Life was published in 1990 by Penguin."
+        items = tmp_path / "items.jsonl"
+        item = {"id": "memoir", "lang": "EN", "model_input": "When was A Life published?", "model_output_text": answer}
+        items.write_text(json.dumps(item) + "\n", encoding="utf-8")
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps({"memoir": {"spans": [[51, 55]]}}), encoding="utf-8")
+        args = annotate_args(tmp_path, items=items)
+        args[args.index("--mock-fixture") + 1] = str(fixture)
+        assert cli.main(args) == 0
+        assert "[1/1] memoir runs_used=12 hard=1" in capsys.readouterr().out
+        [record] = read_predictions(tmp_path / "pred.jsonl")
+        assert [(s.start, s.end) for s in record.hard_labels] == [(51, 55)]
+
+    def test_repeated_item_id_exits_1_before_any_request(self, tmp_path, capsys, built_mocks):
+        items = tmp_path / "items.jsonl"
+        line = '{{"id":"{}","lang":"EN","model_input":"q","model_output_text":"an answer"}}\n'
+        items.write_text(line.format("d") + line.format("e") + "\n" + line.format("d"), encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, items=items)) == 1
+        assert capsys.readouterr().err == f"error: {items}:4: id 'd' is already on line 1\n"
+        assert built_mocks == []
+        assert not (tmp_path / "pred.jsonl").exists()
+
     def test_lone_surrogate_in_an_answer_is_an_error_line(self, tmp_path, capsys):
         # valid JSON, but no UTF-8 text: cache keys could not be made from it
         items = tmp_path / "items.jsonl"

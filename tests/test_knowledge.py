@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import CancelledError
+from contextvars import copy_context
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from hallmark import (
 from hallmark import __version__
 from hallmark.errors import AuthError, KnowledgeError, ProviderError
 from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
-from hallmark.llm import RequestSlots, TransientProviderError
+from hallmark.llm import WIKI_SLOTS, RequestSlots, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import (
@@ -238,8 +239,12 @@ class TestFetchWikipedia:
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         slots = RequestSlots(1)
         slots.stop()
-        with svc.bounded(slots), pytest.raises(CancelledError):
-            svc.fetch_wikipedia("kw", "EN")
+        token = WIKI_SLOTS.set(slots)
+        try:
+            with pytest.raises(CancelledError):
+                svc.fetch_wikipedia("kw", "EN")
+        finally:
+            WIKI_SLOTS.reset(token)
         assert session.calls == []
 
     def test_request_holds_a_slot_of_the_batch(self, item, cache):
@@ -247,13 +252,15 @@ class TestFetchWikipedia:
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         slots = RequestSlots(1)
-        with svc.bounded(slots):
-            with slots.hold():
-                fetch = threading.Thread(target=svc.fetch_wikipedia, args=("kw", "EN"))
-                fetch.start()
-                fetch.join(timeout=0.2)
-                assert session.calls == []
-            fetch.join(timeout=10)
+        token = WIKI_SLOTS.set(slots)
+        batch_context = copy_context()  # what a thread of the batch sees
+        WIKI_SLOTS.reset(token)
+        with slots.hold():
+            fetch = threading.Thread(target=batch_context.run, args=(svc.fetch_wikipedia, "kw", "EN"))
+            fetch.start()
+            fetch.join(timeout=0.2)
+            assert session.calls == []
+        fetch.join(timeout=10)
         assert not fetch.is_alive()
         assert len(session.calls) == 2
 

@@ -94,13 +94,22 @@ class TestBuildMainPrompt:
 class TestExtractFinalMarked:
     def test_takes_text_after_last_sentinel(self):
         reply = "thinking...\nRevised answer: first\nmore\nRevised answer: ⟨⟨x⟩⟩ final"
-        assert extract_final_marked(reply) == "⟨⟨x⟩⟩ final"
+        assert extract_final_marked(reply, "x final") == "⟨⟨x⟩⟩ final"
 
     def test_whole_reply_without_sentinel(self):
-        assert extract_final_marked("  just the answer \n") == "just the answer"
+        assert extract_final_marked("  just the answer \n", "just the answer") == "just the answer"
 
     def test_strips_code_fences(self):
-        assert extract_final_marked("```\nmarked text\n```") == "marked text"
+        assert extract_final_marked("```\nmarked text\n```", "marked text") == "marked text"
+
+    @pytest.mark.parametrize(
+        "before", [f"Analysis: the year is wrong.\n{REPLY_SENTINEL} ", ""], ids=["after-reasoning", "marked-answer-alone"]
+    )
+    def test_answer_holding_the_sentinel(self, before):
+        # the answer's own sentinel is no cut point, whether or not a sentinel line introduces it
+        answer = f"The memoir {REPLY_SENTINEL} A Life was published in 1990 by Penguin."
+        marked = insert_markers(answer, [SpanLabel(51, 55)])
+        assert extract_final_marked(before + marked, answer) == marked
 
 
 class TestAnnotateItem:
@@ -467,12 +476,35 @@ class TestAnnotateDataset:
         assert 1 <= wiki_gets.peak <= max_parallel
         assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
-    def test_one_batch_at_a_time_per_client(self, cache):
-        items = self.make_items(2)
-        llm, svc = service(MockProvider(rules=self.rules_for(items)), cache)
-        with pytest.raises(RuntimeError, match="another batch"):
-            annotate_dataset(items, config(), llm, svc, progress=lambda record: annotate_dataset(items, config(), llm, svc))
-        assert annotate_dataset(items, config(), llm, svc)[0].runs_used == 12  # the client is free again
+    def test_two_batches_on_one_client_keep_their_own_slots(self, tmp_path):
+        # a batch started from another's progress call shares its clients, and each batch has its
+        # own bound: requests are counted per batch, by the item whose answer is in the prompt
+        first = self.make_items(6)
+        second = [QAItem(id=f"other-{i}", lang="EN", question="q", answer=f"another reply, {i} words.") for i in range(6)]
+        counters = {"it": InFlight(), "other": InFlight()}
+        mock = MockProvider(rules=self.rules_for(first + second))
+
+        def reply(req):
+            item = next(it for it in first + second if it.answer in req.user_prompt)
+            with counters[item.id.split("-")[0]].request():
+                return mock.send(req)
+
+        cfg_first, cfg_second = config(max_parallel_items=2), config(max_parallel_items=1)
+        llm, svc = service(FakeProvider(reply), JsonFileCache(tmp_path / "serial"))
+        serial = [annotate_item(it, cfg_first, llm, svc) for it in first + second]
+        counters["it"].peak = counters["other"].peak = 0
+
+        llm, svc = service(FakeProvider(reply), JsonFileCache(tmp_path / "batch"))
+        nested_records = []
+
+        def start_second(record):
+            if not nested_records:
+                nested_records.extend(annotate_dataset(second, cfg_second, llm, svc))
+
+        assert annotate_dataset(first, cfg_first, llm, svc, progress=start_second) == serial[:6]
+        assert nested_records == serial[6:]
+        assert counters["it"].peak == 2
+        assert counters["other"].peak == 1
 
 
 class InFlight:
