@@ -38,6 +38,7 @@ by ``validate_run``, before any traceback.
 
 from __future__ import annotations
 
+import unicodedata
 from dataclasses import dataclass
 from math import isqrt
 
@@ -140,18 +141,30 @@ def align(clean: str, original: str, min_similarity: float = 0.0) -> AlignmentRe
     return AlignmentResult(tuple(mapping), skipped.similarity)
 
 
-def project_spans(parsed: ParsedMarking, alignment: AlignmentResult) -> list[SpanLabel]:
-    """Map marked spans from the cleaned text onto original-answer offsets.
+def _splits_mark(answer: str, i: int) -> bool:
+    """Whether offset ``i`` falls between a character of ``answer`` and a combining mark (Mn, Mc or Me) after it."""
+    return 0 < i < len(answer) and unicodedata.category(answer[i]).startswith("M")
+
+
+def project_spans(parsed: ParsedMarking, alignment: AlignmentResult, answer: str) -> list[SpanLabel]:
+    """Map marked spans from the cleaned text onto offsets of ``answer``, the original.
 
     Each span becomes the range from its first to its last aligned
-    character; spans aligned entirely to gaps are dropped. The result is
-    sorted and disjoint; touching spans are joined.
+    character, widened so that neither end splits a combining mark from
+    its base (a Hindi matra or anusvara, an Arabic haraka); spans aligned
+    entirely to gaps are dropped. The result is sorted and disjoint;
+    touching spans are joined.
     """
     projected: list[SpanLabel] = []
     for span in parsed.marked_spans:
         mapped = [m for m in alignment.mapping[span.start : span.end] if m is not None]
         if mapped:  # mapped indices increase, so these are its smallest and largest
-            projected.append(SpanLabel(mapped[0], mapped[-1] + 1))
+            start, end = mapped[0], mapped[-1] + 1
+            while _splits_mark(answer, start):
+                start -= 1
+            while _splits_mark(answer, end):
+                end += 1
+            projected.append(SpanLabel(start, end))
     end = max((s.end for s in projected), default=0)
     return [SpanLabel(s.start, s.end) for s in runs_of(coverage(projected, end))]
 

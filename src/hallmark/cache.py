@@ -18,7 +18,7 @@ import json
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import CacheError
 
@@ -66,6 +66,14 @@ class JsonFileCache:
 
     def put(self, key: str, value: dict[str, Any]) -> None:
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, json.dumps(value, ensure_ascii=False)))
+
+    def read_through(self, key: str, field: str, fetch: Callable[[], Any]) -> Any:
+        """``field`` of the entry at ``key``; on a miss, ``fetch()``, stored as ``{field: …}`` only if it returns."""
+        found = self.get(key)
+        if found is None:
+            found = {field: fetch()}
+            self.put(key, found)
+        return found[field]
 
     def close(self) -> None:
         """Close the connection; the last one to close folds the WAL back into the file."""

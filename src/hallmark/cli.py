@@ -9,11 +9,15 @@ Human-readable text goes to stdout; machine output goes only to files.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import logging
+import os
 import sys
+import tempfile
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Iterator, Sequence, get_type_hints
 
 from .cache import JsonFileCache
 from .core import PredictionRecord, SpanLabel, validate_spans
@@ -190,6 +194,30 @@ def _load_mock_rules(path: str | None, items, runs_n: int) -> list[MarkingRule]:
     return rules
 
 
+@contextmanager
+def _replaced_whole(path: str) -> Iterator[str]:
+    """A new temporary file beside ``path``, made at once, so that a path that cannot be written fails before
+    any work. It replaces ``path`` when the block ends, and is removed if the block raises, leaving ``path``
+    as it was."""
+    target = Path(path)
+    try:
+        if target.is_dir():  # no file can replace it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
+    except OSError as exc:  # name the output, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    os.close(fd)
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # the mode of a file opened for writing, not mkstemp's 0o600
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     keys = {**config_keys(PipelineConfig), "provider": dict, "cache_dir": str}
     values = _settings(args, _load_config_file(args.config), keys)
@@ -228,10 +256,11 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {record.id} {status}")
 
     try:
-        records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
+        with _replaced_whole(args.output) as output:  # before any request, so a bad --output fails at once
+            records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
+            write_predictions(records, output)
     finally:
         cache.close()
-    write_predictions(records, args.output)
 
     failures = sum(1 for r in records if r.runs_used == 0)
     mean_runs = sum(r.runs_used for r in records) / total if total else 0.0

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import logging
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -137,10 +136,10 @@ class KnowledgeService:
     The LLM steps rely on ``LLMClient``'s response cache and parse their
     replies deterministically, so a repeated call replays the same result.
     ``cache`` holds the answer to each Wikipedia request, the one step that
-    goes to the network on its own; every request reads through it. Retries of
-    JSON-producing prompts use distinct seed tags, otherwise the response
-    cache would replay the same malformed reply. In a batch's threads, each
-    Wikipedia request holds one of the batch's ``WIKI_SLOTS``.
+    goes to the network on its own. Each request reads through it
+    (``JsonFileCache.read_through``) and holds one of ``WIKI_SLOTS``: the
+    batch's slots in its threads, an unbounded gate elsewhere. Retries of JSON
+    prompts use distinct seed tags, or the cache would replay a bad reply.
     """
 
     def __init__(
@@ -207,17 +206,14 @@ class KnowledgeService:
 
     def _wiki_request(self, operation: str, inputs: dict, send: Callable[[], Any]) -> Any:
         """``send()``'s answer to one Wikipedia request, read through the cache, where each request has its
-        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached. In a batch, the
-        request, with its retries, holds one of the batch's Wikipedia slots, and a stopped batch sends
-        none."""
-        key = make_key(operation, inputs)
-        found = self.cache.get(key)
-        if found is None:
-            slots = WIKI_SLOTS.get()
-            with slots.hold() if slots is not None else nullcontext():
-                found = {"value": send()}
-            self.cache.put(key, found)
-        return found["value"]
+        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached. The request, with
+        its retries, holds one of ``WIKI_SLOTS``, and a stopped batch sends none."""
+
+        def fetch() -> Any:
+            with WIKI_SLOTS.get().hold():
+                return send()
+
+        return self.cache.read_through(make_key(operation, inputs), "value", fetch)
 
     def fetch_wikipedia(self, keyword: str, lang: str) -> tuple[str, str]:
         """Fetch the plain-text extract of the first search hit.

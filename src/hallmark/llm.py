@@ -11,12 +11,13 @@ import copy
 import itertools
 import json
 import logging
+import math
 import os
 import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
@@ -301,7 +302,7 @@ class RequestSlots:
     served, until the batch stops. A freed slot passes straight to the longest-waiting request, so the
     thread that frees it cannot take it back before the others have had their turn."""
 
-    def __init__(self, n: int):
+    def __init__(self, n: float):
         self._free = n
         self._waiting: deque[threading.Lock] = deque()
         self._lock = threading.Lock()
@@ -339,24 +340,24 @@ class RequestSlots:
                     self._free += 1
 
 
-# A batch's slots for each service, set in every thread of its pool; elsewhere a request takes none.
-CHAT_SLOTS: ContextVar[RequestSlots | None] = ContextVar("CHAT_SLOTS", default=None)
-WIKI_SLOTS: ContextVar[RequestSlots | None] = ContextVar("WIKI_SLOTS", default=None)
+# A batch's slots for each service, set in every thread of its pool; elsewhere a request takes an unbounded gate.
+CHAT_SLOTS: ContextVar[RequestSlots] = ContextVar("CHAT_SLOTS", default=RequestSlots(math.inf))
+WIKI_SLOTS: ContextVar[RequestSlots] = ContextVar("WIKI_SLOTS", default=RequestSlots(math.inf))
 
 
 class LLMClient:
     """Provider wrapper adding the response cache, the rate limiter, and
     exponential-backoff retries for transient failures.
 
-    Every request reads through ``cache``: a hit is answered from it without
-    a provider call, and a complete text reply is written to it. A failed
-    call is not cached, so it is asked again on the next request.
+    Every request reads through ``cache`` with ``JsonFileCache.read_through``:
+    a hit costs no provider call, and only a complete text reply is stored,
+    so a failed call is asked again on the next request.
 
-    In a batch, each provider attempt holds one of the batch's ``CHAT_SLOTS``
-    while it waits on the rate limiter and on the provider, and nothing
-    else does: cache reads and writes, key hashing and backoff sleeps run
-    outside it, so the slots stay busy while the threads that hold none do
-    that work. Outside a batch's threads no slot is taken.
+    Each provider attempt holds one of ``CHAT_SLOTS`` (the batch's slots in
+    its threads, an unbounded gate elsewhere) while it waits on the rate
+    limiter and on the provider, and nothing else does: cache reads and
+    writes, key hashing and backoff sleeps run outside it, so the slots stay
+    busy while the threads that hold none do that work.
     """
 
     def __init__(
@@ -390,21 +391,15 @@ class LLMClient:
         )
 
     def complete(self, req: CompletionRequest) -> str:
-        key = self._cache_key(req)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit["text"]
-
-        slots = CHAT_SLOTS.get()
-
         def attempt() -> str:
-            with slots.hold() if slots is not None else nullcontext():
+            with CHAT_SLOTS.get().hold():
                 if self.limiter is not None:
                     self.limiter.acquire()  # inside the slot, so its stamps are send times
-                return self.provider.send(req)
+                text = self.provider.send(req)
+            if not isinstance(text, str):
+                raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
+            return text
 
-        text = with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
-        if not isinstance(text, str):
-            raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
-        self.cache.put(key, {"text": text})
-        return text
+        return self.cache.read_through(
+            self._cache_key(req), "text", lambda: with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
+        )

@@ -11,6 +11,7 @@ batch.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -85,25 +86,44 @@ def build_main_prompt(item: QAItem, role: str, knowledge: str | None) -> str:
     )
 
 
-def extract_final_marked(reply: str, answer: str) -> str:
-    """Isolate the marked ``answer`` from a reply that may carry reasoning.
-
-    Takes the text after the sentinel line that introduces the marked
-    answer: the last sentinel but as many as ``answer`` holds itself. With
-    no such line the whole reply is taken. Strips surrounding code fences
-    either way.
-    """
-    text = reply.strip()
-    own = answer.count(REPLY_SENTINEL)
-    parts = text.rsplit(REPLY_SENTINEL, own + 1)
-    if len(parts) > own + 1:
-        text = REPLY_SENTINEL.join(parts[1:]).strip()
+def _unfenced(text: str) -> str:
+    """``text`` stripped, and out of its code fences if it sits in them."""
+    text = text.strip()
     if text.startswith("```"):
         first_newline = text.find("\n")
         if first_newline != -1 and text.rstrip().endswith("```"):
             text = text[first_newline + 1 :].rstrip()
             text = text[: text.rfind("```")].strip()
     return text
+
+
+def _similarity(marked: str, answer: str) -> float:
+    """How close ``marked``'s clean text is to ``answer``, from the alignment's forward pass alone; -1 when
+    its markers do not parse."""
+    try:
+        clean = parse_marked(marked, answer).clean_text
+    except MarkerError:
+        return -1.0
+    return align(clean, answer, math.inf).similarity  # no traceback below the gate, and inf is above any score
+
+
+def extract_final_marked(reply: str, answer: str) -> str:
+    """Isolate the marked ``answer`` from a reply that may carry reasoning.
+
+    The candidates are the text after each sentinel, and the whole reply
+    when it holds no more sentinels than ``answer`` (each may then be the
+    answer's own). Of several, the one whose clean text aligns best with
+    ``answer`` is taken, ties to the latest; a single candidate is taken
+    without alignment. Surrounding code fences are stripped.
+    """
+    parts = reply.split(REPLY_SENTINEL)
+    candidates = [REPLY_SENTINEL.join(parts[i:]) for i in range(1, len(parts))]
+    if len(parts) - 1 <= answer.count(REPLY_SENTINEL):
+        candidates.insert(0, reply)
+    candidates = [_unfenced(text) for text in candidates]
+    if len(candidates) == 1:
+        return candidates[0]
+    return max(reversed(candidates), key=lambda text: _similarity(text, answer))
 
 
 def _empty_record(item: QAItem) -> PredictionRecord:
@@ -141,7 +161,7 @@ def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, 
     if not validate_run(alignment, cfg.min_similarity):
         logger.debug("item %s %s: %s (similarity %.3f)", item.id, seed_tag, BELOW_GATE, alignment.similarity)
         return AnnotationRun(BELOW_GATE)
-    return AnnotationRun(OK, tuple(project_spans(parsed, alignment)))
+    return AnnotationRun(OK, tuple(project_spans(parsed, alignment, item.answer)))
 
 
 def annotate_item(

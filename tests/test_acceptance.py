@@ -194,7 +194,7 @@ def test_marker_round_trip_multilingual():
         assert parsed.clean_text == text
         alignment = align(parsed.clean_text, text)
         assert alignment.similarity == 1.0
-        projected = project_spans(parsed, alignment)
+        projected = project_spans(parsed, alignment, text)
         assert [(s.start, s.end) for s in projected] == spans
         checked += 1
     assert checked == 1000

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -101,28 +102,28 @@ class TestProjectSpans:
     def test_identity_projection(self):
         parsed = ParsedMarking("abcdef", (SpanLabel(2, 5),))
         result = align("abcdef", "abcdef")
-        assert project_spans(parsed, result) == [SpanLabel(2, 5)]
+        assert project_spans(parsed, result, "abcdef") == [SpanLabel(2, 5)]
 
     def test_all_gap_span_dropped(self):
         # the marked region aligns entirely to gaps
         parsed = ParsedMarking("abXYcd", (SpanLabel(2, 4),))
         result = align("abXYcd", "abcd")
         assert result.mapping == (0, 1, None, None, 2, 3)
-        assert project_spans(parsed, result) == []
+        assert project_spans(parsed, result, "abcd") == []
 
     def test_touching_projections_are_one_span(self):
         # the rewrite added an "X" between two marks; without it they meet
         parsed = ParsedMarking("abXcd", (SpanLabel(0, 2), SpanLabel(3, 5)))
         result = align("abXcd", "abcd")
         assert result.mapping == (0, 1, None, 2, 3)
-        assert project_spans(parsed, result) == [SpanLabel(0, 4)]
+        assert project_spans(parsed, result, "abcd") == [SpanLabel(0, 4)]
 
     def test_typo_span_recovers_original_word(self):
         marked = "won a ⟨⟨siver⟩⟩ medal"
         original = "won a silver medal"
         parsed = parse_marked(marked)
         result = align(parsed.clean_text, original)
-        projected = project_spans(parsed, result)
+        projected = project_spans(parsed, result, original)
         assert len(projected) == 1
         span = projected[0]
         assert original[span.start : span.end] == "silver"
@@ -137,12 +138,39 @@ class TestProjectSpans:
             start = rng.randrange(len(noisy))
             end = rng.randint(start + 1, len(noisy))
             parsed = ParsedMarking(noisy, (SpanLabel(start, end),))
-            projected = project_spans(parsed, align(noisy, original))
+            projected = project_spans(parsed, align(noisy, original), original)
             prev_end = 0
             for span in projected:
                 assert 0 <= span.start < span.end <= len(original)
                 assert span.start >= prev_end
                 prev_end = span.end
+
+    @pytest.mark.parametrize(
+        "marked, expected",
+        [("1869 मे", "1869 में"), ("महात्मा गांध", "महात्मा गांधी")],
+        ids=["end-before-anusvara", "end-before-vowel-sign"],
+    )
+    def test_span_never_splits_a_combining_mark_from_its_base(self, marked, expected):
+        answer = "महात्मा गांधी का जन्म 1869 में हुआ था।"
+        start = answer.index(marked)
+        parsed = parse_marked(answer[:start] + f"⟨⟨{marked}⟩⟩" + answer[start + len(marked) :], answer)
+        projected = project_spans(parsed, align(parsed.clean_text, answer), answer)
+        assert [answer[s.start : s.end] for s in projected] == [expected]
+
+    @given(
+        answer=st.text(st.sampled_from("कगमर ािींः़्بس َُّa\u0301\u20dd"), min_size=1, max_size=30),
+        data=st.data(),
+    )
+    @settings(max_examples=200)
+    def test_no_boundary_falls_before_a_combining_mark(self, answer, data):
+        # a marking of a copy that dropped some characters, projected back onto the answer
+        kept = data.draw(st.lists(st.booleans(), min_size=len(answer), max_size=len(answer)))
+        clean = "".join(ch for ch, keep in zip(answer, kept) if keep)
+        bounds = sorted(data.draw(st.sets(st.integers(0, len(clean)), max_size=6)))
+        parsed = ParsedMarking(clean, tuple(SpanLabel(s, e) for s, e in zip(bounds[::2], bounds[1::2])))
+        for span in project_spans(parsed, align(clean, answer), answer):
+            for boundary in (span.start, span.end):
+                assert boundary in (0, len(answer)) or not unicodedata.category(answer[boundary]).startswith("M")
 
 
 class TestValidateRun:

@@ -2,16 +2,20 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import re
 import shlex
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
 from jsonschema import validate as validate_schema
 
 import hallmark.cli as cli
+import hallmark.jsonl
 from hallmark import SpanLabel, read_items, read_predictions
+from hallmark.jsonl import prediction_to_dict
 
 from .conftest import nested
 
@@ -235,6 +239,47 @@ class TestAnnotateCommand:
         assert capsys.readouterr().err == f"error: {items}:4: id 'd' is already on line 1\n"
         assert built_mocks == []
         assert not (tmp_path / "pred.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "output, error",
+        [("missing-dir/out.jsonl", "[Errno 2] No such file or directory"), ("a-dir", "[Errno 21] Is a directory")],
+        ids=["missing-directory", "a-directory"],
+    )
+    def test_unwritable_output_exits_1_before_any_request(self, tmp_path, capsys, built_mocks, output, error):
+        (tmp_path / "a-dir").mkdir()
+        output = tmp_path / output
+        args = annotate_args(tmp_path)
+        args[args.index("--output") + 1] = str(output)
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == f"error: {error}: '{output}'\n"
+        assert [mock.call_count for mock in built_mocks] == [0]
+
+    def test_failed_write_leaves_the_old_output_as_it_was(self, tmp_path, monkeypatch, capsys):
+        output = tmp_path / "pred.jsonl"
+        output.write_bytes(b'{"old": "predictions"}\n')
+        written = []
+
+        def disk_full_at_the_third(record):
+            written.append(record)
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            return prediction_to_dict(record)
+
+        monkeypatch.setattr(hallmark.jsonl, "prediction_to_dict", disk_full_at_the_third)
+        assert cli.main(annotate_args(tmp_path)) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert output.read_bytes() == b'{"old": "predictions"}\n'
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cache", "pred.jsonl"]  # no temporary file left
+
+    def test_output_replaced_whole_gets_the_mode_of_a_new_file(self, tmp_path):
+        # the records go to a temporary file first; the output keeps the mode ``open(path, "w")`` would give it
+        output = tmp_path / "pred.jsonl"
+        output.write_bytes(b"old\n")
+        assert cli.main(annotate_args(tmp_path)) == 0
+        assert output.read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(output.stat().st_mode) == 0o666 & ~umask
 
     def test_lone_surrogate_in_an_answer_is_an_error_line(self, tmp_path, capsys):
         # valid JSON, but no UTF-8 text: cache keys could not be made from it

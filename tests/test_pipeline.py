@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hallmark import (
@@ -110,6 +110,34 @@ class TestExtractFinalMarked:
         answer = f"The memoir {REPLY_SENTINEL} A Life was published in 1990 by Penguin."
         marked = insert_markers(answer, [SpanLabel(51, 55)])
         assert extract_final_marked(before + marked, answer) == marked
+
+    def test_markers_splitting_the_answers_sentinel(self, cache):
+        # the copies hold one sentinel fewer than the answer: counting sentinels cut at the draft, kept both
+        # copies and lost the run at the gate (0.434)
+        answer = f"The memoir {REPLY_SENTINEL} A Life was published in 1990."
+        draft = "The memoir Revised ⟨⟨answer: A Life⟩⟩ was published in 1990."
+        final = "The memoir Revised ⟨⟨answer: A Life⟩⟩ was published in ⟨⟨1990⟩⟩."
+        reply = f"Reference answer: x\nfirst try\n{REPLY_SENTINEL} {draft}\n{REPLY_SENTINEL} {final}"
+        assert extract_final_marked(reply, answer) == final
+        item = QAItem(id="m", lang="EN", question="q", answer=answer)
+        run = _execute_run(item, "p", "run-0", config(), LLMClient(FakeProvider(reply), cache))
+        assert run.outcome == OK
+        assert [answer[s.start : s.end] for s in run.spans] == ["answer: A Life", "1990"]
+
+    @given(
+        pieces=st.lists(st.sampled_from([REPLY_SENTINEL, " ", "\n", "Revised", "answer", ":", "x", "é", "1990"])),
+        reasoning=st.text(st.sampled_from("Revised answer:x \n⟨⟩"), max_size=40),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_marked_copy_after_the_last_reasoning_is_extracted(self, pieces, reasoning, data):
+        # any answer (its own sentinels included), any marking of it, any reasoning without the sentinel
+        answer = "".join(pieces).strip()
+        assume(answer and REPLY_SENTINEL not in reasoning)
+        bounds = sorted(data.draw(st.sets(st.integers(0, len(answer)), max_size=6)))
+        spans = [SpanLabel(s, e) for s, e in zip(bounds[::2], bounds[1::2])]
+        marked = insert_markers(answer, spans)
+        assert extract_final_marked(f"{reasoning}\n{REPLY_SENTINEL} {marked}", answer) == marked
 
 
 class TestAnnotateItem:
