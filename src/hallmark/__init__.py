@@ -5,75 +5,52 @@ the in-place span markers each one returns, aligns every rewrite back onto
 the original answer, and aggregates the surviving runs into per-character
 probabilities, soft labels, and majority-vote hard labels. A scorer for
 the character-IoU and Spearman metrics is included.
+
+Each exported name is imported from its submodule on first use (PEP 562),
+so ``import hallmark`` loads only what it must.
 """
 
-from .aggregate import AnnotationRun, aggregate, to_hard_labels, to_soft_labels
-from .alignment import AlignmentResult, align, project_spans, validate_run
-from .cache import JsonFileCache
-from .core import (
-    GoldRecord,
-    PredictionRecord,
-    QAItem,
-    SpanLabel,
-    coverage,
-    runs_of,
-)
-from .jsonl import read_gold, read_items, read_predictions, write_predictions
-from .knowledge import KnowledgeBundle, KnowledgeService, WikipediaClient
-from .llm import (
-    CompletionRequest,
-    LLMClient,
-    MarkingRule,
-    MockProvider,
-    OpenAIChatProvider,
-    ProviderConfig,
-    RateLimiter,
-)
-from .marking import ParsedMarking, insert_markers, parse_marked
-from .pipeline import PipelineConfig, annotate_dataset, annotate_item, build_main_prompt
-from .scoring import evaluate, expand_soft, iou, spearman
+__version__ = "0.1.0"  # first, so that any submodule may import it at its top
 
-__version__ = "0.1.0"
+from importlib import import_module
 
-__all__ = [
-    "AlignmentResult",
-    "AnnotationRun",
-    "CompletionRequest",
-    "GoldRecord",
-    "JsonFileCache",
-    "KnowledgeBundle",
-    "KnowledgeService",
-    "LLMClient",
-    "MarkingRule",
-    "MockProvider",
-    "OpenAIChatProvider",
-    "ParsedMarking",
-    "PipelineConfig",
-    "PredictionRecord",
-    "ProviderConfig",
-    "QAItem",
-    "RateLimiter",
-    "SpanLabel",
-    "WikipediaClient",
-    "aggregate",
-    "align",
-    "annotate_dataset",
-    "annotate_item",
-    "build_main_prompt",
-    "coverage",
-    "evaluate",
-    "expand_soft",
-    "insert_markers",
-    "iou",
-    "parse_marked",
-    "project_spans",
-    "read_gold",
-    "read_items",
-    "read_predictions",
-    "runs_of",
-    "spearman",
-    "to_hard_labels",
-    "to_soft_labels",
-    "validate_run",
-    "write_predictions",
-]
+# ``aggregate`` names both a function and its submodule. The first import of the submodule binds the module to
+# this attribute, past ``__getattr__``, so bind the function here: later imports find the submodule loaded.
+from .aggregate import aggregate
+
+# Each exported name and the submodule it lives in.
+_HOMES = {
+    "aggregate": ("AnnotationRun", "aggregate", "to_hard_labels", "to_soft_labels"),
+    "alignment": ("AlignmentResult", "align", "project_spans", "validate_run"),
+    "cache": ("JsonFileCache",),
+    "core": ("GoldRecord", "PredictionRecord", "QAItem", "SpanLabel", "coverage", "runs_of"),
+    "jsonl": ("read_gold", "read_items", "read_predictions", "write_predictions"),
+    "knowledge": ("KnowledgeBundle", "KnowledgeService", "WikipediaClient"),
+    "llm": (
+        "CompletionRequest",
+        "LLMClient",
+        "MarkingRule",
+        "MockProvider",
+        "OpenAIChatProvider",
+        "ProviderConfig",
+        "RateLimiter",
+    ),
+    "marking": ("ParsedMarking", "insert_markers", "parse_marked"),
+    "pipeline": ("PipelineConfig", "annotate_dataset", "annotate_item", "build_main_prompt"),
+    "scoring": ("evaluate", "expand_soft", "iou", "spearman"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    module = _HOME_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

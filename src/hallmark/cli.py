@@ -17,9 +17,8 @@ import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Iterator, Sequence, get_type_hints
 
-from .cache import JsonFileCache
 from .core import PredictionRecord, SpanLabel, validate_spans
 from .errors import (
     AuthError,
@@ -29,19 +28,10 @@ from .errors import (
     SpanError,
 )
 from .jsonl import JSON_TYPES, is_json_type, json_value, load_json, read_gold, read_items, read_predictions, write_predictions
-from .knowledge import KnowledgeService, WikipediaClient
-from .llm import (
-    LLMClient,
-    MarkingRule,
-    MockProvider,
-    OpenAIChatProvider,
-    ProviderConfig,
-    RateLimiter,
-)
-from .marking import insert_markers
-from .pipeline import PipelineConfig, annotate_dataset
-from .prompts import validate_templates
-from .scoring import check_against_gold, evaluate, iou, render_table
+
+# Each command imports the layers it runs, so that evaluate and inspect load no part of annotate.
+if TYPE_CHECKING:
+    from .llm import MarkingRule, ProviderConfig
 
 logger = logging.getLogger(__name__)
 
@@ -142,6 +132,8 @@ def _settings(args: argparse.Namespace, section: dict, keys: dict[str, type], pr
 
 
 def _provider_config(args: argparse.Namespace, file_provider: dict) -> ProviderConfig:
+    from .llm import ProviderConfig
+
     values = _settings(args, file_provider, config_keys(ProviderConfig), "provider.")
     name = values["name"] = values.get("name") or "mock"
     for key, default in KNOWN_PROVIDERS.get(name, {}).items():
@@ -164,6 +156,8 @@ def _fixture_spans(raw, item) -> tuple[SpanLabel, ...]:
 def _load_mock_rules(path: str | None, items, runs_n: int) -> list[MarkingRule]:
     """The fixture's rules, one per item. An id, entry key or ``per_run`` tag that would mark nothing
     (a misspelling, or a run past ``runs_n``) is refused."""
+    from .llm import MarkingRule
+
     fixture: dict = {}
     rules = []
     seed_tags = [f"run-{i}" for i in range(runs_n)]
@@ -219,6 +213,12 @@ def _replaced_whole(path: str) -> Iterator[str]:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
+    from .cache import JsonFileCache
+    from .knowledge import KnowledgeService, WikipediaClient
+    from .llm import LLMClient, MockProvider, OpenAIChatProvider, RateLimiter
+    from .pipeline import PipelineConfig, annotate_dataset
+    from .prompts import validate_templates
+
     keys = {**config_keys(PipelineConfig), "provider": dict, "cache_dir": str}
     values = _settings(args, _load_config_file(args.config), keys)
     validate_templates()
@@ -269,6 +269,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .scoring import evaluate, render_table
+
     report = evaluate(read_predictions(args.pred), read_gold(args.gold))
     print(render_table(report))
     if args.report:
@@ -280,6 +282,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
+    from .marking import insert_markers
+    from .scoring import check_against_gold, iou
+
     preds = {p.id: p for p in read_predictions(args.pred)}
     pred = preds.get(args.item_id)
     if pred is None:

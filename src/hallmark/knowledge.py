@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
+from . import __version__
 from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import KnowledgeError, ProviderError
@@ -81,8 +82,6 @@ class WikipediaClient:
     ):
         if session is None:
             import requests
-
-            from . import __version__  # here, because the package imports this module before it sets its version
 
             session = requests.Session()  # a descriptive User-Agent, per the Wikimedia User-Agent policy
             session.headers["User-Agent"] = (

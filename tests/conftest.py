@@ -12,7 +12,7 @@ from typing import Mapping
 import pytest
 import requests
 
-import hallmark.cli as cli
+import hallmark.llm
 from hallmark import JsonFileCache, MarkingRule, MockProvider, QAItem, SpanLabel
 from hallmark.knowledge import JSON_ATTEMPTS
 
@@ -165,5 +165,5 @@ def built_mocks(monkeypatch) -> list:
         built.append(FakeProvider(MockProvider(rules=rules).send))
         return built[-1]
 
-    monkeypatch.setattr(cli, "MockProvider", build)
+    monkeypatch.setattr(hallmark.llm, "MockProvider", build)
     return built

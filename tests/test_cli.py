@@ -14,6 +14,9 @@ from jsonschema import validate as validate_schema
 
 import hallmark.cli as cli
 import hallmark.jsonl
+import hallmark.knowledge
+import hallmark.llm
+import hallmark.pipeline
 from hallmark import SpanLabel, read_items, read_predictions
 from hallmark.jsonl import prediction_to_dict
 
@@ -133,7 +136,7 @@ def settings_after(tmp_path, monkeypatch, file_cfg, flags):
     monkeypatch.setenv("HALLMARK_FILE_KEY", "file-key")
     monkeypatch.setenv("HALLMARK_FLAG_KEY", "flag-key")
     seen = []
-    monkeypatch.setattr(cli, "annotate_dataset", lambda items, cfg, *a, **kw: seen.append(cfg) or [])
+    monkeypatch.setattr(hallmark.pipeline, "annotate_dataset", lambda items, cfg, *a, **kw: seen.append(cfg) or [])
     code = cli.main([
         "annotate", "--input", str(SAMPLE_ITEMS), "--output", str(tmp_path / "p.jsonl"),
         "--cache-dir", str(tmp_path / "cache"), "--config", str(path), *flags,
@@ -356,7 +359,7 @@ class TestAnnotateCommand:
                 self.calls += 1
                 return "text"
 
-        monkeypatch.setattr(cli, "WikipediaClient", CountingWiki)
+        monkeypatch.setattr(hallmark.knowledge, "WikipediaClient", CountingWiki)
         assert cli.main(annotate_args(tmp_path)) == 0
         assert sum(w.calls for w in counters) == 0
 
@@ -376,7 +379,7 @@ class TestAnnotateCommand:
                 self.calls += 1
                 return "stub extract"
 
-        monkeypatch.setattr(cli, "WikipediaClient", StubWiki)
+        monkeypatch.setattr(hallmark.knowledge, "WikipediaClient", StubWiki)
         args = [a for a in annotate_args(tmp_path) if a != "--no-external"]
         assert cli.main(args) == 0
         assert sum(w.calls for w in StubWiki.instances) > 0
@@ -464,8 +467,8 @@ class TestAnnotateCommand:
     )
     def test_invalid_setting_exits_1_with_error_line(self, tmp_path, monkeypatch, capsys, extra, config, message):
         built = []  # no provider is built, so none is called
-        monkeypatch.setattr(cli, "MockProvider", lambda *args, **kwargs: built.append(args))
-        monkeypatch.setattr(cli, "OpenAIChatProvider", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(hallmark.llm, "MockProvider", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(hallmark.llm, "OpenAIChatProvider", lambda *args, **kwargs: built.append(args))
         path = tmp_path / "conf.json"
         if config is not None:
             path.write_text(json.dumps(config), encoding="utf-8")
@@ -589,9 +592,9 @@ class TestAnnotateCommand:
     def test_readme_config_table_matches_the_config_classes(self):
         # every key the CLI derives, plus cache_dir, with the JSON type it requires
         type_names = {str: "string", int: "integer", float: "number", bool: "`true` or `false`"}
-        expected = {key: type_names[kind] for key, kind in cli.config_keys(cli.PipelineConfig).items()}
+        expected = {key: type_names[kind] for key, kind in cli.config_keys(hallmark.pipeline.PipelineConfig).items()}
         expected.update(
-            (f"provider.{key}", type_names[kind]) for key, kind in cli.config_keys(cli.ProviderConfig).items()
+            (f"provider.{key}", type_names[kind]) for key, kind in cli.config_keys(hallmark.llm.ProviderConfig).items()
         )
         expected["cache_dir"] = "string"
         section = README.read_text(encoding="utf-8").split("### Config file")[1].split("\n## ")[0]

@@ -1,6 +1,7 @@
-"""Commands that send nothing never load ``requests``: it and its urllib3 stack
-cost more than the rest of ``import hallmark`` together. Each check runs in
-a fresh interpreter, since this one has loaded them already."""
+"""Each entry point loads only the modules it runs. Commands that send nothing
+never load ``requests``: it and its urllib3 stack cost more than the rest of
+``import hallmark`` together. Each check runs in a fresh interpreter, since
+this one has loaded them already."""
 
 from __future__ import annotations
 
@@ -17,12 +18,22 @@ from .conftest import SRC
 from .test_cli import GOLDEN_PREDICTIONS, SAMPLE_ITEMS, annotate_args, gold_from_predictions
 
 NETWORK = ("requests", "urllib3")
+# What only annotate runs: the response cache, the provider and Wikipedia clients, the batch and alignment.
+ANNOTATE_ONLY = (
+    "sqlite3",
+    "concurrent.futures",
+    "hallmark.llm",
+    "hallmark.knowledge",
+    "hallmark.pipeline",
+    "hallmark.cache",
+    "hallmark.alignment",
+)
 
 
-def run_fresh(code: str, *args: str, env: dict[str, str] | None = None) -> list:
+def run_fresh(code: str, *args: str, env: dict[str, str] | None = None, watch: tuple[str, ...] = NETWORK) -> list:
     """``result`` after ``code`` runs in a fresh interpreter with ``args`` as ``sys.argv[1:]``,
-    and which of the network modules it loaded."""
-    probe = f"{code}\nimport json, sys\nprint(json.dumps([result, [m for m in {NETWORK!r} if m in sys.modules]]))"
+    and which of the ``watch`` modules it loaded."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps([result, [m for m in {watch!r} if m in sys.modules]]))"
     out = subprocess.run(
         [sys.executable, "-c", probe, *args],
         env={**os.environ, "PYTHONPATH": str(SRC.parent), **(env or {})},
@@ -47,12 +58,34 @@ def test_quick_start_leaves_the_network_stack_out(tmp_path):
     assert (tmp_path / "pred.jsonl").read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
 
 
-@pytest.mark.parametrize("command", [["evaluate"], ["inspect", "--id", "sample-en-1"]], ids=["evaluate", "inspect"])
-def test_scoring_commands_leave_the_network_stack_out(tmp_path, command):
+SCORING_COMMANDS = pytest.mark.parametrize(
+    "command", [["evaluate"], ["inspect", "--id", "sample-en-1"]], ids=["evaluate", "inspect"]
+)
+
+
+def scoring_argv(tmp_path, command: list[str]) -> list[str]:
     gold = tmp_path / "gold.jsonl"
     gold_from_predictions(GOLDEN_PREDICTIONS, SAMPLE_ITEMS, gold)
-    argv = [*command, "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(gold)]
-    assert run_fresh(CLI_MAIN, *argv) == [0, []]
+    return [*command, "--pred", str(GOLDEN_PREDICTIONS), "--gold", str(gold)]
+
+
+@SCORING_COMMANDS
+def test_scoring_commands_leave_the_network_stack_out(tmp_path, command):
+    assert run_fresh(CLI_MAIN, *scoring_argv(tmp_path, command)) == [0, []]
+
+
+def test_import_loads_only_the_eager_submodules():
+    code = "import sys, hallmark\nresult = sorted(m for m in sys.modules if m.startswith('hallmark.'))"
+    assert run_fresh(code) == [["hallmark.aggregate", "hallmark.core", "hallmark.errors"], []]
+
+
+@SCORING_COMMANDS
+def test_scoring_commands_load_no_annotate_layer(tmp_path, command):
+    assert run_fresh(CLI_MAIN, *scoring_argv(tmp_path, command), watch=ANNOTATE_ONLY) == [0, []]
+
+
+def test_quick_start_loads_no_scoring_layer(tmp_path):
+    assert run_fresh(CLI_MAIN, *annotate_args(tmp_path), watch=("statistics", "hallmark.scoring")) == [0, []]
 
 
 def test_chat_provider_loads_requests():
