@@ -14,13 +14,8 @@ __version__ = "0.1.0"  # first, so that any submodule may import it at its top
 
 from importlib import import_module
 
-# ``aggregate`` names both a function and its submodule. The first import of the submodule binds the module to
-# this attribute, past ``__getattr__``, so bind the function here: later imports find the submodule loaded.
-from .aggregate import aggregate
-
 # Each exported name and the submodule it lives in.
 _HOMES = {
-    "aggregate": ("AnnotationRun", "aggregate", "to_hard_labels", "to_soft_labels"),
     "alignment": ("AlignmentResult", "align", "project_spans", "validate_run"),
     "cache": ("JsonFileCache",),
     "core": ("GoldRecord", "PredictionRecord", "QAItem", "SpanLabel", "coverage", "runs_of"),
@@ -38,6 +33,7 @@ _HOMES = {
     "marking": ("ParsedMarking", "insert_markers", "parse_marked"),
     "pipeline": ("PipelineConfig", "annotate_dataset", "annotate_item", "build_main_prompt"),
     "scoring": ("evaluate", "expand_soft", "iou", "spearman"),
+    "voting": ("AnnotationRun", "aggregate", "to_hard_labels", "to_soft_labels"),
 }
 _HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
 

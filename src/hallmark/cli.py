@@ -247,11 +247,14 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     total = len(items)
     done = 0
 
+    def unannotated(record: PredictionRecord) -> bool:
+        return record.runs_used == 0 and bool(record.answer)  # an empty answer needs no run
+
     def progress(record: PredictionRecord) -> None:
         nonlocal done
         done += 1
         status = f"runs_used={record.runs_used} hard={len(record.hard_labels)}"
-        if record.runs_used == 0:
+        if unannotated(record):
             status += " (unannotated)"
         print(f"[{done}/{total}] {record.id} {status}")
 
@@ -262,7 +265,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     finally:
         cache.close()
 
-    failures = sum(1 for r in records if r.runs_used == 0)
+    failures = sum(map(unannotated, records))
     mean_runs = sum(r.runs_used for r in records) / total if total else 0.0
     print(f"wrote {total} records to {args.output} (mean runs used {mean_runs:.1f}, {failures} failures)")
     return EXIT_PARTIAL if failures else EXIT_OK

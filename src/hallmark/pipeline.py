@@ -17,8 +17,6 @@ from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED, AnnotationRun, aggregate
-from .aggregate import to_hard_labels, to_soft_labels
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import AggregationError, MarkerError, ProviderError, TruncatedReplyError
@@ -32,6 +30,8 @@ from .prompts import (
     load_template,
     render,
 )
+from .voting import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED, AnnotationRun, aggregate
+from .voting import to_hard_labels, to_soft_labels
 
 logger = logging.getLogger(__name__)
 

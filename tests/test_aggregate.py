@@ -13,8 +13,8 @@ from hallmark import (
     to_hard_labels,
     to_soft_labels,
 )
-from hallmark.aggregate import BELOW_GATE, OK
 from hallmark.errors import AggregationError, SpanError
+from hallmark.voting import BELOW_GATE, OK
 
 from .reference import recount_probs
 

@@ -20,7 +20,7 @@ import hallmark.pipeline
 from hallmark import SpanLabel, read_items, read_predictions
 from hallmark.jsonl import prediction_to_dict
 
-from .conftest import nested
+from .conftest import FakeProvider, nested
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "sample"
 SAMPLE_ITEMS = SAMPLE_DIR / "items.jsonl"
@@ -201,13 +201,26 @@ class TestAnnotateCommand:
         assert code == 3
         assert "OPENAI_API_KEY" in capsys.readouterr().err
 
-    def test_partial_failure_exits_2(self, tmp_path, capsys):
+    def test_partial_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         items = tmp_path / "items.jsonl"
         items.write_text(
             '{"id":"ok","lang":"EN","model_input":"q","model_output_text":"fine answer"}\n'
-            '{"id":"broken","lang":"EN","model_input":"q","model_output_text":""}\n',
+            '{"id":"broken","lang":"EN","model_input":"q","model_output_text":"broken answer"}\n',
             encoding="utf-8",
         )
+        # every run on the broken item replies with unbalanced markers
+        mock_provider = hallmark.llm.MockProvider
+
+        def build(rules):
+            mock = mock_provider(rules=rules)
+
+            def send(req):
+                broken = req.seed_tag.startswith("run-") and "broken answer" in req.user_prompt
+                return "⟨⟨broken" if broken else mock.send(req)
+
+            return FakeProvider(send)
+
+        monkeypatch.setattr(hallmark.llm, "MockProvider", build)
         code = cli.main([
             "annotate",
             "--input", str(items),
@@ -217,7 +230,19 @@ class TestAnnotateCommand:
             "--no-external",
         ])
         assert code == 2
-        assert "1 failures" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "broken runs_used=0 hard=0 (unannotated)" in out and "1 failures" in out
+
+    def test_empty_answer_counts_as_annotated(self, tmp_path, capsys):
+        # an empty answer needs no run: its record has runs_used 0 and no labels, and is no failure
+        items = tmp_path / "items.jsonl"
+        empty = '{"id":"empty","lang":"EN","model_input":"q","model_output_text":""}\n'
+        items.write_text(SAMPLE_ITEMS.read_text(encoding="utf-8") + empty, encoding="utf-8")
+        assert cli.main(annotate_args(tmp_path, items=items)) == 0
+        out = capsys.readouterr().out
+        assert "empty runs_used=0 hard=0\n" in out and "(unannotated)" not in out and "0 failures" in out
+        record = read_predictions(tmp_path / "pred.jsonl")[-1]
+        assert (record.id, record.runs_used, record.hard_labels, record.soft_labels) == ("empty", 0, (), ())
 
     def test_answer_holding_the_reply_sentinel_is_annotated(self, tmp_path, capsys):
         # the mock's reply is the marked answer alone, so the answer's own sentinel is no cut point
@@ -892,8 +917,8 @@ def test_readme_aggregate_example_runs():
 
 
 def test_readme_run_outcomes_match_the_constants():
-    # the outcome table lists every outcome constant of aggregate.py, once
-    module = importlib.import_module("hallmark.aggregate")
+    # the outcome table lists every outcome constant of voting.py, once
+    module = importlib.import_module("hallmark.voting")
     constants = [value for name, value in vars(module).items() if name.isupper() and isinstance(value, str)]
     section = README.read_text(encoding="utf-8").split("### Run outcomes")[1].split("\n## ")[0]
     documented = re.findall(r"^\| `([a-z_]+)` \|", section, re.MULTILINE)

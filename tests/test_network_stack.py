@@ -1,7 +1,8 @@
 """Each entry point loads only the modules it runs. Commands that send nothing
 never load ``requests``: it and its urllib3 stack cost more than the rest of
-``import hallmark`` together. Each check runs in a fresh interpreter, since
-this one has loaded them already."""
+``import hallmark`` together. No command loads a test extra, since
+``requests`` is the one runtime dependency. Each check runs in a fresh
+interpreter, since this one has loaded them already."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .conftest import SRC
 from .test_cli import GOLDEN_PREDICTIONS, SAMPLE_ITEMS, annotate_args, gold_from_predictions
 
 NETWORK = ("requests", "urllib3")
+TEST_EXTRAS = ("numpy", "hypothesis", "jsonschema", "pytest")
 # What only annotate runs: the response cache, the provider and Wikipedia clients, the batch and alignment.
 ANNOTATE_ONLY = (
     "sqlite3",
@@ -54,7 +56,7 @@ def test_import_leaves_the_network_stack_out(module):
 
 def test_quick_start_leaves_the_network_stack_out(tmp_path):
     # README quick start: mock provider, no Wikipedia
-    assert run_fresh(CLI_MAIN, *annotate_args(tmp_path)) == [0, []]
+    assert run_fresh(CLI_MAIN, *annotate_args(tmp_path), watch=NETWORK + TEST_EXTRAS) == [0, []]
     assert (tmp_path / "pred.jsonl").read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
 
 
@@ -71,12 +73,12 @@ def scoring_argv(tmp_path, command: list[str]) -> list[str]:
 
 @SCORING_COMMANDS
 def test_scoring_commands_leave_the_network_stack_out(tmp_path, command):
-    assert run_fresh(CLI_MAIN, *scoring_argv(tmp_path, command)) == [0, []]
+    assert run_fresh(CLI_MAIN, *scoring_argv(tmp_path, command), watch=NETWORK + TEST_EXTRAS) == [0, []]
 
 
-def test_import_loads_only_the_eager_submodules():
+def test_import_loads_no_submodule():
     code = "import sys, hallmark\nresult = sorted(m for m in sys.modules if m.startswith('hallmark.'))"
-    assert run_fresh(code) == [["hallmark.aggregate", "hallmark.core", "hallmark.errors"], []]
+    assert run_fresh(code) == [[], []]
 
 
 @SCORING_COMMANDS

@@ -1,8 +1,9 @@
-"""The package surface: every exported name resolves on first use to its home module's object, and
-``hallmark.aggregate`` stays the function although a submodule has that name too."""
+"""The package surface: every exported name resolves on first use to its home module's object, and no
+exported name is also the name of a submodule, whose import would bind the module over it."""
 
 from __future__ import annotations
 
+import pkgutil
 import types
 
 import pytest
@@ -18,12 +19,17 @@ from .test_network_stack import run_fresh
     ids=["submodule-first", "function-first"],
 )
 def test_aggregate_is_the_function_in_either_import_order(imports):
-    # pipeline imports the aggregate submodule, which would otherwise bind the module to the name
+    # pipeline imports the voting submodule, where the function lives
     code = (
-        f"{imports}\nimport sys, hallmark\nfunction = sys.modules['hallmark.aggregate'].aggregate\n"
+        f"{imports}\nimport sys, hallmark\nfunction = sys.modules['hallmark.voting'].aggregate\n"
         "result = [aggregate is function, hallmark.aggregate is function]"
     )
     assert run_fresh(code, watch=()) == [[True, True], []]
+
+
+def test_no_exported_name_is_a_submodule_name():
+    submodules = {module.name for module in pkgutil.iter_modules(hallmark.__path__)}
+    assert sorted(set(hallmark.__all__) & submodules) == []
 
 
 def test_every_exported_name_is_its_home_modules_object():

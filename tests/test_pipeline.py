@@ -26,13 +26,13 @@ from hallmark import (
     build_main_prompt,
     write_predictions,
 )
-from hallmark.aggregate import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
 from hallmark.alignment import align
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.marking import insert_markers
 from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL, load_template, render
+from hallmark.voting import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
 
 from .conftest import (
     SCRIPT_POOLS,
