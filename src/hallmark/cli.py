@@ -266,7 +266,8 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         cache.close()
 
     failures = sum(map(unannotated, records))
-    mean_runs = sum(r.runs_used for r in records) / total if total else 0.0
+    answered = [r.runs_used for r in records if r.answer]  # an empty answer has no run to count
+    mean_runs = sum(answered) / len(answered) if answered else 0.0
     print(f"wrote {total} records to {args.output} (mean runs used {mean_runs:.1f}, {failures} failures)")
     return EXIT_PARTIAL if failures else EXIT_OK
 

@@ -4,7 +4,8 @@
 Every step degrades gracefully: a failed call or bad reply costs one of two
 attempts, then roles fall back to one generic role and a summary to the raw
 extract; any other failure along the keyword -> search -> extract chain just
-leaves the item without external knowledge. Annotation never aborts for it.
+leaves the item without external knowledge. Annotation never aborts for it;
+asking for external knowledge with no Wikipedia client is a ConfigError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Any, Callable, Mapping
 from . import __version__
 from .cache import JsonFileCache, make_key
 from .core import QAItem
-from .errors import KnowledgeError, ProviderError
+from .errors import ConfigError, KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
 from .llm import WIKI_SLOTS, CompletionRequest, LLMClient, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
@@ -67,6 +68,12 @@ def _knowledge(knowledge: Any) -> str | None:
     return knowledge.strip() if is_json_type(knowledge, str) else None
 
 
+def _names_a_wiki(lang: str) -> bool:
+    """Whether ``lang`` has the form of a primary language subtag, 2 to 8 ASCII letters (RFC 5646 §2.2.1),
+    and so may be the first label of a Wikipedia host."""
+    return 2 <= len(lang) <= 8 and lang.isascii() and lang.isalpha()
+
+
 class WikipediaClient:
     """Thin wrapper over the per-language Wikipedia query API.
 
@@ -94,7 +101,10 @@ class WikipediaClient:
 
     def _query(self, lang: str, params: dict, read: Callable[[Any], Any]) -> Any:
         """``read`` applied to the ``query`` object of the Action API's reply to ``params`` on the
-        ``lang`` wiki. A failed request is a KnowledgeError, and so is a reply ``read`` cannot read."""
+        ``lang`` wiki. A failed request is a KnowledgeError, and so are a reply ``read`` cannot read and a
+        ``lang`` that is no primary language subtag, which is refused before any request."""
+        if not _names_a_wiki(lang):
+            raise KnowledgeError(f"no wikipedia for language {lang!r}")
         url = f"https://{lang}.wikipedia.org/w/api.php"
         params = {"action": "query", **params, "format": "json"}
 
@@ -218,17 +228,19 @@ class KnowledgeService:
         """Fetch the plain-text extract of the first search hit.
 
         Searches the item-language wiki first and falls back to English;
-        returns (text, provenance URL). Raises KnowledgeError when both
-        wikis come up empty or the network gives out. Each search and each
-        extract is cached as it comes back, an empty one too, so a rerun
-        sends none of them again; a failed request is not cached.
+        a ``lang`` whose primary subtag is not 2 to 8 ASCII letters asks
+        English alone. Returns (text, provenance URL). Raises KnowledgeError
+        when both wikis come up empty or the network gives out. Each search
+        and each extract is cached as it comes back, an empty one too, so a
+        rerun sends none of them again; a failed request is not cached.
         """
         if not keyword:
             raise KnowledgeError("empty keyword")
         wiki = self.wiki
         if wiki is None:
             raise KnowledgeError("no wikipedia client configured")
-        wikis = list(dict.fromkeys([primary_subtag(lang) or "en", "en"]))
+        subtag = primary_subtag(lang)
+        wikis = list(dict.fromkeys([subtag if _names_a_wiki(subtag) else "en", "en"]))
         for wiki_lang in wikis:
             title = self._wiki_request(
                 "wikipedia_search",
@@ -261,7 +273,12 @@ class KnowledgeService:
         return refined
 
     def build_bundle(self, item: QAItem, use_roles: bool = True, use_external: bool = True) -> KnowledgeBundle:
-        """Run the full knowledge chain for one item."""
+        """Run the full knowledge chain for one item.
+
+        ``use_external`` without a Wikipedia client is a ConfigError, raised before any request.
+        """
+        if use_external and self.wiki is None:
+            raise ConfigError("use_external needs a Wikipedia client")
         roles = self.assign_roles(item) if use_roles else [DEFAULT_ROLE]
         keyword = refined = provenance = None
         if use_external:

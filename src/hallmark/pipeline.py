@@ -11,7 +11,6 @@ batch.
 from __future__ import annotations
 
 import logging
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -97,33 +96,14 @@ def _unfenced(text: str) -> str:
     return text
 
 
-def _similarity(marked: str, answer: str) -> float:
-    """How close ``marked``'s clean text is to ``answer``, from the alignment's forward pass alone; -1 when
-    its markers do not parse."""
-    try:
-        clean = parse_marked(marked, answer).clean_text
-    except MarkerError:
-        return -1.0
-    return align(clean, answer, math.inf).similarity  # no traceback below the gate, and inf is above any score
-
-
-def extract_final_marked(reply: str, answer: str) -> str:
-    """Isolate the marked ``answer`` from a reply that may carry reasoning.
-
-    The candidates are the text after each sentinel, and the whole reply
-    when it holds no more sentinels than ``answer`` (each may then be the
-    answer's own). Of several, the one whose clean text aligns best with
-    ``answer`` is taken, ties to the latest; a single candidate is taken
-    without alignment. Surrounding code fences are stripped.
-    """
+def _candidates(reply: str, answer: str) -> list[str]:
+    """The text after each sentinel, latest first, then the whole reply if it holds no more sentinels than
+    ``answer`` (each may then be the answer's own): the copies of the marked answer, out of their code fences."""
     parts = reply.split(REPLY_SENTINEL)
-    candidates = [REPLY_SENTINEL.join(parts[i:]) for i in range(1, len(parts))]
+    candidates = [REPLY_SENTINEL.join(parts[i:]) for i in range(len(parts) - 1, 0, -1)]
     if len(parts) - 1 <= answer.count(REPLY_SENTINEL):
-        candidates.insert(0, reply)
-    candidates = [_unfenced(text) for text in candidates]
-    if len(candidates) == 1:
-        return candidates[0]
-    return max(reversed(candidates), key=lambda text: _similarity(text, answer))
+        candidates.append(reply)
+    return [_unfenced(text) for text in candidates]
 
 
 def _empty_record(item: QAItem) -> PredictionRecord:
@@ -138,6 +118,9 @@ def _empty_record(item: QAItem) -> PredictionRecord:
 
 
 def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, llm: LLMClient) -> AnnotationRun:
+    """One run's vote on ``item``. Each of the reply's ``_candidates`` is parsed and aligned once, and one whose
+    markers do not parse is skipped (none left is a marker error). The best aligned, the latest of equals, is
+    gated and projected onto the answer with that same parse and alignment."""
     try:
         reply = llm.complete(
             CompletionRequest(
@@ -148,16 +131,26 @@ def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, 
                 seed_tag=seed_tag,
             )
         )
-        parsed = parse_marked(extract_final_marked(reply, item.answer), item.answer)
-    except (ProviderError, MarkerError) as exc:
-        if isinstance(exc, MarkerError):
-            outcome, level = MARKER_ERROR, logging.DEBUG
-        else:
-            outcome, level = (TRUNCATED if isinstance(exc, TruncatedReplyError) else PROVIDER_ERROR), logging.WARNING
-        logger.log(level, "item %s %s: %s (%s)", item.id, seed_tag, outcome, exc)
+    except ProviderError as exc:
+        outcome = TRUNCATED if isinstance(exc, TruncatedReplyError) else PROVIDER_ERROR
+        logger.warning("item %s %s: %s (%s)", item.id, seed_tag, outcome, exc)
         return AnnotationRun(outcome)
 
-    alignment = align(parsed.clean_text, item.answer, cfg.min_similarity)
+    best = error = None
+    for text in _candidates(reply, item.answer):
+        try:
+            parsed = parse_marked(text, item.answer)
+        except MarkerError as exc:
+            error = error or exc  # the latest candidate's
+            continue
+        alignment = align(parsed.clean_text, item.answer, cfg.min_similarity)
+        if best is None or alignment.similarity > best[1].similarity:
+            best = parsed, alignment
+    if best is None:
+        logger.debug("item %s %s: %s (%s)", item.id, seed_tag, MARKER_ERROR, error)
+        return AnnotationRun(MARKER_ERROR)
+
+    parsed, alignment = best
     if not validate_run(alignment, cfg.min_similarity):
         logger.debug("item %s %s: %s (similarity %.3f)", item.id, seed_tag, BELOW_GATE, alignment.similarity)
         return AnnotationRun(BELOW_GATE)

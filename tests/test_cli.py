@@ -240,9 +240,20 @@ class TestAnnotateCommand:
         items.write_text(SAMPLE_ITEMS.read_text(encoding="utf-8") + empty, encoding="utf-8")
         assert cli.main(annotate_args(tmp_path, items=items)) == 0
         out = capsys.readouterr().out
-        assert "empty runs_used=0 hard=0\n" in out and "(unannotated)" not in out and "0 failures" in out
+        assert "empty runs_used=0 hard=0\n" in out and "(unannotated)" not in out
+        assert "(mean runs used 12.0, 0 failures)" in out
         record = read_predictions(tmp_path / "pred.jsonl")[-1]
         assert (record.id, record.runs_used, record.hard_labels, record.soft_labels) == ("empty", 0, (), ())
+
+    def test_batch_of_empty_answers_averages_no_runs(self, tmp_path, capsys):
+        items = tmp_path / "items.jsonl"
+        items.write_text('{"id":"empty","lang":"EN","model_input":"q","model_output_text":""}\n', encoding="utf-8")
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text('{"empty": {"spans": []}}', encoding="utf-8")
+        args = annotate_args(tmp_path, items=items)
+        args[args.index("--mock-fixture") + 1] = str(fixture)
+        assert cli.main(args) == 0
+        assert "(mean runs used 0.0, 0 failures)" in capsys.readouterr().out
 
     def test_answer_holding_the_reply_sentinel_is_annotated(self, tmp_path, capsys):
         # the mock's reply is the marked answer alone, so the answer's own sentinel is no cut point

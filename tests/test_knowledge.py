@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import CancelledError
 from contextvars import copy_context
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 import requests
@@ -22,7 +23,7 @@ from hallmark import (
     annotate_dataset,
 )
 from hallmark import __version__
-from hallmark.errors import AuthError, KnowledgeError, ProviderError
+from hallmark.errors import AuthError, ConfigError, KnowledgeError, ProviderError
 from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
 from hallmark.llm import WIKI_SLOTS, RequestSlots, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
@@ -37,7 +38,7 @@ from .conftest import (
     roles_replies,
     wire_response,
 )
-from .test_llm import recording_session
+from .test_llm import http_response, recording_session
 
 
 @pytest.fixture
@@ -263,6 +264,20 @@ class TestFetchWikipedia:
         fetch.join(timeout=10)
         assert not fetch.is_alive()
         assert len(session.calls) == 2
+
+    @pytest.mark.parametrize("lang", ["attacker.example/x?", "\uff45\uff4e"], ids=["host-and-path", "full-width-en"])
+    def test_language_that_is_no_subtag_asks_english_alone(self, cache, lang):
+        # the language is the first label of the request's host, so only 2 to 8 ASCII letters may be it
+        def reply(request):
+            search = "list=search" in request.url
+            return http_response(200, search_payload("Hit") if search else extract_payload("Hit", "text"))
+
+        session, adapter = recording_session(reply)
+        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
+        assert svc.fetch_wikipedia("kw", lang) == ("text", "https://en.wikipedia.org/wiki/Hit")
+        with pytest.raises(KnowledgeError):
+            WikipediaClient(session=session).search_first_title("kw", lang)
+        assert [urlsplit(r.url).hostname for r in adapter.sent] == ["en.wikipedia.org"] * 2
 
     def test_network_failure_wrapped(self, item, cache):
         session = FakeWikiSession(fail=True)
@@ -649,6 +664,14 @@ class TestProviderFailures:
         provider = failing_on(phrase, AuthError("key rejected"), rules=[MarkingRule(SWIMMER_ANSWER, ())])
         with pytest.raises(AuthError):
             self.annotate(provider, cache)
+
+
+def test_external_knowledge_without_a_wikipedia_client_is_refused(item, cache):
+    svc, provider = service_with_script({}, cache)
+    with pytest.raises(ConfigError):
+        svc.build_bundle(item)
+    assert provider.call_count == 0
+    assert svc.build_bundle(item, use_external=False).refined_external is None
 
 
 # SHA-256 of each distinct prompt the pinned item sends; see the test below.

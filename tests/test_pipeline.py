@@ -4,6 +4,7 @@ import json
 import tempfile
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -26,11 +27,12 @@ from hallmark import (
     build_main_prompt,
     write_predictions,
 )
+from hallmark import pipeline
 from hallmark.alignment import align
 from hallmark.errors import AuthError
 from hallmark.knowledge import KnowledgeService, WikipediaClient
 from hallmark.marking import insert_markers
-from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run, extract_final_marked
+from hallmark.pipeline import REPLY_SENTINEL, PipelineConfig, _execute_run
 from hallmark.prompts import NO_KNOWLEDGE_SENTINEL, load_template, render
 from hallmark.voting import BELOW_GATE, MARKER_ERROR, OK, PROVIDER_ERROR, TRUNCATED
 
@@ -91,16 +93,35 @@ class TestBuildMainPrompt:
         assert "(tlh)" in build_main_prompt(item, "r", None)
 
 
+class Replying:
+    """Stands in for the LLMClient: every request gets ``reply``."""
+
+    def __init__(self, reply):
+        self.reply = reply
+
+    def complete(self, request):
+        return self.reply
+
+
+def judged(reply, answer, **cfg):
+    """The run ``_execute_run`` makes of ``reply`` on an item with ``answer``. The gate is 1.0 unless ``cfg``
+    sets it, so a run is OK only when the copy it takes is the answer, markers aside."""
+    item = QAItem(id="j", lang="EN", question="q", answer=answer)
+    return _execute_run(item, "p", "run-0", config(**{"min_similarity": 1.0, **cfg}), Replying(reply))
+
+
 class TestExtractFinalMarked:
+    """Which copy of the marked answer a reply's run is judged by."""
+
     def test_takes_text_after_last_sentinel(self):
         reply = "thinking...\nRevised answer: first\nmore\nRevised answer: ⟨⟨x⟩⟩ final"
-        assert extract_final_marked(reply, "x final") == "⟨⟨x⟩⟩ final"
+        assert judged(reply, "x final") == AnnotationRun(OK, (SpanLabel(0, 1),))
 
     def test_whole_reply_without_sentinel(self):
-        assert extract_final_marked("  just the answer \n", "just the answer") == "just the answer"
+        assert judged("  ⟨⟨just⟩⟩ the answer \n", "just the answer") == AnnotationRun(OK, (SpanLabel(0, 4),))
 
     def test_strips_code_fences(self):
-        assert extract_final_marked("```\nmarked text\n```", "marked text") == "marked text"
+        assert judged("```\n⟨⟨marked⟩⟩ text\n```", "marked text") == AnnotationRun(OK, (SpanLabel(0, 6),))
 
     @pytest.mark.parametrize(
         "before", [f"Analysis: the year is wrong.\n{REPLY_SENTINEL} ", ""], ids=["after-reasoning", "marked-answer-alone"]
@@ -109,18 +130,16 @@ class TestExtractFinalMarked:
         # the answer's own sentinel is no cut point, whether or not a sentinel line introduces it
         answer = f"The memoir {REPLY_SENTINEL} A Life was published in 1990 by Penguin."
         marked = insert_markers(answer, [SpanLabel(51, 55)])
-        assert extract_final_marked(before + marked, answer) == marked
+        assert judged(before + marked, answer) == AnnotationRun(OK, (SpanLabel(51, 55),))
 
-    def test_markers_splitting_the_answers_sentinel(self, cache):
+    def test_markers_splitting_the_answers_sentinel(self):
         # the copies hold one sentinel fewer than the answer: counting sentinels cut at the draft, kept both
         # copies and lost the run at the gate (0.434)
         answer = f"The memoir {REPLY_SENTINEL} A Life was published in 1990."
         draft = "The memoir Revised ⟨⟨answer: A Life⟩⟩ was published in 1990."
         final = "The memoir Revised ⟨⟨answer: A Life⟩⟩ was published in ⟨⟨1990⟩⟩."
         reply = f"Reference answer: x\nfirst try\n{REPLY_SENTINEL} {draft}\n{REPLY_SENTINEL} {final}"
-        assert extract_final_marked(reply, answer) == final
-        item = QAItem(id="m", lang="EN", question="q", answer=answer)
-        run = _execute_run(item, "p", "run-0", config(), LLMClient(FakeProvider(reply), cache))
+        run = judged(reply, answer, min_similarity=0.7)
         assert run.outcome == OK
         assert [answer[s.start : s.end] for s in run.spans] == ["answer: A Life", "1990"]
 
@@ -137,7 +156,7 @@ class TestExtractFinalMarked:
         bounds = sorted(data.draw(st.sets(st.integers(0, len(answer)), max_size=6)))
         spans = [SpanLabel(s, e) for s, e in zip(bounds[::2], bounds[1::2])]
         marked = insert_markers(answer, spans)
-        assert extract_final_marked(f"{reasoning}\n{REPLY_SENTINEL} {marked}", answer) == marked
+        assert judged(f"{reasoning}\n{REPLY_SENTINEL} {marked}", answer) == AnnotationRun(OK, tuple(spans))
 
 
 class TestAnnotateItem:
@@ -692,6 +711,33 @@ def test_each_reply_ends_in_its_outcome(
     assert len(adapter.sent) == (4 if status == 500 else 1)  # the first attempt and 3 retries
     logged = [(r.levelname, r.getMessage().split(" (")[0]) for r in caplog.records if r.name == "hallmark.pipeline"]
     assert logged == ([] if level is None else [(level, f"item o run-0: {outcome}")])
+
+
+@pytest.mark.parametrize(
+    "reply, copies",
+    [
+        ("Paris is the capital of ⟨⟨France⟩⟩.", 1),
+        (f"Draft:\n{REPLY_SENTINEL} Paris ⟨⟨is⟩⟩ the capital of France.\n{REPLY_SENTINEL} Paris is the capital of ⟨⟨France⟩⟩.", 2),
+    ],
+    ids=["one-copy", "draft-and-final"],
+)
+def test_each_copy_is_parsed_and_aligned_once(monkeypatch, reply, copies):
+    # the benchmark tracer's hooks; the chosen copy's parse and alignment judge the run, not a second pair
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(pipeline, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("parse_marked", "align"):
+        monkeypatch.setattr(pipeline, name, counting(name))
+    assert judged(reply, OUTCOME_ANSWER) == AnnotationRun(OK, (SpanLabel(24, 30),))
+    assert calls == {"parse_marked": copies, "align": copies}
 
 
 def test_traced_entry_points_resolve():
