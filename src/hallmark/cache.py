@@ -47,9 +47,13 @@ class JsonFileCache:
             self._db = sqlite3.connect(
                 self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
             )
-            self._db.execute("PRAGMA journal_mode=WAL")
-            self._db.execute("PRAGMA synchronous=NORMAL")
-            self._db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            try:
+                self._db.execute("PRAGMA journal_mode=WAL")
+                self._db.execute("PRAGMA synchronous=NORMAL")
+                self._db.execute("CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            except sqlite3.Error:
+                self._db.close()
+                raise
         except sqlite3.Error as exc:
             raise CacheError(f"cannot open cache {self.path}: {exc}") from exc
 

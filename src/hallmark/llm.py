@@ -298,46 +298,22 @@ class MockProvider:
 
 
 class RequestSlots:
-    """The requests one batch may have on the wire to one service: ``n`` slots, taken first come, first
-    served, until the batch stops. A freed slot passes straight to the longest-waiting request, so the
-    thread that frees it cannot take it back before the others have had their turn."""
+    """The requests one batch may have on the wire to one service: ``n`` slots, until the batch stops."""
 
     def __init__(self, n: float):
-        self._free = n
-        self._waiting: deque[threading.Lock] = deque()
-        self._lock = threading.Lock()
+        self._slots = threading.Semaphore(n)  # never blocks when n is math.inf
         self._stopped = False
 
     def stop(self) -> None:
         """Send nothing new: a request that has not yet taken a slot raises ``CancelledError``."""
         self._stopped = True
 
-    def _check(self) -> None:
-        if self._stopped:
-            raise CancelledError("the batch has stopped")
-
     @contextmanager
     def hold(self) -> Iterator[None]:
-        with self._lock:
-            self._check()
-            turn = None
-            if self._free and not self._waiting:
-                self._free -= 1
-            else:
-                turn = threading.Lock()
-                turn.acquire()
-                self._waiting.append(turn)
-        if turn is not None:
-            turn.acquire()  # released by the request that hands this one its slot
-        try:
-            self._check()
+        with self._slots:
+            if self._stopped:
+                raise CancelledError("the batch has stopped")
             yield
-        finally:
-            with self._lock:
-                if self._waiting:
-                    self._waiting.popleft().release()
-                else:
-                    self._free += 1
 
 
 # A batch's slots for each service, set in every thread of its pool; elsewhere a request takes an unbounded gate.

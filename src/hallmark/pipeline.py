@@ -212,17 +212,16 @@ def annotate_dataset(
     (``CHAT_SLOTS`` and ``WIKI_SLOTS``), not to the clients, so each batch
     bounds its own requests, also when batches share ``llm``.
 
-    Items are submitted longest answer first (ties in input order), and
-    requests take their slots first come, first served (see
-    ``RequestSlots``). Every reply copies the answer, so the longest items
-    cost most, and starting them last would leave request slots idle at
-    the end of the batch. Records and ``progress`` calls still follow input
-    order, so on a mixed batch the first ``progress`` call can wait for the
-    longest items. An error or interrupt, here or in ``progress``, stops
-    the batch: items not yet started are cancelled, requests already on the
-    wire finish, and no new request is sent to either service. All
-    completions land in the shared response cache, so a stopped batch
-    resumes from where it stopped when rerun.
+    Items are submitted longest answer first (ties in input order). Every
+    reply copies the answer, so the longest items cost most, and starting
+    them last would leave request slots idle at the end of the batch.
+    Records and ``progress`` calls still follow input order, so on a mixed
+    batch the first ``progress`` call can wait for the longest items. An
+    error or interrupt, here or in ``progress``, stops the batch: items not
+    yet started are cancelled, requests already on the wire finish, and no
+    new request is sent to either service. All completions land in the
+    shared response cache, so a stopped batch resumes from where it stopped
+    when rerun.
     """
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)

@@ -11,6 +11,7 @@ from typing import Mapping
 
 import pytest
 import requests
+from hypothesis import strategies as st
 
 import hallmark.llm
 from hallmark import JsonFileCache, MarkingRule, MockProvider, QAItem, SpanLabel
@@ -89,6 +90,26 @@ def call_sites(pattern):
 def nested(depth: int) -> bytes:
     """A JSON array nested ``depth`` deep."""
     return b"[" * depth + b"]" * depth
+
+
+JSON_TEXT = st.text(max_size=6) | st.sampled_from(["length", "stop", "\udcff"])  # finish reasons; a lone surrogate
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def json_bodies(shape) -> st.SearchStrategy:
+    """JSON values of ``shape`` (dicts, lists of ``shape[0]``, and None where a string goes), any part of
+    which may be any JSON value instead, so that examples reach every level a reader looks at."""
+    if isinstance(shape, dict):
+        shaped = st.fixed_dictionaries({key: json_bodies(inner) for key, inner in shape.items()})
+    elif isinstance(shape, list):
+        shaped = st.lists(json_bodies(shape[0]), min_size=1, max_size=2)
+    else:
+        shaped = JSON_TEXT
+    return st.one_of(shaped, shaped, shaped, JSON_VALUES)  # mostly the shape, so that the deep levels come up
 
 
 def random_text(rng: random.Random, pool: str, min_len: int = 1, max_len: int = 60) -> str:

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 import sys
 import threading
 
+import pytest
+
 from hallmark import JsonFileCache, LLMClient
 from hallmark.cache import make_key
+from hallmark.errors import CacheError
 from hallmark.llm import CompletionRequest
 
 from .conftest import FakeProvider, cache_rows
@@ -42,6 +46,21 @@ class TestJsonFileCache:
         cache.close()
         assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite3"]
         assert JsonFileCache(tmp_path).get(KEY) == {"text": "kept"}
+
+    def test_file_that_is_no_database_is_refused_and_its_connection_closed(self, tmp_path, monkeypatch):
+        (tmp_path / "cache.sqlite3").write_bytes(b"not a database, only text " * 40)
+        opened, real_connect = [], sqlite3.connect
+
+        def connect(*args, **kwargs):
+            opened.append(real_connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("hallmark.cache.sqlite3.connect", connect)
+        with pytest.raises(CacheError, match="cannot open cache"):
+            JsonFileCache(tmp_path)
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
 
     def test_two_caches_on_one_directory_share_entries(self, tmp_path):
         first, second = JsonFileCache(tmp_path), JsonFileCache(tmp_path)

@@ -10,6 +10,7 @@ from urllib.parse import urlsplit
 
 import pytest
 import requests
+from hypothesis import given, settings
 
 from hallmark import (
     JsonFileCache,
@@ -34,6 +35,7 @@ from .conftest import (
     FakeProvider,
     by_tag,
     cache_rows,
+    json_bodies,
     nested,
     roles_replies,
     wire_response,
@@ -426,6 +428,20 @@ def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, se
     assert record.runs_used == 3
     runs = [c for c in provider.calls if c.seed_tag.startswith("run-")]
     assert len(runs) == 3 and all(NO_KNOWLEDGE_SENTINEL in c.user_prompt for c in runs)
+
+
+@given(body=json_bodies({"query": {"search": [{"title": None}], "pages": {"1": {"extract": None}}}}))
+@settings(max_examples=300, deadline=None)
+def test_any_json_body_gives_text_none_or_a_knowledge_error(body):
+    wiki = WikipediaClient(session=ReplaySession({"search": body, "extract": body}), sleep=lambda _: None)
+    for read in (wiki.search_first_title, wiki.fetch_extract):
+        try:
+            found = read("kw", "en")
+        except KnowledgeError:
+            continue
+        if found is not None:
+            assert type(found) is str
+            found.encode("utf-8")  # holds no lone surrogate
 
 
 def test_wikipedia_payload_nested_too_deep_costs_only_the_knowledge(item, cache):

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import linecache
 import sys
 import threading
 import time
@@ -9,6 +8,7 @@ from concurrent.futures import CancelledError
 
 import pytest
 import requests
+from hypothesis import given, settings
 from requests.adapters import BaseAdapter
 
 from hallmark import (
@@ -26,7 +26,7 @@ from hallmark import (
 from hallmark.errors import AuthError, ConfigError, MockError, ProviderError
 from hallmark.llm import MOCK_ROLES, RequestSlots, TransientProviderError
 
-from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, swimmer_spans, wire_response
+from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, json_bodies, swimmer_spans, wire_response
 
 
 def req(prompt="hello", seed_tag="run-0", temperature=1.0):
@@ -241,6 +241,20 @@ class TestOpenAIChatProvider:
                 ("Cookie", cookie),
                 ("Content-Length", str(len(body))),
             ]
+
+    @given(body=json_bodies({"choices": [{"message": {"content": None}, "finish_reason": None}]}))
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_body_gives_text_or_a_provider_error(self, body):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("TEST_KEY", "sk-x")
+            session, _ = recording_session(lambda request: wire_response(json.dumps(body).encode("utf-8")))
+            provider = OpenAIChatProvider(provider_config(), session=session)
+        try:
+            text = provider.send(req("u"))
+        except ProviderError:
+            return
+        assert type(text) is str
+        text.encode("utf-8")  # holds no lone surrogate
 
     def test_session_auth_is_refused(self, monkeypatch):
         # each request is prepared from a template built once, so an auth that signs the body would sign
@@ -478,8 +492,7 @@ def test_one_transient_test_and_one_backoff_loop():
 
 
 def test_request_slots_hold_the_bound_under_contention():
-    # more threads than cores, switching often: a lost update to the free count
-    # would let a third holder in, or leave a waiter with no slot to take
+    # more threads than cores, switching often: no third holder gets in, and no waiter is left without a slot
     slots, lock = RequestSlots(2), threading.Lock()
     inside, peak, finished = [0], [0], []
 
@@ -512,33 +525,25 @@ def test_request_slots_hold_the_bound_under_contention():
             pass
 
 
-def wait_until_blocked(thread: threading.Thread) -> None:
-    """Wait until ``thread`` blocks on a lock: its innermost Python frame is on a line that calls
-    ``acquire()``, a C call that holds that frame on that line until it returns."""
-    deadline = time.monotonic() + 10
-    while True:
-        frame = sys._current_frames().get(thread.ident)
-        if frame is not None and ".acquire()" in linecache.getline(frame.f_code.co_filename, frame.f_lineno):
-            return
-        assert time.monotonic() < deadline, "the thread never blocked"
-        time.sleep(0.001)
+def test_request_slots_stopped_waiter_sends_nothing():
+    # a request already waiting for a slot when the batch stops gets the freed slot and gives it straight back
+    slots, outcome, ran = RequestSlots(1), [], []
 
+    def waiter():
+        try:
+            with slots.hold():
+                ran.append(True)
+        except CancelledError:
+            outcome.append("cancelled")
 
-def test_request_slots_serve_waiters_first_come_first_served():
-    # the thread that frees the slot and asks again at once queues behind those already waiting
-    slots, served = RequestSlots(1), []
-
-    def worker(name):
-        with slots.hold():
-            served.append(name)
-
-    threads = [threading.Thread(target=worker, args=(name,)) for name in ("W1", "W2")]
+    thread = threading.Thread(target=waiter)
     with slots.hold():
-        for thread in threads:
-            thread.start()
-            wait_until_blocked(thread)
-    with slots.hold():
-        served.append("main")
-    for thread in threads:
-        thread.join(timeout=10)
-    assert served == ["W1", "W2", "main"]
+        thread.start()
+        deadline, blocked = time.monotonic() + 10, threading.Condition.wait.__code__  # where a semaphore waits
+        while getattr(sys._current_frames().get(thread.ident), "f_code", None) is not blocked:
+            assert time.monotonic() < deadline, "the waiter never blocked"
+            time.sleep(0.001)
+        slots.stop()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (outcome, ran) == (["cancelled"], [])
