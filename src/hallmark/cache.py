@@ -4,7 +4,9 @@ Entries are rows of one SQLite file, ``<directory>/cache.sqlite3``, keyed
 by the SHA-256 of the operation name plus the canonical JSON of its inputs;
 the value is the entry's JSON. Each ``put`` is one autocommit
 ``INSERT OR REPLACE``, so concurrent writers of the same key settle on
-last-writer-wins, which is safe because values are deterministic per key.
+last-writer-wins. For a sampled completion (temperature > 0) the two
+writers may have fetched different replies: each run uses the reply it
+fetched, and every later read of the key gets the one stored last.
 Threads share one connection under a lock, and processes sharing a
 directory meet through SQLite's own locking (WAL mode, which needs a local
 filesystem). The table is the only layout read: ``<key>.json`` files left

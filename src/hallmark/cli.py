@@ -15,9 +15,8 @@ import logging
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Sequence, get_type_hints
 
 from .core import PredictionRecord, SpanLabel, validate_spans
 from .errors import (
@@ -135,7 +134,9 @@ def _provider_config(args: argparse.Namespace, file_provider: dict) -> ProviderC
     from .llm import ProviderConfig
 
     values = _settings(args, file_provider, config_keys(ProviderConfig), "provider.")
-    name = values["name"] = values.get("name") or "mock"
+    name = values.setdefault("name", "mock")  # only an absent name means the mock
+    if not name:
+        raise ConfigError("provider name must not be empty")
     for key, default in KNOWN_PROVIDERS.get(name, {}).items():
         values[key] = values.get(key) or default
     if name != "mock" and not values.get("base_url"):
@@ -188,28 +189,16 @@ def _load_mock_rules(path: str | None, items, runs_n: int) -> list[MarkingRule]:
     return rules
 
 
-@contextmanager
-def _replaced_whole(path: str) -> Iterator[str]:
-    """A new temporary file beside ``path``, made at once, so that a path that cannot be written fails before
-    any work. It replaces ``path`` when the block ends, and is removed if the block raises, leaving ``path``
-    as it was."""
+def _check_writable(path: str) -> None:
+    """Fail if no file can replace ``path``: it is a directory, or its directory takes no new file. Checked
+    before any request, so that a bad ``--output`` fails at once."""
     target = Path(path)
     try:
-        if target.is_dir():  # no file can replace it
+        if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        fd, tmp = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".tmp", dir=target.parent)
-    except OSError as exc:  # name the output, not the temporary file
+        tempfile.TemporaryFile(dir=target.parent).close()  # a file with no name, so none is left behind
+    except OSError as exc:  # name the output, not its directory
         raise OSError(exc.errno, exc.strerror, path) from exc
-    os.close(fd)
-    try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # the mode of a file opened for writing, not mkstemp's 0o600
-        yield tmp
-        os.replace(tmp, target)
-    except BaseException:
-        Path(tmp).unlink(missing_ok=True)
-        raise
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
@@ -259,9 +248,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {record.id} {status}")
 
     try:
-        with _replaced_whole(args.output) as output:  # before any request, so a bad --output fails at once
-            records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
-            write_predictions(records, output)
+        _check_writable(args.output)
+        records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
+        write_predictions(records, args.output)
     finally:
         cache.close()
 

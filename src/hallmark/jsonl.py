@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 from .core import GoldRecord, PredictionRecord, QAItem, SpanLabel, coverage, runs_of
 from .errors import SchemaError
-
-# CR and LF bytes occur in no UTF-8 sequence or JSON string, so lines split before decoding,
-# and (unlike ``str.splitlines``) an unescaped U+2028 in an answer stays inside its line.
-_LINE_BREAK = re.compile(rb"\r\n|\r|\n")
 
 
 def _finite(number: str) -> float:
@@ -44,7 +41,9 @@ def load_json(data: bytes | str) -> Any:
 def _numbered(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[int, Any]]:
     """``(line, build(obj))`` for the JSON object on each non-blank line of ``path``; a line that is not one,
     or whose object ``build`` refuses with TypeError or ValueError, is a SchemaError naming ``path:line``."""
-    for line_no, line in enumerate(_LINE_BREAK.split(Path(path).read_bytes()), start=1):
+    # bytes.splitlines breaks only at CR LF, CR and LF, which occur in no UTF-8 sequence or JSON string; an
+    # unescaped U+2028 or U+0085 in an answer stays inside its line, as it would not with str.splitlines.
+    for line_no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -180,9 +179,18 @@ def prediction_to_dict(record: PredictionRecord) -> dict:
 
 
 def write_predictions(records: Iterable[PredictionRecord], path: str | Path) -> None:
-    """Write one compact JSON object per line, UTF-8, unescaped non-ASCII."""
+    """Write one compact JSON object per line, UTF-8, unescaped non-ASCII. The lines go to a new file beside
+    ``path`` that then replaces ``path`` whole; if anything raises, the new file is removed and ``path`` stays
+    as it was."""
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(prediction_to_dict(record), ensure_ascii=False, separators=(",", ":")))
-            fh.write("\n")
+    tmp = path.parent / f".{path.name}.{os.urandom(4).hex()}.tmp"  # no other writer's name
+    fh = tmp.open("x", encoding="utf-8")  # the mode open(path, "w") gives
+    try:
+        with fh:
+            for record in records:
+                fh.write(json.dumps(prediction_to_dict(record), ensure_ascii=False, separators=(",", ":")))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -170,10 +170,8 @@ def annotate_item(
 
     bundle = knowledge_svc.build_bundle(item, use_roles=cfg.use_roles, use_external=cfg.use_external)
 
-    runs = []
-    for i in range(cfg.runs_n):
-        prompt = build_main_prompt(item, bundle.roles[i % len(bundle.roles)], bundle.refined_external)
-        runs.append(_execute_run(item, prompt, f"run-{i}", cfg, llm))
+    prompts = [build_main_prompt(item, role, bundle.refined_external) for role in bundle.roles[: cfg.runs_n]]
+    runs = [_execute_run(item, prompts[i % len(prompts)], f"run-{i}", cfg, llm) for i in range(cfg.runs_n)]
 
     try:
         probs = aggregate(runs, len(item.answer))

@@ -82,9 +82,8 @@ def validate_templates() -> None:
 
 
 def render(template: str, values: Mapping[str, str]) -> str:
-    # single pass: placeholders inside substituted values stay literal
-    pattern = re.compile(r"\{(" + "|".join(map(re.escape, values)) + r")\}")
-    return pattern.sub(lambda m: values[m.group(1)], template)
+    # single pass: placeholders inside substituted values stay literal; one that ``values`` lacks is kept as it is
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m[1], m[0]), template)
 
 
 @lru_cache(maxsize=None)

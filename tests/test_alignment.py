@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from hallmark import align, parse_marked, project_spans, validate_run
 from hallmark.alignment import AlignmentResult
-from hallmark.marking import ParsedMarking
+from hallmark.marking import ParsedMarking, insert_markers
 from hallmark.core import SpanLabel
 
 from .reference import best_alignment_matches, lcs_length, reference_align
@@ -342,3 +342,30 @@ def test_gate_skips_only_the_traceback(pair, drawn):
             assert gated.mapping == (None,) * len(clean)
         else:
             assert gated == full
+
+
+@st.composite
+def one_word_rewrites(draw, letters):
+    """An answer of 3 to 30 words of ``letters`` joined by single spaces, the offsets of its word k, and a reply
+    that replaces word k with another word and marks it."""
+    word = st.text(letters, min_size=1, max_size=8)
+    words = draw(st.lists(word, min_size=3, max_size=30))
+    k = draw(st.integers(0, len(words) - 1))
+    new = draw(word.filter(lambda w: w != words[k]))
+    start = sum(len(w) + 1 for w in words[:k])
+    reply = insert_markers(" ".join([*words[:k], new, *words[k + 1 :]]), [SpanLabel(start, start + len(new))])
+    return " ".join(words), (start, start + len(words[k])), reply
+
+
+# The separator is no letter of a word: a "word" holding spaces is more than one word.
+@pytest.mark.parametrize("letters", ["abcdefghij", "ab"], ids=["10-letters", "2-letters"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_rewritten_word_projects_inside_the_word_it_replaced(letters, data):
+    # the pipeline's path for one reply: parse, align under the gate, accept, project
+    answer, (word_start, word_end), reply = data.draw(one_word_rewrites(letters))
+    parsed = parse_marked(reply, answer)
+    alignment = align(parsed.clean_text, answer, 0.7)
+    if validate_run(alignment, 0.7):
+        for span in project_spans(parsed, alignment, answer):
+            assert word_start <= span.start and span.end <= word_end

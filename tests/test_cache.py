@@ -69,6 +69,7 @@ class TestJsonFileCache:
         second.put(KEY, {"text": "from second"})
         assert first.get(KEY) == {"text": "from second"}
 
+    @pytest.mark.concurrency
     def test_threads_share_one_cache(self, tmp_path):
         cache = JsonFileCache(tmp_path)
         errors = []

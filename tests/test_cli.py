@@ -492,6 +492,8 @@ class TestAnnotateCommand:
             ([], {"provider": "deepseek"}, "config key 'provider' must be an object"),
             (["--provider", "x", "--model", "m"], None, "provider 'x' needs a base URL (--base-url or config)"),
             (["--provider", "deepseek"], None, "a model name is required (--model or config file)"),
+            (["--provider", ""], None, "provider name must not be empty"),
+            ([], {"provider": {"name": ""}, "model": "deepseek-chat"}, "provider name must not be empty"),
         ],
         ids=[
             "runs-0", "threshold-2", "runs_n-str", "use_external-str", "use_roles-int",
@@ -499,6 +501,7 @@ class TestAnnotateCommand:
             "base_url-int", "name-int", "retries-negative", "temperature-past-float",
             "base_url-no-scheme", "base_url-bad-scheme",
             "config-not-object", "provider-not-object", "no-base-url", "no-model",
+            "name-empty-flag", "name-empty-in-file",
         ],
     )
     def test_invalid_setting_exits_1_with_error_line(self, tmp_path, monkeypatch, capsys, extra, config, message):
@@ -509,7 +512,10 @@ class TestAnnotateCommand:
         if config is not None:
             path.write_text(json.dumps(config), encoding="utf-8")
             extra = [*extra, "--config", str(path)]
-        assert cli.main(annotate_args(tmp_path, "pred.jsonl", *extra)) == 1
+        argv = annotate_args(tmp_path, "pred.jsonl", *extra)
+        at = argv.index("--provider")
+        del argv[at : at + 2]  # the mock is the default, so a case's config file may name the provider
+        assert cli.main(argv) == 1
         assert capsys.readouterr().err == f"error: {message.format(conf=path)}\n"
         assert built == []
         assert not (tmp_path / "pred.jsonl").exists()

@@ -53,6 +53,17 @@ class TestReadItems:
             read_items(path)
         assert excinfo.value.line_no == 2
 
+    def test_lines_break_at_crlf_cr_and_lf_only(self, tmp_path):
+        # a raw U+2028 or U+0085 is text inside its answer, where str.splitlines would break the line
+        line = '{{"id":"{}","lang":"EN","model_input":"q","model_output_text":"{}"}}'
+        text = line.format("a", "x\u2028y") + "\r\n" + line.format("b", "z\x85w") + "\r" + line.format("c", "v") + "\n"
+        path = tmp_path / "items.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        assert [(i.id, i.answer) for i in read_items(path)] == [("a", "x\u2028y"), ("b", "z\x85w"), ("c", "v")]
+        path.write_bytes((text + '{"id":"d","lang":"EN","model_input":"q"}\n').encode("utf-8"))
+        with pytest.raises(SchemaError, match=":4: missing required key 'model_output_text'"):
+            read_items(path)
+
     def test_missing_key(self, tmp_path):
         path = tmp_path / "items.jsonl"
         write_lines(path, ['{"id":"a","lang":"EN","model_input":"q"}'])

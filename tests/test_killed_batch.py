@@ -1,6 +1,6 @@
-"""A batch killed with SIGKILL leaves an intact cache and the old output or the whole new one, and its
-rerun asks the provider only what the killed run had not cached. Each batch runs in a child process,
-which only this test signals."""
+"""A batch killed with SIGKILL leaves an intact cache and the old output or the whole new one, with nothing
+beside it, and its rerun asks the provider only what the killed run had not cached. Each batch runs in a
+child process, which only this test signals."""
 
 from __future__ import annotations
 
@@ -71,6 +71,7 @@ def test_killed_batch_resumes_where_it_stopped(tmp_path, kill_after):
     # each item thread has at most one request between its arrival and its cache entry
     assert sent(first_log) - (MAX_PARALLEL + 1) <= kept <= sent(first_log)
     assert output.read_bytes() in (OLD_OUTPUT, GOLDEN_PREDICTIONS.read_bytes())
+    assert list(tmp_path.glob(".pred.jsonl.*")) == []  # the new file exists only while the lines are written
 
     assert batch(tmp_path, rerun_log) == 0
     assert output.read_bytes() == GOLDEN_PREDICTIONS.read_bytes()

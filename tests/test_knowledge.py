@@ -236,6 +236,7 @@ class TestFetchWikipedia:
         ]
         assert [(c["url"], list(c["params"].items())) for c in session.calls] == [(api, search), (api, extract)]
 
+    @pytest.mark.concurrency
     def test_stopped_batch_sends_no_request(self, item, cache):
         # a batch that has stopped sends nothing new to Wikipedia either
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
@@ -250,6 +251,7 @@ class TestFetchWikipedia:
             WIKI_SLOTS.reset(token)
         assert session.calls == []
 
+    @pytest.mark.concurrency
     def test_request_holds_a_slot_of_the_batch(self, item, cache):
         # in a batch, a Wikipedia request waits for a free slot of the batch's Wikipedia slots
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})

@@ -491,6 +491,7 @@ def test_one_transient_test_and_one_backoff_loop():
     assert call_sites(r"\b429\b") == {"llm.py:transient_checked"}
 
 
+@pytest.mark.concurrency
 def test_request_slots_hold_the_bound_under_contention():
     # more threads than cores, switching often: no third holder gets in, and no waiter is left without a slot
     slots, lock = RequestSlots(2), threading.Lock()
@@ -525,6 +526,7 @@ def test_request_slots_hold_the_bound_under_contention():
             pass
 
 
+@pytest.mark.concurrency
 def test_request_slots_stopped_waiter_sends_nothing():
     # a request already waiting for a slot when the batch stops gets the freed slot and gives it straight back
     slots, outcome, ran = RequestSlots(1), [], []

@@ -370,6 +370,7 @@ class TestAnnotateDataset:
     def rules_for(self, items):
         return [MarkingRule(it.answer, (SpanLabel(0, 6),)) for it in items]
 
+    @pytest.mark.concurrency
     def test_order_preserved(self, tmp_path):
         items = self.make_items()
         provider = MockProvider(rules=self.rules_for(items))
@@ -388,6 +389,7 @@ class TestAnnotateDataset:
         assert second == first
         assert provider.call_count == calls
 
+    @pytest.mark.concurrency
     def test_parallel_matches_serial(self, tmp_path):
         items = self.make_items()
         provider = MockProvider(rules=self.rules_for(items))
@@ -406,6 +408,7 @@ class TestAnnotateDataset:
         annotate_dataset(items, config(use_external=False), llm, svc)
         assert session.calls == []
 
+    @pytest.mark.concurrency
     def test_progress_callback_in_order(self, cache):
         items = self.make_items(4)
         provider = MockProvider(rules=self.rules_for(items))
@@ -426,6 +429,7 @@ class TestAnnotateDataset:
             started.setdefault(next(it.id for it in items if it.answer in call.user_prompt), None)
         return set(list(started)[: cfg.max_parallel_items + 1]), [r.id for r in records]
 
+    @pytest.mark.concurrency
     def test_longest_answer_starts_first(self, tmp_path):
         # items are submitted longest first, so the first to reach the provider are the longest,
         # in whatever order their threads take a slot; records still follow input order
@@ -437,12 +441,14 @@ class TestAnnotateDataset:
             assert started == {f"len-{n}" for n in sorted(lengths, reverse=True)[: max_parallel + 1]}
             assert records == [it.id for it in items]
 
+    @pytest.mark.concurrency
     def test_equal_lengths_start_in_input_order(self, cache):
         items = self.make_items(5)[::-1]
         started, records = self.first_started(items, config(max_parallel_items=1), cache)
         assert started == {it.id for it in items[:2]}
         assert records == [it.id for it in items]
 
+    @pytest.mark.concurrency
     def test_repeated_item_gets_one_record_per_position(self, cache):
         a, b = self.make_items(2)
         provider = MockProvider(rules=self.rules_for([a, b]))
@@ -455,6 +461,7 @@ class TestAnnotateDataset:
         """A provider that takes 20 ms to give ``reply``."""
         return FakeProvider(lambda req: time.sleep(0.02) or reply)
 
+    @pytest.mark.concurrency
     def test_auth_error_stops_the_batch(self, cache):
         items = self.make_items(20)
         provider = self.slow_provider(AuthError("key rejected"))
@@ -485,6 +492,7 @@ class TestAnnotateDataset:
             annotate_dataset(items, cfg, llm, svc, progress=interrupt)
         return provider, late
 
+    @pytest.mark.concurrency
     def test_interrupt_stops_the_batch(self, cache):
         # which items sent before the raise depends on the thread order: the thread that finishes
         # first may already have started a third item. The contract is about what goes out after it:
@@ -497,6 +505,7 @@ class TestAnnotateDataset:
         assert provider.call_count == sent
 
     @pytest.mark.parametrize("max_parallel", [1, 2])
+    @pytest.mark.concurrency
     def test_stopped_batch_sends_nothing_new(self, cache, max_parallel):
         # after the raise, only a request that already held a slot may still go out
         cfg = config(use_roles=False, runs_n=12, max_parallel_items=max_parallel)
@@ -506,6 +515,7 @@ class TestAnnotateDataset:
     @pytest.mark.parametrize(
         "max_parallel, shared", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "2-two-clients"]
     )
+    @pytest.mark.concurrency
     def test_provider_requests_on_the_wire_never_exceed_max_parallel(self, tmp_path, max_parallel, shared):
         # the knowledge chain's requests count too, also when the knowledge service has its own
         # client; Wikipedia requests have a bound of their own
@@ -527,6 +537,7 @@ class TestAnnotateDataset:
         assert 1 <= wiki_gets.peak <= max_parallel
         assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
+    @pytest.mark.concurrency
     def test_two_batches_on_one_client_keep_their_own_slots(self, tmp_path):
         # a batch started from another's progress call shares its clients, and each batch has its
         # own bound: requests are counted per batch, by the item whose answer is in the prompt
