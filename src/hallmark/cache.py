@@ -22,7 +22,7 @@ import threading
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import CacheError
+from .errors import CacheError, ProviderError
 
 CACHE_FILE = "cache.sqlite3"
 BUSY_TIMEOUT_S = 30.0  # how long a statement waits on another process's write lock
@@ -67,19 +67,28 @@ class JsonFileCache:
                 raise CacheError(f"cache {self.path}: {exc}") from exc
 
     def get(self, key: str) -> dict[str, Any] | None:
+        """The entry at ``key``, or None when there is none or its row is no JSON object, as a torn write leaves it."""
         row = self._execute("SELECT value FROM entries WHERE key = ?", (key,))
-        return None if row is None else json.loads(row[0])
+        try:
+            value = None if row is None else json.loads(row[0])
+        except (ValueError, RecursionError):
+            return None
+        return value if isinstance(value, dict) else None
 
     def put(self, key: str, value: dict[str, Any]) -> None:
         self._execute("INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, json.dumps(value, ensure_ascii=False)))
 
-    def read_through(self, key: str, field: str, fetch: Callable[[], Any]) -> Any:
-        """``field`` of the entry at ``key``; on a miss, ``fetch()``, stored as ``{field: …}`` only if it returns."""
+    def read_through(self, key: str, field: str, fetch: Callable[[], Any], valid: Callable[[Any], bool]) -> Any:
+        """``field`` of the entry at ``key``, if the entry has one that ``valid`` takes. Otherwise ``fetch()``,
+        stored as ``{field: …}`` in place of the entry if ``valid`` takes it, and else a ProviderError."""
         found = self.get(key)
-        if found is None:
-            found = {field: fetch()}
-            self.put(key, found)
-        return found[field]
+        if found is not None and field in found and valid(found[field]):
+            return found[field]
+        value = fetch()
+        if not valid(value):
+            raise ProviderError(f"fetched {field} {value!r:.80} is not of the type its reader expects")
+        self.put(key, {field: value})
+        return value
 
     def close(self) -> None:
         """Close the connection; the last one to close folds the WAL back into the file."""

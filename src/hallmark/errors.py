@@ -10,20 +10,12 @@ class SpanError(HallmarkError, ValueError):
 
 
 class SchemaError(HallmarkError):
-    """A JSONL line is not a UTF-8 JSON object, or its object misses required keys or types."""
-
-    def __init__(self, path: str, line_no: int, reason: str):
-        super().__init__(f"{path}:{line_no}: {reason}")
-        self.path = path
-        self.line_no = line_no
+    """A JSONL line is not a UTF-8 JSON object, or its object misses required keys or types.
+    The message begins with the line's ``path:line``."""
 
 
 class MarkerError(HallmarkError):
     """Marker delimiters in an annotated text are unbalanced or nested."""
-
-
-class AggregationError(HallmarkError):
-    """No valid annotation runs are available for an item."""
 
 
 class KnowledgeError(HallmarkError):
@@ -46,10 +38,6 @@ class AuthError(HallmarkError):
     batch. Standing apart, it passes every ``except ProviderError`` untouched
     and needs no guard of its own.
     """
-
-
-class MockError(ProviderError):
-    """The mock provider received a prompt that none of its marking rules matches."""
 
 
 class ConfigError(HallmarkError):

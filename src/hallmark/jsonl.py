@@ -52,7 +52,7 @@ def _numbered(path: str | Path, build: Callable[[dict], Any]) -> Iterator[tuple[
                 raise ValueError("record is not a JSON object")
             record = build(obj)
         except (TypeError, ValueError) as exc:
-            raise SchemaError(str(path), line_no, str(exc)) from exc
+            raise SchemaError(f"{path}:{line_no}: {exc}") from exc
         yield line_no, record
 
 
@@ -122,7 +122,7 @@ def read_items(path: str | Path) -> list[QAItem]:
     items, first_line = [], {}
     for line_no, item in _numbered(path, _item):
         if first_line.setdefault(item.id, line_no) != line_no:
-            raise SchemaError(str(path), line_no, f"id {item.id!r} is already on line {first_line[item.id]}")
+            raise SchemaError(f"{path}:{line_no}: id {item.id!r} is already on line {first_line[item.id]}")
         items.append(item)
     return items
 

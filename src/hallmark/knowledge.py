@@ -215,14 +215,17 @@ class KnowledgeService:
 
     def _wiki_request(self, operation: str, inputs: dict, send: Callable[[], Any]) -> Any:
         """``send()``'s answer to one Wikipedia request, read through the cache, where each request has its
-        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached. The request, with
-        its retries, holds one of ``WIKI_SLOTS``, and a stopped batch sends none."""
+        own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached, and an entry that is
+        not text or null is requested again. The request, with its retries, holds one of ``WIKI_SLOTS``, and a
+        stopped batch sends none."""
 
         def fetch() -> Any:
             with WIKI_SLOTS.get().hold():
                 return send()
 
-        return self.cache.read_through(make_key(operation, inputs), "value", fetch)
+        return self.cache.read_through(
+            make_key(operation, inputs), "value", fetch, lambda value: value is None or is_json_type(value, str)
+        )
 
     def fetch_wikipedia(self, keyword: str, lang: str) -> tuple[str, str]:
         """Fetch the plain-text extract of the first search hit.

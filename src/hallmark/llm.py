@@ -25,7 +25,7 @@ from urllib.parse import urlsplit
 
 from .cache import JsonFileCache, make_key
 from .core import SpanLabel
-from .errors import AuthError, ConfigError, MockError, ProviderError, TruncatedReplyError
+from .errors import AuthError, ConfigError, ProviderError, TruncatedReplyError
 from .jsonl import is_json_type, load_json
 from .marking import insert_markers
 
@@ -263,7 +263,8 @@ class MockProvider:
     text occurs in the prompt. The answer under annotation is the prompt's
     last field, after any worked example, so the rule whose occurrence ends
     latest wins, and of those the longest: an answer that is a suffix of
-    another ends where it does. A prompt no rule matches raises MockError.
+    another ends where it does. A prompt no rule matches raises ProviderError,
+    which costs that run.
     """
 
     name = "mock"
@@ -293,7 +294,7 @@ class MockProvider:
                 best = rule
                 best_key = key
         if best is None:
-            raise MockError(f"no marking rule matches prompt: {req.user_prompt[:80]!r}...")
+            raise ProviderError(f"no marking rule matches prompt: {req.user_prompt[:80]!r}...")
         return insert_markers(best.answer, best.spans_for(req.seed_tag))
 
 
@@ -327,7 +328,8 @@ class LLMClient:
 
     Every request reads through ``cache`` with ``JsonFileCache.read_through``:
     a hit costs no provider call, and only a complete text reply is stored,
-    so a failed call is asked again on the next request.
+    so a failed call, or a row that holds no text, is asked again on the next
+    request.
 
     Each provider attempt holds one of ``CHAT_SLOTS`` (the batch's slots in
     its threads, an unbounded gate elsewhere) while it waits on the rate
@@ -371,11 +373,11 @@ class LLMClient:
             with CHAT_SLOTS.get().hold():
                 if self.limiter is not None:
                     self.limiter.acquire()  # inside the slot, so its stamps are send times
-                text = self.provider.send(req)
-            if not isinstance(text, str):
-                raise ProviderError(f"provider {self.provider.name} returned {type(text).__name__}, not text")
-            return text
+                return self.provider.send(req)
 
         return self.cache.read_through(
-            self._cache_key(req), "text", lambda: with_retries(attempt, self.max_retries, self.backoff_base, self._sleep)
+            self._cache_key(req),
+            "text",
+            lambda: with_retries(attempt, self.max_retries, self.backoff_base, self._sleep),
+            lambda text: is_json_type(text, str),
         )

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
-from .errors import AggregationError, MarkerError, ProviderError, TruncatedReplyError
+from .errors import MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
 from .llm import CHAT_SLOTS, WIKI_SLOTS, CompletionRequest, LLMClient, ProviderConfig, RequestSlots
 from .marking import parse_marked
@@ -106,17 +106,6 @@ def _candidates(reply: str, answer: str) -> list[str]:
     return [_unfenced(text) for text in candidates]
 
 
-def _empty_record(item: QAItem) -> PredictionRecord:
-    return PredictionRecord(
-        id=item.id,
-        lang=item.lang,
-        hard_labels=(),
-        soft_labels=(),
-        runs_used=0,
-        answer=item.answer,
-    )
-
-
 def _execute_run(item: QAItem, prompt: str, seed_tag: str, cfg: PipelineConfig, llm: LLMClient) -> AnnotationRun:
     """One run's vote on ``item``. Each of the reply's ``_candidates`` is parsed and aligned once, and one whose
     markers do not parse is skipped (none left is a marker error). The best aligned, the latest of equals, is
@@ -163,28 +152,23 @@ def annotate_item(
     llm: LLMClient,
     knowledge_svc: KnowledgeService,
 ) -> PredictionRecord:
-    """Annotate one item with ``cfg.runs_n`` ensemble runs."""
-    if not item.answer:
-        logger.warning("item %s: empty answer, emitting empty labels", item.id)
-        return _empty_record(item)
+    """Annotate one item with ``cfg.runs_n`` ensemble runs; an empty answer gets none, and sends nothing."""
+    runs = []
+    if item.answer:
+        bundle = knowledge_svc.build_bundle(item, use_roles=cfg.use_roles, use_external=cfg.use_external)
+        prompts = [build_main_prompt(item, role, bundle.refined_external) for role in bundle.roles[: cfg.runs_n]]
+        runs = [_execute_run(item, prompts[i % len(prompts)], f"run-{i}", cfg, llm) for i in range(cfg.runs_n)]
 
-    bundle = knowledge_svc.build_bundle(item, use_roles=cfg.use_roles, use_external=cfg.use_external)
-
-    prompts = [build_main_prompt(item, role, bundle.refined_external) for role in bundle.roles[: cfg.runs_n]]
-    runs = [_execute_run(item, prompts[i % len(prompts)], f"run-{i}", cfg, llm) for i in range(cfg.runs_n)]
-
-    try:
-        probs = aggregate(runs, len(item.answer))
-    except AggregationError:
+    runs_used = sum(r.outcome == OK for r in runs)
+    if item.answer and not runs_used:
         logger.warning("item %s: no valid runs, emitting empty labels", item.id)
-        return _empty_record(item)
-
+    probs = aggregate(runs, len(item.answer))
     return PredictionRecord(
         id=item.id,
         lang=item.lang,
         hard_labels=tuple(to_hard_labels(probs, cfg.threshold)),
         soft_labels=tuple(to_soft_labels(probs)),
-        runs_used=sum(r.outcome == OK for r in runs),
+        runs_used=runs_used,
         answer=item.answer,
     )
 

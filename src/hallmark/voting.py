@@ -14,7 +14,6 @@ from operator import le
 from typing import Sequence
 
 from .core import SpanLabel, coverage, runs_of
-from .errors import AggregationError
 
 
 OK = "ok"  # the run voted
@@ -36,13 +35,12 @@ def aggregate(runs: Sequence[AnnotationRun], answer_len: int) -> list[float]:
     """Count span coverage over ``OK`` runs into per-character fractions.
 
     A run covers a character once, however many of its spans do and
-    whatever ``prob`` they carry. Raises AggregationError when no run
-    survived; the caller reports the item as unannotated instead of
-    failing the batch.
+    whatever ``prob`` they carry. With no ``OK`` run every fraction is
+    0.0, so the item gets no labels instead of failing the batch.
     """
     voting = [r for r in runs if r.outcome == OK]
     if not voting:
-        raise AggregationError("no valid annotation runs")
+        return [0.0] * answer_len
     covered = [coverage([SpanLabel(s.start, s.end) for s in run.spans], answer_len) for run in voting]
     n = len(voting)
     return [c / n for c in map(sum, zip(*covered))]

@@ -13,7 +13,7 @@ from hallmark import (
     to_hard_labels,
     to_soft_labels,
 )
-from hallmark.errors import AggregationError, SpanError
+from hallmark.errors import SpanError
 from hallmark.voting import BELOW_GATE, OK
 
 from .reference import recount_probs
@@ -51,8 +51,9 @@ class TestAggregate:
         assert probs[1] == 0.5
 
     def test_zero_valid_runs(self):
-        with pytest.raises(AggregationError):
-            aggregate([run_with([], valid=False)], 10)
+        # no run voted: every character is 0.0, so the item gets no labels
+        assert aggregate([run_with([(1, 2)], valid=False)], 10) == [0.0] * 10
+        assert aggregate([], 0) == []
 
     def test_overlapping_spans_in_one_run_count_once(self):
         runs = [run_with([(1, 4), (2, 5)]), run_with([])]

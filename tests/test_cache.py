@@ -9,7 +9,7 @@ import pytest
 
 from hallmark import JsonFileCache, LLMClient
 from hallmark.cache import make_key
-from hallmark.errors import CacheError
+from hallmark.errors import CacheError, ProviderError
 from hallmark.llm import CompletionRequest
 
 from .conftest import FakeProvider, cache_rows
@@ -109,3 +109,12 @@ def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path):
     assert client.complete(request) == "fresh"
     assert provider.call_count == 1
     assert old.read_bytes() == before
+
+
+@pytest.mark.parametrize("reply", [5, None, "a\ud800b"])
+def test_reply_that_is_no_text_costs_the_call_and_is_not_stored(tmp_path, reply):
+    request = CompletionRequest(model="m", user_prompt="p", temperature=1.0, max_tokens=2048, seed_tag="run-0")
+    client = LLMClient(FakeProvider(reply), cache=JsonFileCache(tmp_path))
+    with pytest.raises(ProviderError, match="not of the type its reader expects"):
+        client.complete(request)
+    assert cache_rows(tmp_path) == {}

@@ -6,6 +6,7 @@ import os
 import re
 import shlex
 import shutil
+import sqlite3
 import stat
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import hallmark.pipeline
 from hallmark import SpanLabel, read_items, read_predictions
 from hallmark.jsonl import prediction_to_dict
 
-from .conftest import FakeProvider, nested
+from .conftest import FakeProvider, cache_rows, nested
+from .test_knowledge import FakeWikiSession
 
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "data" / "sample"
 SAMPLE_ITEMS = SAMPLE_DIR / "items.jsonl"
@@ -205,7 +207,8 @@ class TestAnnotateCommand:
         items = tmp_path / "items.jsonl"
         items.write_text(
             '{"id":"ok","lang":"EN","model_input":"q","model_output_text":"fine answer"}\n'
-            '{"id":"broken","lang":"EN","model_input":"q","model_output_text":"broken answer"}\n',
+            '{"id":"broken","lang":"EN","model_input":"q","model_output_text":"broken answer"}\n'
+            '{"id":"empty","lang":"EN","model_input":"q","model_output_text":""}\n',
             encoding="utf-8",
         )
         # every run on the broken item replies with unbalanced markers
@@ -232,6 +235,11 @@ class TestAnnotateCommand:
         assert code == 2
         out = capsys.readouterr().out
         assert "broken runs_used=0 hard=0 (unannotated)" in out and "1 failures" in out
+        # an item no run voted on, and one with nothing to vote on, write these exact lines
+        assert (tmp_path / "p.jsonl").read_text(encoding="utf-8").splitlines()[1:] == [
+            '{"id":"broken","lang":"EN","hard_labels":[],"soft_labels":[],"runs_used":0,"model_output_text":"broken answer"}',
+            '{"id":"empty","lang":"EN","hard_labels":[],"soft_labels":[],"runs_used":0,"model_output_text":""}',
+        ]
 
     def test_empty_answer_counts_as_annotated(self, tmp_path, capsys):
         # an empty answer needs no run: its record has runs_used 0 and no labels, and is no failure
@@ -419,6 +427,31 @@ class TestAnnotateCommand:
         args = [a for a in annotate_args(tmp_path) if a != "--no-external"]
         assert cli.main(args) == 0
         assert sum(w.calls for w in StubWiki.instances) > 0
+
+    def test_unreadable_cache_rows_are_requested_again(self, tmp_path, monkeypatch, built_mocks):
+        # rows as a torn write or another program may leave them: each is a miss, asked again and replaced
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
+        wikipedia_client = hallmark.knowledge.WikipediaClient
+        monkeypatch.setattr(hallmark.knowledge, "WikipediaClient", lambda: wikipedia_client(session=session))
+        args = [a for a in annotate_args(tmp_path) if a != "--no-external"]
+        assert cli.main(args) == 0
+        rows = cache_rows(tmp_path / "cache")
+        texts = {key: row["text"] for key, row in rows.items() if "text" in row}
+        run_keys = [key for key, text in texts.items() if not text.startswith(("{", "Keyword:"))]
+        roles_keys = [key for key, text in texts.items() if '"Identities"' in text]
+        damage = ['{"text": tru', '["text"]', '{"reply": "x"}', '{"text": 5}']
+        corrupt = {**dict(zip(run_keys, damage)), **dict(zip(roles_keys, damage))}
+        corrupt[next(key for key, row in rows.items() if "value" in row)] = '{"value": 5}'
+        db = sqlite3.connect(tmp_path / "cache" / "cache.sqlite3")
+        with db:
+            db.executemany("UPDATE entries SET value = ? WHERE key = ?", [(v, k) for k, v in corrupt.items()])
+        db.close()
+        session.calls.clear()
+        assert cli.main(args) == 0
+        assert (tmp_path / "pred.jsonl").read_bytes() == GOLDEN_PREDICTIONS.read_bytes()
+        # each corrupted row, and no other, was requested again and now holds its reply once more
+        assert (built_mocks[1].call_count, len(session.calls)) == (8, 1)
+        assert cache_rows(tmp_path / "cache") == rows
 
     def test_output_is_byte_deterministic(self, tmp_path):
         # two independent runs (separate caches) must agree byte for byte

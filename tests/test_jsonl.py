@@ -49,9 +49,8 @@ class TestReadItems:
             '{"id":"a","lang":"EN","model_input":"q","model_output_text":"x"}',
             "{not json",
         ])
-        with pytest.raises(SchemaError) as excinfo:
+        with pytest.raises(SchemaError, match=r"items\.jsonl:2: "):
             read_items(path)
-        assert excinfo.value.line_no == 2
 
     def test_lines_break_at_crlf_cr_and_lf_only(self, tmp_path):
         # a raw U+2028 or U+0085 is text inside its answer, where str.splitlines would break the line
@@ -81,7 +80,6 @@ class TestReadItems:
         write_lines(path, [json.dumps({**obj, "id": "b"}), json.dumps({**obj, key: value})])
         with pytest.raises(SchemaError) as excinfo:
             read_items(path)
-        assert excinfo.value.line_no == 2
         assert f"items.jsonl:2: {key!r} must be str, got {json.dumps(value)}" in str(excinfo.value)
 
 class TestWritePredictions:
@@ -336,7 +334,7 @@ def test_any_line_is_a_record_or_a_schema_error(tmp_path_factory, line):
         try:
             reader(path)
         except SchemaError as exc:
-            assert exc.path == str(path)
+            assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc))
 
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hallmark"

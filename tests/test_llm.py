@@ -23,7 +23,7 @@ from hallmark import (
     RateLimiter,
     SpanLabel,
 )
-from hallmark.errors import AuthError, ConfigError, MockError, ProviderError
+from hallmark.errors import AuthError, ConfigError, ProviderError
 from hallmark.llm import MOCK_ROLES, RequestSlots, TransientProviderError
 
 from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, json_bodies, swimmer_spans, wire_response
@@ -57,7 +57,7 @@ class TestCompletionRequest:
 class TestMockProvider:
     def test_strict_unknown_prompt(self):
         mock = MockProvider(rules=[MarkingRule(answer=SWIMMER_ANSWER)])
-        with pytest.raises(MockError):
+        with pytest.raises(ProviderError, match="^no marking rule matches prompt: 'an answer no rule holds'"):
             mock.send(req("an answer no rule holds"))
 
     def test_rule_mode_marks_fixture_spans(self):
