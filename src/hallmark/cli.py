@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 annotation finished with
 some items unannotated, 3 missing API key, 4 id or answer mismatch,
-unknown id, a prediction label past the gold answer, or no item to score.
+an unknown or repeated id, a prediction label past the gold answer, or no
+item to score.
 Human-readable text goes to stdout; machine output goes only to files.
 """
 
@@ -16,9 +17,9 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence, get_type_hints
+from typing import TYPE_CHECKING, Sequence, TypeVar, get_type_hints
 
-from .core import PredictionRecord, SpanLabel, validate_spans
+from .core import GoldRecord, PredictionRecord, SpanLabel, validate_spans
 from .errors import (
     AuthError,
     ConfigError,
@@ -41,6 +42,8 @@ EXIT_NO_KEY = 3
 EXIT_ID_MISMATCH = 4
 
 DEFAULT_CACHE_DIR = ".hallmark-cache"
+
+Record = TypeVar("Record", PredictionRecord, GoldRecord)
 
 KNOWN_PROVIDERS = {
     "openai": {"base_url": "https://api.openai.com/v1", "api_key_env": "OPENAI_API_KEY"},
@@ -274,21 +277,25 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _only_record(records: Sequence[Record], item_id: str, path: str) -> Record:
+    """The one record of ``records`` with id ``item_id``, read from ``path``; none, or more than one, is an
+    EvaluationError, as a duplicated id is in ``evaluate``."""
+    found = [r for r in records if r.id == item_id]
+    if not found:
+        raise EvaluationError(f"id {item_id!r} not found in {path}")
+    if len(found) > 1:
+        raise EvaluationError(f"id {item_id!r} occurs {len(found)} times in {path}")
+    return found[0]
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     from .marking import insert_markers
     from .scoring import check_against_gold, iou
 
-    preds = {p.id: p for p in read_predictions(args.pred)}
-    pred = preds.get(args.item_id)
-    if pred is None:
-        raise EvaluationError(f"id {args.item_id!r} not found in {args.pred}")
-
+    pred = _only_record(read_predictions(args.pred), args.item_id, args.pred)
     gold = None
     if args.gold:
-        golds = {g.id: g for g in read_gold(args.gold)}
-        gold = golds.get(args.item_id)
-        if gold is None:
-            raise EvaluationError(f"id {args.item_id!r} not found in {args.gold}")
+        gold = _only_record(read_gold(args.gold), args.item_id, args.gold)
         check_against_gold([(pred, gold)])
 
     answer = pred.answer if pred.answer is not None else (gold.answer if gold else None)

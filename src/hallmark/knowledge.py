@@ -15,6 +15,7 @@ import logging
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
+from urllib.parse import quote
 
 from . import __version__
 from .cache import JsonFileCache, make_key
@@ -112,7 +113,9 @@ class WikipediaClient:
             return self._session.get(url, params=params, timeout=WIKIPEDIA_TIMEOUT_S, **self._env_settings(url))
 
         try:
-            response = with_retries(lambda: transient_checked(get, "wikipedia"), WIKIPEDIA_RETRIES, 1.0, self._sleep)
+            response = with_retries(
+                lambda: transient_checked(get, "wikipedia"), WIKI_SLOTS.get(), WIKIPEDIA_RETRIES, 1.0, self._sleep
+            )
             if response.status_code != 200:
                 raise ValueError(f"HTTP {response.status_code}")
             data = load_json(response.content)
@@ -146,9 +149,10 @@ class KnowledgeService:
     replies deterministically, so a repeated call replays the same result.
     ``cache`` holds the answer to each Wikipedia request, the one step that
     goes to the network on its own. Each request reads through it
-    (``JsonFileCache.read_through``) and holds one of ``WIKI_SLOTS``: the
-    batch's slots in its threads, an unbounded gate elsewhere. Retries of JSON
-    prompts use distinct seed tags, or the cache would replay a bad reply.
+    (``JsonFileCache.read_through``), and each attempt takes one of
+    ``WIKI_SLOTS`` (the batch's slots in its threads, an unbounded gate
+    elsewhere) by the rule of ``with_retries``. Retries of JSON prompts use
+    distinct seed tags, or the cache would replay a bad reply.
     """
 
     def __init__(
@@ -216,15 +220,10 @@ class KnowledgeService:
     def _wiki_request(self, operation: str, inputs: dict, send: Callable[[], Any]) -> Any:
         """``send()``'s answer to one Wikipedia request, read through the cache, where each request has its
         own entry, keyed by ``operation`` and ``inputs``. A failed request is not cached, and an entry that is
-        not text or null is requested again. The request, with its retries, holds one of ``WIKI_SLOTS``, and a
-        stopped batch sends none."""
-
-        def fetch() -> Any:
-            with WIKI_SLOTS.get().hold():
-                return send()
-
+        not text or null is requested again. ``WikipediaClient`` takes the request's slots (see
+        ``with_retries``)."""
         return self.cache.read_through(
-            make_key(operation, inputs), "value", fetch, lambda value: value is None or is_json_type(value, str)
+            make_key(operation, inputs), "value", send, lambda value: value is None or is_json_type(value, str)
         )
 
     def fetch_wikipedia(self, keyword: str, lang: str) -> tuple[str, str]:
@@ -258,7 +257,9 @@ class KnowledgeService:
                 lambda: (wiki.fetch_extract(title, wiki_lang) or "")[:MAX_RAW_CHARS],
             )
             if extract:
-                return extract, f"https://{wiki_lang}.wikipedia.org/wiki/{title.replace(' ', '_')}"
+                # MediaWiki's own safe set: a title such as "Why?" or "100%" still links to its page
+                path = quote(title.replace(" ", "_"), safe="/:;@$!*(),~")
+                return extract, f"https://{wiki_lang}.wikipedia.org/wiki/{path}"
         raise KnowledgeError(f"no wikipedia results for {keyword!r} in {wikis}")
 
     def summarize_knowledge(self, item: QAItem, raw: str) -> str:

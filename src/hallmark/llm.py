@@ -59,11 +59,19 @@ def transient_checked(call: Callable[[], requests.Response], service: str) -> re
     return response
 
 
-def with_retries(call: Callable[[], T], retries: int, backoff_base: float, sleep: Callable[[float], None]) -> T:
-    """``call()``, retried at most ``retries`` times, ``backoff_base·2ⁿ`` s after its n-th transient failure."""
+def with_retries(
+    call: Callable[[], T], slots: RequestSlots, retries: int, backoff_base: float, sleep: Callable[[float], None]
+) -> T:
+    """``call()``, retried at most ``retries`` times, ``backoff_base·2ⁿ`` s after its n-th transient failure.
+
+    The one place where a request to an outside service takes its slot: each attempt holds one of ``slots``,
+    and a backoff sleep holds none. So a stopped batch sends no retry; its next attempt raises
+    ``CancelledError``.
+    """
     for attempt in itertools.count():
         try:
-            return call()
+            with slots.hold():
+                return call()
         except TransientProviderError as exc:
             if attempt >= retries:
                 raise ProviderError(f"giving up after {attempt + 1} attempts: {exc}") from exc
@@ -299,7 +307,12 @@ class MockProvider:
 
 
 class RequestSlots:
-    """The requests one batch may have on the wire to one service: ``n`` slots, until the batch stops."""
+    """The requests one batch may have on the wire to one service: ``n`` slots, until the batch stops.
+
+    Only ``with_retries`` takes a slot, for one attempt at a time: an attempt holds it while it waits on the
+    service, and a backoff sleep between attempts holds none. Once the batch stops, no attempt starts, a
+    retry included.
+    """
 
     def __init__(self, n: float):
         self._slots = threading.Semaphore(n)  # never blocks when n is math.inf
@@ -331,11 +344,11 @@ class LLMClient:
     so a failed call, or a row that holds no text, is asked again on the next
     request.
 
-    Each provider attempt holds one of ``CHAT_SLOTS`` (the batch's slots in
-    its threads, an unbounded gate elsewhere) while it waits on the rate
-    limiter and on the provider, and nothing else does: cache reads and
-    writes, key hashing and backoff sleeps run outside it, so the slots stay
-    busy while the threads that hold none do that work.
+    Each provider attempt takes one of ``CHAT_SLOTS`` (the batch's slots in
+    its threads, an unbounded gate elsewhere) by the rule of ``with_retries``,
+    and waits on the rate limiter and on the provider inside it. Cache reads
+    and writes and key hashing run outside it, so the slots stay busy while
+    the threads that hold none do that work.
     """
 
     def __init__(
@@ -370,14 +383,13 @@ class LLMClient:
 
     def complete(self, req: CompletionRequest) -> str:
         def attempt() -> str:
-            with CHAT_SLOTS.get().hold():
-                if self.limiter is not None:
-                    self.limiter.acquire()  # inside the slot, so its stamps are send times
-                return self.provider.send(req)
+            if self.limiter is not None:
+                self.limiter.acquire()  # inside the slot, so its stamps are send times
+            return self.provider.send(req)
 
         return self.cache.read_through(
             self._cache_key(req),
             "text",
-            lambda: with_retries(attempt, self.max_retries, self.backoff_base, self._sleep),
+            lambda: with_retries(attempt, CHAT_SLOTS.get(), self.max_retries, self.backoff_base, self._sleep),
             lambda text: is_json_type(text, str),
         )

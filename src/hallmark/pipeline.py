@@ -186,11 +186,10 @@ def annotate_dataset(
     once, counting the knowledge chain's, and as many Wikipedia requests,
     and one more item than that is prepared and parsed meanwhile:
     ``max_parallel_items + 1`` items run at once, each sending its requests
-    one after another, and each provider request holds one of the batch's
-    slots only while it waits on the rate limiter and the provider (see
-    ``LLMClient``). So while one item hashes, reads the cache, parses or
-    aligns, another item's request takes its slot. Wikipedia requests hold
-    slots of their own. The slots belong to the batch's worker threads
+    one after another. Each service has slots of its own, and a request
+    holds one only for each attempt on the wire (see ``with_retries``). So
+    while one item hashes, reads the cache, parses or aligns, another item's
+    request takes its slot. The slots belong to the batch's worker threads
     (``CHAT_SLOTS`` and ``WIKI_SLOTS``), not to the clients, so each batch
     bounds its own requests, also when batches share ``llm``.
 
@@ -201,9 +200,9 @@ def annotate_dataset(
     batch the first ``progress`` call can wait for the longest items. An
     error or interrupt, here or in ``progress``, stops the batch: items not
     yet started are cancelled, requests already on the wire finish, and no
-    new request is sent to either service. All completions land in the
-    shared response cache, so a stopped batch resumes from where it stopped
-    when rerun.
+    new request or retry is sent to either service. All completions land in
+    the shared response cache, so a stopped batch resumes from where it
+    stopped when rerun.
     """
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)

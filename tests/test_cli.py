@@ -891,6 +891,18 @@ class TestInspectCommand:
         assert cli.main(["inspect", "--pred", str(pred), "--gold", str(gold), "--id", "a"]) == 4
         assert capsys.readouterr() == ("", f"error: id 'a' not found in {gold}\n")
 
+    @pytest.mark.parametrize("repeated", ["pred", "gold"])
+    def test_repeated_id_exits_4_naming_the_file(self, tmp_path, capsys, repeated):
+        # as in evaluate: inspect shows no one of two records that share the id
+        files = {"pred": tmp_path / "pred.jsonl", "gold": tmp_path / "gold.jsonl"}
+        record = {"id": "a", "lang": "EN", "model_output_text": "abc", "hard_labels": [], "soft_labels": []}
+        for side, path in files.items():
+            line = json.dumps({**record, "runs_used": 3} if side == "pred" else record) + "\n"
+            path.write_text(line * (2 if side == repeated else 1), encoding="utf-8")
+        args = ["inspect", "--pred", str(files["pred"]), "--gold", str(files["gold"]), "--id", "a"]
+        assert cli.main(args) == 4
+        assert capsys.readouterr() == ("", f"error: id 'a' occurs 2 times in {files[repeated]}\n")
+
     def test_no_answer_text_and_no_gold_exits_1(self, tmp_path, capsys):
         pred = tmp_path / "pred.jsonl"
         pred.write_text(

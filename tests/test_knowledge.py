@@ -4,6 +4,7 @@ import hashlib
 import json
 import threading
 from concurrent.futures import CancelledError
+from contextlib import contextmanager
 from contextvars import copy_context
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -25,8 +26,8 @@ from hallmark import (
 )
 from hallmark import __version__
 from hallmark.errors import AuthError, ConfigError, KnowledgeError, ProviderError
-from hallmark.knowledge import FALLBACK_CHARS, KnowledgeService, WikipediaClient
-from hallmark.llm import WIKI_SLOTS, RequestSlots, TransientProviderError
+from hallmark.knowledge import FALLBACK_CHARS, WIKIPEDIA_RETRIES, KnowledgeService, WikipediaClient
+from hallmark.llm import CHAT_SLOTS, WIKI_SLOTS, CompletionRequest, RequestSlots, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import (
@@ -187,14 +188,16 @@ class FakeWikiSession:
 
 class TestFetchWikipedia:
     def test_first_result_wins(self, item, cache):
-        session = FakeWikiSession(
-            search_results={"en": ["First Hit", "Second Hit"]},
-            extracts={("en", "First Hit"): "extract text"},
-        )
-        svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
-        text, provenance = svc.fetch_wikipedia("some keyword", "EN")
-        assert text == "extract text"
-        assert provenance == "https://en.wikipedia.org/wiki/First_Hit"
+        # the provenance link percent-encodes the title as MediaWiki's own links do
+        for title, path in [("First Hit", "First_Hit"), ("Why?", "Why%3F"), ("100%", "100%25")]:
+            session = FakeWikiSession(
+                search_results={"en": [title, "Second Hit"]},
+                extracts={("en", title): "extract text"},
+            )
+            svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
+            text, provenance = svc.fetch_wikipedia(f"keyword for {title}", "EN")
+            assert text == "extract text"
+            assert provenance == f"https://en.wikipedia.org/wiki/{path}"
 
     def test_no_results_anywhere(self, item, cache):
         session = FakeWikiSession(search_results={})
@@ -332,6 +335,65 @@ class TestWikipediaRetries:
         session, sleeps = QueuedSession((503, b"{}"), (200, json.dumps(search_payload("Hit")).encode("utf-8"))), []
         assert WikipediaClient(session=session, sleep=sleeps.append).search_first_title("kw", "en") == "Hit"
         assert (len(session.calls), sleeps) == (2, [1.0])
+
+
+def failing_chat_request(cache, sleep):
+    """A chat request whose every attempt fails with a 503: its service's slots, the call, and its count of sends."""
+    provider = FakeProvider(TransientProviderError("HTTP 503"))
+    client = LLMClient(provider, cache, max_retries=WIKIPEDIA_RETRIES, sleep=sleep)
+    request = CompletionRequest(model="m", user_prompt="p", temperature=0.0, max_tokens=16, seed_tag="run-0")
+    return CHAT_SLOTS, lambda: client.complete(request), lambda: provider.call_count
+
+
+def failing_wiki_request(cache, sleep):
+    """The same for a Wikipedia lookup whose every attempt meets a connection error."""
+    session = FakeWikiSession(fail=True)
+    svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session, sleep=sleep))
+    return WIKI_SLOTS, lambda: svc.fetch_wikipedia("kw", "EN"), lambda: len(session.calls)
+
+
+class HeldSlots(RequestSlots):
+    """Request slots that count their holders."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.held = 0
+
+    @contextmanager
+    def hold(self):
+        with super().hold():
+            self.held += 1
+            try:
+                yield
+            finally:
+                self.held -= 1
+
+
+@pytest.mark.parametrize("failing_request", [failing_chat_request, failing_wiki_request], ids=["chat", "wikipedia"])
+class TestSlotPerAttempt:
+    """Both services hold a slot of the batch for each attempt, and none for the backoff sleep between attempts."""
+
+    def test_batch_stopped_during_backoff_sends_no_retry(self, cache, failing_request):
+        slots = RequestSlots(1)
+        var, send, sent = failing_request(cache, lambda _: slots.stop())
+        token = var.set(slots)
+        try:
+            with pytest.raises(CancelledError):
+                send()
+        finally:
+            var.reset(token)
+        assert sent() == 1
+
+    def test_backoff_sleep_leaves_the_only_slot_free(self, cache, failing_request):
+        slots, held = HeldSlots(1), []
+        var, send, sent = failing_request(cache, lambda _: held.append(slots.held))
+        token = var.set(slots)
+        try:
+            with pytest.raises((ProviderError, KnowledgeError)):
+                send()
+        finally:
+            var.reset(token)
+        assert (sent(), held) == (1 + WIKIPEDIA_RETRIES, [0] * WIKIPEDIA_RETRIES)
 
 
 def test_own_session_names_hallmark_in_its_user_agent():

@@ -486,9 +486,10 @@ class TestRateLimiter:
 
 
 def test_one_transient_test_and_one_backoff_loop():
-    # both outside services decide what a failed call costs in the same two places
+    # both outside services decide what a failed call costs, and when a request holds a slot, in the same places
     assert call_sites(r"sleep\(") == {"llm.py:with_retries", "llm.py:acquire"}
     assert call_sites(r"\b429\b") == {"llm.py:transient_checked"}
+    assert call_sites(r"\.hold\(\)") == {"llm.py:with_retries"}
 
 
 @pytest.mark.concurrency
