@@ -3,14 +3,17 @@
 Entries are rows of one SQLite file, ``<directory>/cache.sqlite3``, keyed
 by the SHA-256 of the operation name plus the canonical JSON of its inputs;
 the value is the entry's JSON. Each ``put`` is one autocommit
-``INSERT OR REPLACE``, so concurrent writers of the same key settle on
-last-writer-wins. For a sampled completion (temperature > 0) the two
-writers may have fetched different replies: each run uses the reply it
-fetched, and every later read of the key gets the one stored last.
-Threads share one connection under a lock, and processes sharing a
-directory meet through SQLite's own locking (WAL mode, which needs a local
-filesystem). The table is the only layout read: ``<key>.json`` files left
-by the earlier one-file-per-entry layout are neither read nor changed.
+``INSERT OR REPLACE``. Within one process ``read_through`` fetches a
+missing key once: a second reader waits for the first one's fetch and
+reads what it stored. Processes sharing a directory do not share work, so
+their writers of the same key settle on last-writer-wins. For a sampled
+completion (temperature > 0) the two processes may have fetched different
+replies: each run uses the reply it fetched, and every later read of the
+key gets the one stored last. Threads share one connection under a lock,
+and processes sharing a directory meet through SQLite's own locking (WAL
+mode, which needs a local filesystem). The table is the only layout read:
+``<key>.json`` files left by the earlier one-file-per-entry layout are
+neither read nor changed.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ class JsonFileCache:
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / CACHE_FILE
         self._lock = threading.Lock()
+        self._fetching: dict[str, list] = {}  # key -> [its lock, readers using it], under _lock
         try:
             self._db = sqlite3.connect(
                 self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
@@ -80,15 +84,30 @@ class JsonFileCache:
 
     def read_through(self, key: str, field: str, fetch: Callable[[], Any], valid: Callable[[Any], bool]) -> Any:
         """``field`` of the entry at ``key``, if the entry has one that ``valid`` takes. Otherwise ``fetch()``,
-        stored as ``{field: …}`` in place of the entry if ``valid`` takes it, and else a ProviderError."""
-        found = self.get(key)
-        if found is not None and field in found and valid(found[field]):
-            return found[field]
-        value = fetch()
-        if not valid(value):
-            raise ProviderError(f"fetched {field} {value!r:.80} is not of the type its reader expects")
-        self.put(key, {field: value})
-        return value
+        stored as ``{field: …}`` in place of the entry if ``valid`` takes it, and else a ProviderError.
+
+        Each key is read, and fetched if missing, by one thread at a time. So a second reader of a key that
+        another thread is fetching waits for that fetch, holding no request slot, and then reads what it
+        stored; if it stored nothing, the second reader fetches.
+        """
+        with self._lock:
+            flight = self._fetching.setdefault(key, [threading.Lock(), 0])
+            flight[1] += 1
+        try:
+            with flight[0]:
+                found = self.get(key)
+                if found is not None and field in found and valid(found[field]):
+                    return found[field]
+                value = fetch()
+                if not valid(value):
+                    raise ProviderError(f"fetched {field} {value!r:.80} is not of the type its reader expects")
+                self.put(key, {field: value})
+                return value
+        finally:
+            with self._lock:
+                flight[1] -= 1
+                if not flight[1]:
+                    del self._fetching[key]
 
     def close(self) -> None:
         """Close the connection; the last one to close folds the WAL back into the file."""

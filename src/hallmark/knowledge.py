@@ -235,26 +235,23 @@ class KnowledgeService:
         when both wikis come up empty or the network gives out. Each search
         and each extract is cached as it comes back, an empty one too, so a
         rerun sends none of them again; a failed request is not cached.
+        ``keyword`` is non-empty, as ``extract_keyword`` returns it, and
+        ``self.wiki`` is set, as ``build_bundle`` checks first.
         """
-        if not keyword:
-            raise KnowledgeError("empty keyword")
-        wiki = self.wiki
-        if wiki is None:
-            raise KnowledgeError("no wikipedia client configured")
         subtag = primary_subtag(lang)
         wikis = list(dict.fromkeys([subtag if _names_a_wiki(subtag) else "en", "en"]))
         for wiki_lang in wikis:
             title = self._wiki_request(
                 "wikipedia_search",
                 {"wiki": wiki_lang, "keyword": keyword},
-                lambda: wiki.search_first_title(keyword, wiki_lang),
+                lambda: self.wiki.search_first_title(keyword, wiki_lang),
             )
             if title is None:
                 continue
             extract = self._wiki_request(
                 "wikipedia_extract",
                 {"wiki": wiki_lang, "title": title, "max_chars": MAX_RAW_CHARS},
-                lambda: (wiki.fetch_extract(title, wiki_lang) or "")[:MAX_RAW_CHARS],
+                lambda: (self.wiki.fetch_extract(title, wiki_lang) or "")[:MAX_RAW_CHARS],
             )
             if extract:
                 # MediaWiki's own safe set: a title such as "Why?" or "100%" still links to its page
@@ -266,9 +263,8 @@ class KnowledgeService:
         """Refine a raw extract into a compact reference paragraph.
 
         Falls back to the truncated raw text when both attempts fail.
+        ``raw`` is non-empty, as ``fetch_wikipedia`` returns it.
         """
-        if not raw:
-            raise KnowledgeError("nothing to summarize")
         values = {"lang": item.lang, "question": item.question, "answer": item.answer, "knowledge": raw}
         refined = self._ask_json("summarize_knowledge", values, "summary", "Knowledge", _knowledge)
         if refined is None:

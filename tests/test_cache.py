@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
 import sys
 import threading
+import time
 
 import pytest
 
@@ -46,6 +48,12 @@ class TestJsonFileCache:
         cache.close()
         assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite3"]
         assert JsonFileCache(tmp_path).get(KEY) == {"text": "kept"}
+
+    def test_read_of_a_closed_cache_is_an_error_naming_its_file(self, tmp_path):
+        cache = JsonFileCache(tmp_path)
+        cache.close()
+        with pytest.raises(CacheError, match=re.escape(f"cache {cache.path}: ")):
+            cache.get(KEY)
 
     def test_file_that_is_no_database_is_refused_and_its_connection_closed(self, tmp_path, monkeypatch):
         (tmp_path / "cache.sqlite3").write_bytes(b"not a database, only text " * 40)
@@ -118,3 +126,81 @@ def test_reply_that_is_no_text_costs_the_call_and_is_not_stored(tmp_path, reply)
     with pytest.raises(ProviderError, match="not of the type its reader expects"):
         client.complete(request)
     assert cache_rows(tmp_path) == {}
+
+
+def is_text(value):
+    return isinstance(value, str)
+
+
+@pytest.mark.parametrize("first_fails", [False, True], ids=["first-stores", "first-fails"])
+@pytest.mark.concurrency
+def test_a_second_reader_of_a_missing_key_waits_for_the_first_fetch(tmp_path, first_fails):
+    # it gets what the first fetch stored, or, if that fetch failed, fetches itself
+    cache = JsonFileCache(tmp_path)
+    fetches, results = [], {}
+
+    def fetch(name):
+        fetches.append(name)
+        if name == "first":
+            deadline = time.monotonic() + 10
+            while cache._fetching[KEY][1] < 2:  # until the second reader waits on this fetch
+                assert time.monotonic() < deadline, "the second reader never came"
+                time.sleep(0.001)
+            if first_fails:
+                raise ProviderError("the first fetch failed")
+        return f"fetched by {name}"
+
+    def read(name):
+        try:
+            results[name] = cache.read_through(KEY, "text", lambda: fetch(name), is_text)
+        except ProviderError as exc:
+            results[name] = exc
+
+    threads = {name: threading.Thread(target=read, args=(name,)) for name in ("first", "second")}
+    threads["first"].start()
+    deadline = time.monotonic() + 10
+    while not fetches:
+        assert time.monotonic() < deadline, "the first reader never fetched"
+        time.sleep(0.001)
+    threads["second"].start()
+    for thread in threads.values():
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads.values())
+    if first_fails:
+        assert isinstance(results["first"], ProviderError)
+        assert (results["second"], fetches) == ("fetched by second", ["first", "second"])
+    else:
+        assert results == {"first": "fetched by first", "second": "fetched by first"}
+        assert fetches == ["first"]
+    assert cache.get(KEY) == {"text": results["second"]}
+    assert cache._fetching == {}
+
+
+@pytest.mark.concurrency
+def test_threads_reading_shared_keys_fetch_each_key_once(tmp_path):
+    cache = JsonFileCache(tmp_path)
+    keys = [make_key("op", {"k": k}) for k in range(50)]
+    fetched, errors = [], []
+
+    def work(t):
+        try:
+            for i in range(200):  # each key four times, from an offset of the thread's own
+                key = keys[(i + 7 * t) % len(keys)]
+                assert cache.read_through(key, "text", lambda: fetched.append(key) or key, is_text) == key
+        except Exception as exc:  # collected, so a failure in a thread fails the test
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so that readers of one key meet
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(fetched) == sorted(keys)
+    assert cache._fetching == {}

@@ -203,6 +203,16 @@ class TestAnnotateCommand:
         assert code == 3
         assert "OPENAI_API_KEY" in capsys.readouterr().err
 
+    def test_provider_without_api_key_env_exits_3(self, tmp_path, capsys):
+        code = cli.main([
+            "annotate", "--input", str(SAMPLE_ITEMS), "--output", str(tmp_path / "p.jsonl"),
+            "--provider", "custom", "--base-url", "https://a.example", "--model", "m",
+            "--cache-dir", str(tmp_path / "cache"),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == "error: provider 'custom' has no api_key_env configured\n"
+        assert not (tmp_path / "p.jsonl").exists()
+
     def test_partial_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         items = tmp_path / "items.jsonl"
         items.write_text(
@@ -428,6 +438,7 @@ class TestAnnotateCommand:
         assert cli.main(args) == 0
         assert sum(w.calls for w in StubWiki.instances) > 0
 
+    @pytest.mark.concurrency  # all ten items share the mock's keyword, so both workers read its Wikipedia rows
     def test_unreadable_cache_rows_are_requested_again(self, tmp_path, monkeypatch, built_mocks):
         # rows as a torn write or another program may leave them: each is a miss, asked again and replaced
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})

@@ -51,6 +51,9 @@ class TestReadItems:
         ])
         with pytest.raises(SchemaError, match=r"items\.jsonl:2: "):
             read_items(path)
+        write_lines(path, ["[1, 2]"])  # JSON, but no object
+        with pytest.raises(SchemaError, match=r"items\.jsonl:1: record is not a JSON object$"):
+            read_items(path)
 
     def test_lines_break_at_crlf_cr_and_lf_only(self, tmp_path):
         # a raw U+2028 or U+0085 is text inside its answer, where str.splitlines would break the line

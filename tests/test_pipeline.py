@@ -457,6 +457,37 @@ class TestAnnotateDataset:
         assert [r.id for r in records] == ["it-0", "it-1", "it-0"]
         assert records[0] == records[2]
 
+    @pytest.mark.concurrency
+    def test_items_sharing_a_question_send_its_knowledge_requests_once(self, cache):
+        # the second item reads the keyword while the first item's request for it is on the wire, and
+        # waits for its reply instead of sending its own; the Wikipedia requests after it are shared too
+        items = [QAItem(id=f"same-{i}", lang="EN", question="q", answer=f"answer {i} has words.") for i in range(2)]
+        mock = MockProvider(rules=self.rules_for(items))
+        reads = []  # (thread, key) of each read through the cache, as it starts
+        read_through = cache.read_through
+
+        def read(key, *args):
+            reads.append((threading.get_ident(), key))
+            return read_through(key, *args)
+
+        def reply(req):
+            if req.seed_tag == "keyword":
+                key, deadline = llm._cache_key(req), time.monotonic() + 10
+                while not any(thread != threading.get_ident() and k == key for thread, k in reads):
+                    assert time.monotonic() < deadline, "the other item never read the keyword"
+                    time.sleep(0.001)
+            return mock.send(req)
+
+        cache.read_through = read
+        provider = FakeProvider(reply)
+        session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
+        llm, svc = service(provider, cache, wiki_session=session)
+        cfg = config(use_roles=False, use_external=True, max_parallel_items=2)
+        records = annotate_dataset(items, cfg, llm, svc)
+        assert [r.id for r in records] == ["same-0", "same-1"]
+        assert [req.seed_tag for req in provider.calls].count("keyword") == 1
+        assert [call["params"].get("list") for call in session.calls] == ["search", None]
+
     def slow_provider(self, reply=""):
         """A provider that takes 20 ms to give ``reply``."""
         return FakeProvider(lambda req: time.sleep(0.02) or reply)
