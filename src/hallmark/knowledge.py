@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 from urllib.parse import quote
@@ -22,7 +21,7 @@ from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import ConfigError, KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import WIKI_SLOTS, CompletionRequest, LLMClient, environment_reader, transient_checked, with_retries
+from .llm import WIKI_SLOTS, CompletionRequest, LLMClient, backoff, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 if TYPE_CHECKING:
@@ -86,7 +85,7 @@ class WikipediaClient:
     def __init__(
         self,
         session: requests.Session | None = None,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] = backoff,
     ):
         if session is None:
             import requests
@@ -151,8 +150,10 @@ class KnowledgeService:
     goes to the network on its own. Each request reads through it
     (``JsonFileCache.read_through``), and each attempt takes one of
     ``WIKI_SLOTS`` (the batch's slots in its threads, an unbounded gate
-    elsewhere) by the rule of ``with_retries``. Retries of JSON prompts use
-    distinct seed tags, or the cache would replay a bad reply.
+    elsewhere) by the rule of ``with_retries``, so once the batch's
+    ``STOPPED`` event is set, a backoff ends at once and nothing more is
+    sent. Retries of JSON prompts use distinct seed tags, or the cache would
+    replay a bad reply.
     """
 
     def __init__(

@@ -17,10 +17,9 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import CancelledError
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Protocol, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from .cache import JsonFileCache, make_key
@@ -59,18 +58,37 @@ def transient_checked(call: Callable[[], requests.Response], service: str) -> re
     return response
 
 
+# A batch's slots for each service and its stop event, set in every thread of its pool; elsewhere a request takes
+# an unbounded gate, and nothing stops it.
+CHAT_SLOTS: ContextVar[threading.Semaphore] = ContextVar("CHAT_SLOTS", default=threading.Semaphore(math.inf))
+WIKI_SLOTS: ContextVar[threading.Semaphore] = ContextVar("WIKI_SLOTS", default=threading.Semaphore(math.inf))
+STOPPED: ContextVar[threading.Event] = ContextVar("STOPPED", default=threading.Event())
+
+
+def check_stop() -> None:
+    """Raise ``CancelledError`` once the batch has stopped."""
+    if STOPPED.get().is_set():
+        raise CancelledError("the batch has stopped")
+
+
+def backoff(seconds: float) -> None:
+    """Wait ``seconds``, or less if the batch stops first: the default ``sleep`` of every client and limiter."""
+    STOPPED.get().wait(seconds)
+
+
 def with_retries(
-    call: Callable[[], T], slots: RequestSlots, retries: int, backoff_base: float, sleep: Callable[[float], None]
+    call: Callable[[], T], slots: threading.Semaphore, retries: int, backoff_base: float, sleep: Callable[[float], None]
 ) -> T:
     """``call()``, retried at most ``retries`` times, ``backoff_base·2ⁿ`` s after its n-th transient failure.
 
     The one place where a request to an outside service takes its slot: each attempt holds one of ``slots``,
-    and a backoff sleep holds none. So a stopped batch sends no retry; its next attempt raises
-    ``CancelledError``.
+    and a backoff sleep holds none. Once the batch stops (``STOPPED``), no attempt starts, a retry included:
+    the next one raises ``CancelledError``, and the default ``sleep``, ``backoff``, ends at the stop.
     """
     for attempt in itertools.count():
         try:
-            with slots.hold():
+            with slots:
+                check_stop()
                 return call()
         except TransientProviderError as exc:
             if attempt >= retries:
@@ -122,13 +140,14 @@ class Provider(Protocol):
 class RateLimiter:
     """Sliding-window limiter: at most ``requests_per_minute`` acquisitions
     in any 60 second window. Thread-safe; callers block when the budget is
-    spent. Clock and sleep are injectable for tests."""
+    spent, until the batch stops, when the wait raises ``CancelledError``
+    and takes no stamp. Clock and sleep are injectable for tests."""
 
     def __init__(
         self,
         requests_per_minute: int,
         clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] = backoff,
     ):
         self.requests_per_minute = requests_per_minute
         self._clock = clock
@@ -147,6 +166,7 @@ class RateLimiter:
                     return
                 wait = self._stamps[0] + 60.0 - now
             self._sleep(max(wait, 0.0))
+            check_stop()
 
 
 def environment_reader(session: requests.Session) -> Callable[[str], dict]:
@@ -306,35 +326,6 @@ class MockProvider:
         return insert_markers(best.answer, best.spans_for(req.seed_tag))
 
 
-class RequestSlots:
-    """The requests one batch may have on the wire to one service: ``n`` slots, until the batch stops.
-
-    Only ``with_retries`` takes a slot, for one attempt at a time: an attempt holds it while it waits on the
-    service, and a backoff sleep between attempts holds none. Once the batch stops, no attempt starts, a
-    retry included.
-    """
-
-    def __init__(self, n: float):
-        self._slots = threading.Semaphore(n)  # never blocks when n is math.inf
-        self._stopped = False
-
-    def stop(self) -> None:
-        """Send nothing new: a request that has not yet taken a slot raises ``CancelledError``."""
-        self._stopped = True
-
-    @contextmanager
-    def hold(self) -> Iterator[None]:
-        with self._slots:
-            if self._stopped:
-                raise CancelledError("the batch has stopped")
-            yield
-
-
-# A batch's slots for each service, set in every thread of its pool; elsewhere a request takes an unbounded gate.
-CHAT_SLOTS: ContextVar[RequestSlots] = ContextVar("CHAT_SLOTS", default=RequestSlots(math.inf))
-WIKI_SLOTS: ContextVar[RequestSlots] = ContextVar("WIKI_SLOTS", default=RequestSlots(math.inf))
-
-
 class LLMClient:
     """Provider wrapper adding the response cache, the rate limiter, and
     exponential-backoff retries for transient failures.
@@ -348,7 +339,9 @@ class LLMClient:
     its threads, an unbounded gate elsewhere) by the rule of ``with_retries``,
     and waits on the rate limiter and on the provider inside it. Cache reads
     and writes and key hashing run outside it, so the slots stay busy while
-    the threads that hold none do that work.
+    the threads that hold none do that work. Once the batch's ``STOPPED``
+    event is set, a backoff or a wait for the rate window ends at once and
+    nothing more is sent.
     """
 
     def __init__(
@@ -358,7 +351,7 @@ class LLMClient:
         limiter: RateLimiter | None = None,
         max_retries: int = 3,
         backoff_base: float = 1.0,
-        sleep: Callable[[float], None] = time.sleep,
+        sleep: Callable[[float], None] = backoff,
     ):
         self.provider = provider
         self.cache = cache

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -20,7 +21,7 @@ from .alignment import align, project_spans, validate_run
 from .core import PredictionRecord, QAItem
 from .errors import MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
-from .llm import CHAT_SLOTS, WIKI_SLOTS, CompletionRequest, LLMClient, ProviderConfig, RequestSlots
+from .llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, LLMClient, ProviderConfig
 from .marking import parse_marked
 from .prompts import (
     NO_KNOWLEDGE_SENTINEL,
@@ -189,9 +190,10 @@ def annotate_dataset(
     one after another. Each service has slots of its own, and a request
     holds one only for each attempt on the wire (see ``with_retries``). So
     while one item hashes, reads the cache, parses or aligns, another item's
-    request takes its slot. The slots belong to the batch's worker threads
-    (``CHAT_SLOTS`` and ``WIKI_SLOTS``), not to the clients, so each batch
-    bounds its own requests, also when batches share ``llm``.
+    request takes its slot. The slots and the batch's stop event belong to
+    its worker threads (``CHAT_SLOTS``, ``WIKI_SLOTS`` and ``STOPPED``), not
+    to the clients, so each batch bounds and stops its own requests, also
+    when batches share ``llm``.
 
     Items are submitted longest answer first (ties in input order). Every
     reply copies the answer, so the longest items cost most, and starting
@@ -199,19 +201,22 @@ def annotate_dataset(
     Records and ``progress`` calls still follow input order, so on a mixed
     batch the first ``progress`` call can wait for the longest items. An
     error or interrupt, here or in ``progress``, stops the batch: items not
-    yet started are cancelled, requests already on the wire finish, and no
-    new request or retry is sent to either service. All completions land in
+    yet started are cancelled, requests already on the wire finish, a
+    backoff or a wait for the rate window ends at once, and no new request
+    or retry is sent to either service. All completions land in
     the shared response cache, so a stopped batch resumes from where it
     stopped when rerun.
     """
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)
     reported = 0
-    slots, wiki_slots = RequestSlots(cfg.max_parallel_items), RequestSlots(cfg.max_parallel_items)
+    slots, wiki_slots = threading.Semaphore(cfg.max_parallel_items), threading.Semaphore(cfg.max_parallel_items)
+    stopped = threading.Event()
 
     def enter_batch() -> None:  # in each pool thread, which serves this batch only
         CHAT_SLOTS.set(slots)
         WIKI_SLOTS.set(wiki_slots)
+        STOPPED.set(stopped)
 
     with ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1, initializer=enter_batch) as pool:
         try:
@@ -225,8 +230,7 @@ def annotate_dataset(
                         progress(records[reported])
                     reported += 1
         except BaseException:
-            slots.stop()
-            wiki_slots.stop()
+            stopped.set()
             pool.shutdown(cancel_futures=True)
             raise
     return records

@@ -4,7 +4,6 @@ import hashlib
 import json
 import threading
 from concurrent.futures import CancelledError
-from contextlib import contextmanager
 from contextvars import copy_context
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -27,7 +26,7 @@ from hallmark import (
 from hallmark import __version__
 from hallmark.errors import AuthError, ConfigError, KnowledgeError, ProviderError
 from hallmark.knowledge import FALLBACK_CHARS, WIKIPEDIA_RETRIES, KnowledgeService, WikipediaClient
-from hallmark.llm import CHAT_SLOTS, WIKI_SLOTS, CompletionRequest, RequestSlots, TransientProviderError
+from hallmark.llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import (
@@ -244,14 +243,14 @@ class TestFetchWikipedia:
         # a batch that has stopped sends nothing new to Wikipedia either
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
-        slots = RequestSlots(1)
-        slots.stop()
-        token = WIKI_SLOTS.set(slots)
+        stopped = threading.Event()
+        stopped.set()
+        token = STOPPED.set(stopped)
         try:
             with pytest.raises(CancelledError):
                 svc.fetch_wikipedia("kw", "EN")
         finally:
-            WIKI_SLOTS.reset(token)
+            STOPPED.reset(token)
         assert session.calls == []
 
     @pytest.mark.concurrency
@@ -259,11 +258,11 @@ class TestFetchWikipedia:
         # in a batch, a Wikipedia request waits for a free slot of the batch's Wikipedia slots
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
-        slots = RequestSlots(1)
+        slots = threading.Semaphore(1)
         token = WIKI_SLOTS.set(slots)
         batch_context = copy_context()  # what a thread of the batch sees
         WIKI_SLOTS.reset(token)
-        with slots.hold():
+        with slots:
             fetch = threading.Thread(target=batch_context.run, args=(svc.fetch_wikipedia, "kw", "EN"))
             fetch.start()
             fetch.join(timeout=0.2)
@@ -352,21 +351,20 @@ def failing_wiki_request(cache, sleep):
     return WIKI_SLOTS, lambda: svc.fetch_wikipedia("kw", "EN"), lambda: len(session.calls)
 
 
-class HeldSlots(RequestSlots):
+class HeldSlots(threading.Semaphore):
     """Request slots that count their holders."""
 
     def __init__(self, n):
         super().__init__(n)
         self.held = 0
 
-    @contextmanager
-    def hold(self):
-        with super().hold():
-            self.held += 1
-            try:
-                yield
-            finally:
-                self.held -= 1
+    def __enter__(self):
+        super().__enter__()
+        self.held += 1
+
+    def __exit__(self, *exc_info):
+        self.held -= 1
+        super().__exit__(*exc_info)
 
 
 @pytest.mark.parametrize("failing_request", [failing_chat_request, failing_wiki_request], ids=["chat", "wikipedia"])
@@ -374,14 +372,14 @@ class TestSlotPerAttempt:
     """Both services hold a slot of the batch for each attempt, and none for the backoff sleep between attempts."""
 
     def test_batch_stopped_during_backoff_sends_no_retry(self, cache, failing_request):
-        slots = RequestSlots(1)
-        var, send, sent = failing_request(cache, lambda _: slots.stop())
-        token = var.set(slots)
+        stopped = threading.Event()
+        _, send, sent = failing_request(cache, lambda _: stopped.set())
+        token = STOPPED.set(stopped)
         try:
             with pytest.raises(CancelledError):
                 send()
         finally:
-            var.reset(token)
+            STOPPED.reset(token)
         assert sent() == 1
 
     def test_backoff_sleep_leaves_the_only_slot_free(self, cache, failing_request):

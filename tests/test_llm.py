@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 import threading
@@ -24,7 +25,8 @@ from hallmark import (
     SpanLabel,
 )
 from hallmark.errors import AuthError, ConfigError, ProviderError
-from hallmark.llm import MOCK_ROLES, RequestSlots, TransientProviderError
+from hallmark.knowledge import WikipediaClient
+from hallmark.llm import MOCK_ROLES, STOPPED, TransientProviderError, backoff, with_retries
 
 from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, json_bodies, swimmer_spans, wire_response
 
@@ -489,24 +491,26 @@ def test_one_transient_test_and_one_backoff_loop():
     # both outside services decide what a failed call costs, and when a request holds a slot, in the same places
     assert call_sites(r"sleep\(") == {"llm.py:with_retries", "llm.py:acquire"}
     assert call_sites(r"\b429\b") == {"llm.py:transient_checked"}
-    assert call_sites(r"\.hold\(\)") == {"llm.py:with_retries"}
+    assert call_sites(r"with slots:") == {"llm.py:with_retries"}
 
 
 @pytest.mark.concurrency
 def test_request_slots_hold_the_bound_under_contention():
     # more threads than cores, switching often: no third holder gets in, and no waiter is left without a slot
-    slots, lock = RequestSlots(2), threading.Lock()
+    slots, lock = threading.Semaphore(2), threading.Lock()
     inside, peak, finished = [0], [0], []
+
+    def attempt():
+        with lock:
+            inside[0] += 1
+            peak[0] = max(peak[0], inside[0])
+        time.sleep(0.0002)
+        with lock:
+            inside[0] -= 1
 
     def worker():
         for _ in range(100):
-            with slots.hold():
-                with lock:
-                    inside[0] += 1
-                    peak[0] = max(peak[0], inside[0])
-                time.sleep(0.0002)
-                with lock:
-                    inside[0] -= 1
+            with_retries(attempt, slots, 0, 0.0, time.sleep)
         finished.append(True)
 
     interval = sys.getswitchinterval()
@@ -521,32 +525,82 @@ def test_request_slots_hold_the_bound_under_contention():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert (len(finished), peak[0]) == (8, 2)
-    slots.stop()
-    with pytest.raises(CancelledError):
-        with slots.hold():
-            pass
+    stopped = threading.Event()
+    stopped.set()
+    token = STOPPED.set(stopped)
+    try:
+        with pytest.raises(CancelledError):
+            with_retries(attempt, slots, 0, 0.0, time.sleep)
+    finally:
+        STOPPED.reset(token)
 
 
 @pytest.mark.concurrency
 def test_request_slots_stopped_waiter_sends_nothing():
     # a request already waiting for a slot when the batch stops gets the freed slot and gives it straight back
-    slots, outcome, ran = RequestSlots(1), [], []
+    slots, stopped, outcome, ran = threading.Semaphore(1), threading.Event(), [], []
 
     def waiter():
+        STOPPED.set(stopped)  # in this thread's own context, as a thread of the batch
         try:
-            with slots.hold():
-                ran.append(True)
+            with_retries(lambda: ran.append(True), slots, 0, 0.0, time.sleep)
         except CancelledError:
             outcome.append("cancelled")
 
     thread = threading.Thread(target=waiter)
-    with slots.hold():
+    with slots:
         thread.start()
         deadline, blocked = time.monotonic() + 10, threading.Condition.wait.__code__  # where a semaphore waits
         while getattr(sys._current_frames().get(thread.ident), "f_code", None) is not blocked:
             assert time.monotonic() < deadline, "the waiter never blocked"
             time.sleep(0.001)
-        slots.stop()
+        stopped.set()
     thread.join(timeout=10)
     assert not thread.is_alive()
     assert (outcome, ran) == (["cancelled"], [])
+
+
+@pytest.mark.concurrency
+def test_stop_ends_a_backoff_at_once(tmp_path):
+    # a batch stopped while a request sleeps out its backoff ends now, not 60 s later, and sends no retry
+    sent, stopped, outcome = threading.Event(), threading.Event(), []
+    provider = FakeProvider(lambda _: sent.set() or TransientProviderError("HTTP 503"))
+    client = LLMClient(provider, cache=JsonFileCache(tmp_path), backoff_base=60.0)
+
+    def request():
+        STOPPED.set(stopped)  # in this thread's own context, as a thread of the batch
+        try:
+            client.complete(req())
+        except CancelledError:
+            outcome.append("cancelled")
+
+    thread = threading.Thread(target=request, daemon=True)  # a regression fails the join, not the run's exit
+    thread.start()
+    assert sent.wait(timeout=10)
+    stopped.set()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (provider.call_count, outcome) == (1, ["cancelled"])
+    for waiter in (LLMClient, WikipediaClient, RateLimiter):  # every wait in a batch sleeps this way by default
+        assert inspect.signature(waiter).parameters["sleep"].default is backoff
+
+
+@pytest.mark.concurrency
+def test_stop_during_a_wait_for_the_rate_window_sends_nothing(tmp_path):
+    # the second request waits for the 1-a-minute window; the batch stops meanwhile, and it is never sent
+    vc, stopped = VirtualClock(), threading.Event()
+
+    def wait(seconds):
+        stopped.set()
+        vc.sleep(seconds)
+
+    provider = FakeProvider("r")
+    client = LLMClient(provider, cache=JsonFileCache(tmp_path), limiter=RateLimiter(1, clock=vc.clock, sleep=wait))
+    token = STOPPED.set(stopped)
+    try:
+        assert client.complete(req("first")) == "r"
+        with pytest.raises(CancelledError):
+            client.complete(req("second"))
+    finally:
+        STOPPED.reset(token)
+    assert provider.call_count == 1
