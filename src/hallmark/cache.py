@@ -41,7 +41,11 @@ def make_key(operation: str, payload: dict[str, Any]) -> str:
 
 
 class JsonFileCache:
-    """JSON values by key, in ``<directory>/cache.sqlite3``."""
+    """JSON values by key, in ``<directory>/cache.sqlite3``.
+
+    Whoever opens a cache closes it, as ``cmd_annotate`` does in its ``finally``. Python 3.13 warns
+    (``ResourceWarning: unclosed database``) about a cache that is collected while still open.
+    """
 
     def __init__(self, directory: str | Path):
         directory = Path(directory)

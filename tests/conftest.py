@@ -6,6 +6,7 @@ import random
 import re
 import sqlite3
 import threading
+from contextlib import closing
 from pathlib import Path
 from typing import Mapping
 
@@ -53,13 +54,27 @@ def swimmer_rule() -> MarkingRule:
 
 
 @pytest.fixture
-def cache(tmp_path) -> JsonFileCache:
-    return JsonFileCache(tmp_path / "cache")
+def open_cache():
+    """``open_cache(directory)`` opens a JsonFileCache there; the test's teardown closes each one it opened."""
+    opened = []
+
+    def open_(directory) -> JsonFileCache:
+        opened.append(JsonFileCache(directory))
+        return opened[-1]
+
+    yield open_
+    for cache in opened:
+        cache.close()
+
+
+@pytest.fixture
+def cache(tmp_path, open_cache) -> JsonFileCache:
+    return open_cache(tmp_path / "cache")
 
 
 def cache_rows(directory: Path) -> dict:
     """Every entry of the response cache in ``directory``, read from its SQLite file directly."""
-    with sqlite3.connect(directory / "cache.sqlite3") as db:
+    with closing(sqlite3.connect(directory / "cache.sqlite3")) as db:
         return {key: json.loads(value) for key, value in db.execute("SELECT key, value FROM entries")}
 
 

@@ -19,7 +19,6 @@ import hallmark.cli as cli
 from hallmark import (
     AnnotationRun,
     GoldRecord,
-    JsonFileCache,
     MarkingRule,
     MockProvider,
     ProviderConfig,
@@ -218,7 +217,7 @@ def test_marker_round_trip_multilingual():
     )
 
 
-def test_threshold_semantics(tmp_path):
+def test_threshold_semantics(tmp_path, open_cache):
     """A 7-of-12 vote survives at 0.5 and drops at 0.6."""
     span = swimmer_spans()[0]
     rule = MarkingRule(
@@ -226,7 +225,7 @@ def test_threshold_semantics(tmp_path):
     )
 
     for threshold, expected in [(0.5, [span]), (0.6, [])]:
-        llm, svc = service(MockProvider(rules=[rule]), JsonFileCache(tmp_path / str(threshold)))
+        llm, svc = service(MockProvider(rules=[rule]), open_cache(tmp_path / str(threshold)))
         record = annotate_item(
             swimmer_item(), mock_config(threshold=threshold), llm, svc
         )
@@ -305,7 +304,7 @@ def test_cli_contract(tmp_path, built_mocks, capsys):
     record_pass("CLI contract: exit 0, schema-valid output, all-1.0 self-report, cached rerun")
 
 
-def test_knowledge_chain_degradation(tmp_path):
+def test_knowledge_chain_degradation(tmp_path, open_cache):
     """A dead Wikipedia only removes the knowledge section of the prompt."""
     items = [swimmer_item()]
     rule = MarkingRule(SWIMMER_ANSWER, tuple(swimmer_spans()))
@@ -328,8 +327,8 @@ def test_knowledge_chain_degradation(tmp_path):
     )
     broken = FakeWikiSession(fail=True)
 
-    records_ok, prompts_ok = run(working, JsonFileCache(tmp_path / "working"))
-    records_degraded, prompts_degraded = run(broken, JsonFileCache(tmp_path / "broken"))
+    records_ok, prompts_ok = run(working, open_cache(tmp_path / "working"))
+    records_degraded, prompts_degraded = run(broken, open_cache(tmp_path / "broken"))
 
     assert records_degraded[0].runs_used == 12
     assert records_degraded == records_ok

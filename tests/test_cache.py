@@ -20,37 +20,37 @@ KEY = make_key("op", {"x": 1})
 
 
 class TestJsonFileCache:
-    def test_round_trip(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_round_trip(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         cache.put(KEY, {"text": "héllo «x»", "n": [1, 2.5, None]})
         assert cache.get(KEY) == {"text": "héllo «x»", "n": [1, 2.5, None]}
 
-    def test_miss(self, tmp_path):
-        assert JsonFileCache(tmp_path).get(KEY) is None
+    def test_miss(self, tmp_path, open_cache):
+        assert open_cache(tmp_path).get(KEY) is None
 
-    def test_overwrite_keeps_the_last_value(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_overwrite_keeps_the_last_value(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         cache.put(KEY, {"text": "first"})
         cache.put(KEY, {"text": "second"})
         assert cache.get(KEY) == {"text": "second"}
         assert cache_rows(tmp_path) == {KEY: {"text": "second"}}
 
-    def test_one_file_instead_of_one_per_entry(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_one_file_instead_of_one_per_entry(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         for i in range(20):
             cache.put(make_key("op", {"i": i}), {"text": str(i)})
         assert not list(tmp_path.glob("*.json"))
         assert len(cache_rows(tmp_path)) == 20
 
-    def test_closed_cache_leaves_one_file(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_closed_cache_leaves_one_file(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         cache.put(KEY, {"text": "kept"})
         cache.close()
         assert [p.name for p in tmp_path.iterdir()] == ["cache.sqlite3"]
-        assert JsonFileCache(tmp_path).get(KEY) == {"text": "kept"}
+        assert open_cache(tmp_path).get(KEY) == {"text": "kept"}
 
-    def test_read_of_a_closed_cache_is_an_error_naming_its_file(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_read_of_a_closed_cache_is_an_error_naming_its_file(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         cache.close()
         with pytest.raises(CacheError, match=re.escape(f"cache {cache.path}: ")):
             cache.get(KEY)
@@ -70,16 +70,16 @@ class TestJsonFileCache:
         with pytest.raises(sqlite3.ProgrammingError, match="closed"):
             opened[0].execute("SELECT 1")
 
-    def test_two_caches_on_one_directory_share_entries(self, tmp_path):
-        first, second = JsonFileCache(tmp_path), JsonFileCache(tmp_path)
+    def test_two_caches_on_one_directory_share_entries(self, tmp_path, open_cache):
+        first, second = open_cache(tmp_path), open_cache(tmp_path)
         first.put(KEY, {"text": "from first"})
         assert second.get(KEY) == {"text": "from first"}
         second.put(KEY, {"text": "from second"})
         assert first.get(KEY) == {"text": "from second"}
 
     @pytest.mark.concurrency
-    def test_threads_share_one_cache(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_threads_share_one_cache(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         errors = []
 
         def work(t):
@@ -106,11 +106,11 @@ class TestJsonFileCache:
         assert len(cache_rows(tmp_path)) == 8 * 200
 
 
-def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path):
+def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path, open_cache):
     # a ``<key>.json`` entry of the one-file-per-entry layout that preceded the table
     request = CompletionRequest(model="m", user_prompt="p", temperature=1.0, max_tokens=2048, seed_tag="run-0")
     provider = FakeProvider({"p": "fresh"})
-    client = LLMClient(provider, cache=JsonFileCache(tmp_path))
+    client = LLMClient(provider, cache=open_cache(tmp_path))
     old = tmp_path / f"{client._cache_key(request)}.json"
     old.write_text(json.dumps({"text": "cached «r»"}, ensure_ascii=False), encoding="utf-8")
     before = old.read_bytes()
@@ -120,9 +120,9 @@ def test_old_file_layout_is_not_read_and_left_unchanged(tmp_path):
 
 
 @pytest.mark.parametrize("reply", [5, None, "a\ud800b"])
-def test_reply_that_is_no_text_costs_the_call_and_is_not_stored(tmp_path, reply):
+def test_reply_that_is_no_text_costs_the_call_and_is_not_stored(tmp_path, open_cache, reply):
     request = CompletionRequest(model="m", user_prompt="p", temperature=1.0, max_tokens=2048, seed_tag="run-0")
-    client = LLMClient(FakeProvider(reply), cache=JsonFileCache(tmp_path))
+    client = LLMClient(FakeProvider(reply), cache=open_cache(tmp_path))
     with pytest.raises(ProviderError, match="not of the type its reader expects"):
         client.complete(request)
     assert cache_rows(tmp_path) == {}
@@ -134,9 +134,9 @@ def is_text(value):
 
 @pytest.mark.parametrize("first_fails", [False, True], ids=["first-stores", "first-fails"])
 @pytest.mark.concurrency
-def test_a_second_reader_of_a_missing_key_waits_for_the_first_fetch(tmp_path, first_fails):
+def test_a_second_reader_of_a_missing_key_waits_for_the_first_fetch(tmp_path, open_cache, first_fails):
     # it gets what the first fetch stored, or, if that fetch failed, fetches itself
-    cache = JsonFileCache(tmp_path)
+    cache = open_cache(tmp_path)
     fetches, results = [], {}
 
     def fetch(name):
@@ -177,8 +177,8 @@ def test_a_second_reader_of_a_missing_key_waits_for_the_first_fetch(tmp_path, fi
 
 
 @pytest.mark.concurrency
-def test_threads_reading_shared_keys_fetch_each_key_once(tmp_path):
-    cache = JsonFileCache(tmp_path)
+def test_threads_reading_shared_keys_fetch_each_key_once(tmp_path, open_cache):
+    cache = open_cache(tmp_path)
     keys = [make_key("op", {"k": k}) for k in range(50)]
     fetched, errors = [], []
 

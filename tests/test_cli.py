@@ -19,6 +19,7 @@ import hallmark.knowledge
 import hallmark.llm
 import hallmark.pipeline
 from hallmark import SpanLabel, read_items, read_predictions
+from hallmark.errors import CacheError
 from hallmark.jsonl import prediction_to_dict
 
 from .conftest import FakeProvider, cache_rows, nested
@@ -963,10 +964,13 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     code = section.split("```python\n")[1].split("```")[0]
     shutil.copytree(SAMPLE_DIR, tmp_path / "data" / "sample")
     monkeypatch.chdir(tmp_path)
-    exec(code, {})
+    namespace = {}
+    exec(code, namespace)
     records = read_predictions(tmp_path / "pred.jsonl")
     assert [r.id for r in records] == [item.id for item in read_items(SAMPLE_ITEMS)]
     assert (records[0].runs_used, records[0].hard_labels) == (12, (SpanLabel(25, 31),))
+    with pytest.raises(CacheError):  # the example closes the cache it opened
+        namespace["cache"].get("k")
 
 
 def test_readme_quick_start_runs(tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ import requests
 from hypothesis import given, settings
 
 from hallmark import (
-    JsonFileCache,
     LLMClient,
     MarkingRule,
     MockProvider,
@@ -478,10 +477,10 @@ MALFORMED_WIKIPEDIA = [
 
 
 @pytest.mark.parametrize("search, extract", MALFORMED_WIKIPEDIA)
-def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, search, extract):
+def test_malformed_wikipedia_payload_costs_only_the_knowledge(item, tmp_path, open_cache, search, extract):
     wiki = WikipediaClient(session=ReplaySession({"search": search, "extract": extract}))
     provider = FakeProvider(MockProvider(rules=[MarkingRule(SWIMMER_ANSWER, (SpanLabel(0, 5),))]).send)
-    svc, _ = service_for(provider, JsonFileCache(tmp_path), wiki)
+    svc, _ = service_for(provider, open_cache(tmp_path), wiki)
     with pytest.raises(KnowledgeError):
         svc.fetch_wikipedia("kw", "EN")
 
@@ -583,16 +582,16 @@ class TestSummarize:
 
 
 class TestCaching:
-    def test_roles_cached(self, item, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_roles_cached(self, item, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         script = {roles_prompt(item): '{"Identities": ["A"], "Reason": ""}'}
         svc, provider = service_with_script(script, cache)
         assert svc.assign_roles(item) == ["A"]
         assert svc.assign_roles(item) == ["A"]
         assert provider.call_count == 1
 
-    def test_wikipedia_cached(self, item, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_wikipedia_cached(self, item, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         session = FakeWikiSession(
             search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "text"}
         )
@@ -602,9 +601,9 @@ class TestCaching:
         svc.fetch_wikipedia("kw", "EN")
         assert len(session.calls) == calls_before
 
-    def test_wikipedia_miss_cached(self, item, tmp_path):
+    def test_wikipedia_miss_cached(self, item, tmp_path, open_cache):
         session = FakeWikiSession(search_results={})
-        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, open_cache(tmp_path), wiki=WikipediaClient(session=session))
         with pytest.raises(KnowledgeError) as first:
             svc.fetch_wikipedia("kw", "FI")
         calls_before = len(session.calls)
@@ -613,26 +612,26 @@ class TestCaching:
         assert len(session.calls) == calls_before == 2
         assert str(second.value) == str(first.value) == "no wikipedia results for 'kw' in ['fi', 'en']"
 
-    def test_failed_wikipedia_request_not_cached(self, item, tmp_path):
+    def test_failed_wikipedia_request_not_cached(self, item, tmp_path, open_cache):
         session = FakeWikiSession(fail=True)
         wiki = WikipediaClient(session=session, sleep=lambda _: None)
-        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=wiki)
+        svc, _ = service_with_script({}, open_cache(tmp_path), wiki=wiki)
         with pytest.raises(KnowledgeError):
             svc.fetch_wikipedia("kw", "EN")
         assert cache_rows(tmp_path) == {}
 
-    def test_wikipedia_cache_key_is_pinned(self, tmp_path):
+    def test_wikipedia_cache_key_is_pinned(self, tmp_path, open_cache):
         # a changed key would make every existing cache miss; one entry per request, search then extract
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
-        svc, _ = service_with_script({}, JsonFileCache(tmp_path), wiki=WikipediaClient(session=session))
+        svc, _ = service_with_script({}, open_cache(tmp_path), wiki=WikipediaClient(session=session))
         svc.fetch_wikipedia("Petra van Staveren", "EN")
         assert cache_rows(tmp_path) == {
             "2a20b8aeca425e513b8056e490c35b8a985b0ac81442fb9b50c92a9e4619ba5e": {"value": "Hit"},
             "b1f4f427bc5bae81f9e2d6b9ac042c9f339bcb2c4d4c9faf7133debfdab5fe2e": {"value": "t"},
         }
 
-    def test_full_chain_zero_calls_on_repeat(self, item, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_full_chain_zero_calls_on_repeat(self, item, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         raw = "wiki text"
         session = FakeWikiSession(
             search_results={"en": ["Hit"]}, extracts={("en", "Hit"): raw}
@@ -654,12 +653,12 @@ class TestCaching:
         assert len(session.calls) == wiki_calls
 
 
-    def test_only_wikipedia_fetch_is_cached_here(self, item, tmp_path):
+    def test_only_wikipedia_fetch_is_cached_here(self, item, tmp_path, open_cache):
         # the three LLM steps live in LLMClient's response cache, here one of
         # its own; the service itself stores only the fetch's two requests
-        cache = JsonFileCache(tmp_path)
+        cache = open_cache(tmp_path)
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
-        client = LLMClient(MockProvider(), cache=JsonFileCache(tmp_path / "completions"), sleep=lambda _: None)
+        client = LLMClient(MockProvider(), cache=open_cache(tmp_path / "completions"), sleep=lambda _: None)
         svc = KnowledgeService(client, WikipediaClient(session=session), "m", cache=cache)
         assert svc.build_bundle(item).refined_external is not None
         assert list(cache_rows(tmp_path).values()) == [{"value": "Hit"}, {"value": "t"}]

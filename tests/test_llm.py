@@ -14,7 +14,6 @@ from requests.adapters import BaseAdapter
 
 from hallmark import (
     CompletionRequest,
-    JsonFileCache,
     LLMClient,
     MarkingRule,
     MockProvider,
@@ -108,29 +107,29 @@ class TestMockProvider:
 
 
 class TestLLMClientCache:
-    def test_second_call_served_from_cache(self, tmp_path):
+    def test_second_call_served_from_cache(self, tmp_path, open_cache):
         mock = FakeProvider({"p": "r"})
-        client = LLMClient(mock, cache=JsonFileCache(tmp_path))
+        client = LLMClient(mock, cache=open_cache(tmp_path))
         assert client.complete(req("p")) == "r"
         assert client.complete(req("p")) == "r"
         assert mock.call_count == 1
 
-    def test_seed_tag_distinguishes_runs(self, tmp_path):
+    def test_seed_tag_distinguishes_runs(self, tmp_path, open_cache):
         mock = FakeProvider({"p": "r"})
-        client = LLMClient(mock, cache=JsonFileCache(tmp_path))
+        client = LLMClient(mock, cache=open_cache(tmp_path))
         client.complete(req("p", seed_tag="run-0"))
         client.complete(req("p", seed_tag="run-1"))
         assert mock.call_count == 2
 
-    def test_provider_name_is_part_of_the_key(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_provider_name_is_part_of_the_key(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         first = LLMClient(FakeProvider({"p": "from a"}, name="a"), cache=cache)
         second = LLMClient(FakeProvider({"p": "from b"}, name="b"), cache=cache)
         assert first.complete(req("p")) == "from a"
         assert second.complete(req("p")) == "from b"
 
-    def test_non_text_reply_is_not_cached(self, tmp_path):
-        cache = JsonFileCache(tmp_path)
+    def test_non_text_reply_is_not_cached(self, tmp_path, open_cache):
+        cache = open_cache(tmp_path)
         client = LLMClient(FakeProvider({"p": None}), cache=cache)
         with pytest.raises(ProviderError):
             client.complete(req("p"))
@@ -311,21 +310,21 @@ class TestOpenAIChatProvider:
         with pytest.raises(ProviderError):
             provider.send(req("p"))
 
-    def test_lone_surrogate_is_a_provider_error(self, monkeypatch, tmp_path):
+    def test_lone_surrogate_is_a_provider_error(self, monkeypatch, tmp_path, open_cache):
         # ``"\ud800"`` is valid JSON, but no UTF-8 text: the run is rejected, not the batch
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session, _ = replaying_session(http_response(200, completion_payload("Revised answer: \ud800")))
-        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=open_cache(tmp_path))
         with pytest.raises(ProviderError):
             client.complete(req("p"))
         assert cache_rows(tmp_path) == {}
 
-    def test_reply_cut_at_max_tokens_is_a_provider_error(self, monkeypatch, tmp_path):
+    def test_reply_cut_at_max_tokens_is_a_provider_error(self, monkeypatch, tmp_path, open_cache):
         # a reply stopped by max_tokens copied only part of the answer; it is
         # rejected like any failed run, and never cached
         monkeypatch.setenv("TEST_KEY", "sk-x")
         session, adapter = replaying_session(http_response(200, completion_payload("Revised answer: The Eras", "length")))
-        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=JsonFileCache(tmp_path))
+        client = LLMClient(OpenAIChatProvider(provider_config(), session=session), cache=open_cache(tmp_path))
         with pytest.raises(ProviderError) as excinfo:
             client.complete(req("p"))
         assert not isinstance(excinfo.value, TransientProviderError)
@@ -468,7 +467,7 @@ class TestRateLimiter:
         assert vc.sleeps
         assert vc.now >= 60.0
 
-    def test_client_acquires_once_per_attempt_and_never_on_a_cache_hit(self, tmp_path):
+    def test_client_acquires_once_per_attempt_and_never_on_a_cache_hit(self, tmp_path, open_cache):
         class CountingLimiter(RateLimiter):
             def __init__(self):
                 super().__init__(60)
@@ -479,7 +478,7 @@ class TestRateLimiter:
 
         limiter = CountingLimiter()
         provider = FakeProvider(lambda req: TransientProviderError("HTTP 503") if provider.call_count <= 2 else "r")
-        client = LLMClient(provider, cache=JsonFileCache(tmp_path), limiter=limiter, sleep=lambda _: None)
+        client = LLMClient(provider, cache=open_cache(tmp_path), limiter=limiter, sleep=lambda _: None)
         assert client.complete(req("p")) == "r"
         assert (limiter.acquired, provider.call_count) == (3, 3)
         limiter.acquired = 0
@@ -561,11 +560,11 @@ def test_request_slots_stopped_waiter_sends_nothing():
 
 
 @pytest.mark.concurrency
-def test_stop_ends_a_backoff_at_once(tmp_path):
+def test_stop_ends_a_backoff_at_once(tmp_path, open_cache):
     # a batch stopped while a request sleeps out its backoff ends now, not 60 s later, and sends no retry
     sent, stopped, outcome = threading.Event(), threading.Event(), []
     provider = FakeProvider(lambda _: sent.set() or TransientProviderError("HTTP 503"))
-    client = LLMClient(provider, cache=JsonFileCache(tmp_path), backoff_base=60.0)
+    client = LLMClient(provider, cache=open_cache(tmp_path), backoff_base=60.0)
 
     def request():
         STOPPED.set(stopped)  # in this thread's own context, as a thread of the batch
@@ -586,7 +585,7 @@ def test_stop_ends_a_backoff_at_once(tmp_path):
 
 
 @pytest.mark.concurrency
-def test_stop_during_a_wait_for_the_rate_window_sends_nothing(tmp_path):
+def test_stop_during_a_wait_for_the_rate_window_sends_nothing(tmp_path, open_cache):
     # the second request waits for the 1-a-minute window; the batch stops meanwhile, and it is never sent
     vc, stopped = VirtualClock(), threading.Event()
 
@@ -595,7 +594,7 @@ def test_stop_during_a_wait_for_the_rate_window_sends_nothing(tmp_path):
         vc.sleep(seconds)
 
     provider = FakeProvider("r")
-    client = LLMClient(provider, cache=JsonFileCache(tmp_path), limiter=RateLimiter(1, clock=vc.clock, sleep=wait))
+    client = LLMClient(provider, cache=open_cache(tmp_path), limiter=RateLimiter(1, clock=vc.clock, sleep=wait))
     token = STOPPED.set(stopped)
     try:
         assert client.complete(req("first")) == "r"

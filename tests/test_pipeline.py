@@ -5,7 +5,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -301,7 +301,7 @@ class TestAnnotateItem:
         assert record.runs_used == 2
         assert [(answer[s.start : s.end], s.prob) for s in record.soft_labels] == [("Hugo", 1.0)]
 
-    def test_null_content_rejects_one_run(self, tmp_path, monkeypatch):
+    def test_null_content_rejects_one_run(self, tmp_path, open_cache, monkeypatch):
         # an OpenAI-compatible endpoint may answer ``"content": null`` (a
         # refusal or a content filter); that run is rejected, uncached
         def null_first(request):
@@ -314,7 +314,7 @@ class TestAnnotateItem:
             ProviderConfig("test", base_url="https://api.test/v1", api_key_env="TEST_KEY"),
             session=session,
         )
-        cache = JsonFileCache(tmp_path)
+        cache = open_cache(tmp_path)
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
         item = QAItem(id="n", lang="EN", question="q", answer="Petra van Stoveren won a silver medal")
         svc = KnowledgeService(llm, None, "m", cache=cache)
@@ -371,16 +371,16 @@ class TestAnnotateDataset:
         return [MarkingRule(it.answer, (SpanLabel(0, 6),)) for it in items]
 
     @pytest.mark.concurrency
-    def test_order_preserved(self, tmp_path):
+    def test_order_preserved(self, tmp_path, open_cache):
         items = self.make_items()
         provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider, cache=JsonFileCache(tmp_path))
+        llm, svc = service(provider, cache=open_cache(tmp_path))
         records = annotate_dataset(items, config(), llm, svc)
         assert [r.id for r in records] == [it.id for it in items]
 
-    def test_rerun_is_fully_cached(self, tmp_path):
+    def test_rerun_is_fully_cached(self, tmp_path, open_cache):
         items = self.make_items()
-        cache = JsonFileCache(tmp_path)
+        cache = open_cache(tmp_path)
         provider = FakeProvider(MockProvider(rules=self.rules_for(items)).send)
         llm, svc = service(provider, cache=cache)
         first = annotate_dataset(items, config(), llm, svc)
@@ -390,13 +390,13 @@ class TestAnnotateDataset:
         assert provider.call_count == calls
 
     @pytest.mark.concurrency
-    def test_parallel_matches_serial(self, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path, open_cache):
         items = self.make_items()
         provider = MockProvider(rules=self.rules_for(items))
-        llm, svc = service(provider, JsonFileCache(tmp_path / "serial"))
+        llm, svc = service(provider, open_cache(tmp_path / "serial"))
         serial = annotate_dataset(items, config(), llm, svc)
         # a cache of its own, so the parallel batch sends its requests too
-        llm, svc = service(provider, JsonFileCache(tmp_path / "parallel"))
+        llm, svc = service(provider, open_cache(tmp_path / "parallel"))
         parallel = annotate_dataset(items, config(max_parallel_items=3), llm, svc)
         assert parallel == serial
 
@@ -430,14 +430,14 @@ class TestAnnotateDataset:
         return set(list(started)[: cfg.max_parallel_items + 1]), [r.id for r in records]
 
     @pytest.mark.concurrency
-    def test_longest_answer_starts_first(self, tmp_path):
+    def test_longest_answer_starts_first(self, tmp_path, open_cache):
         # items are submitted longest first, so the first to reach the provider are the longest,
         # in whatever order their threads take a slot; records still follow input order
         lengths = (1, 4, 2, 8, 3)
         items = [QAItem(id=f"len-{n}", lang="EN", question="q", answer=f"item {n}: " + "word " * n) for n in lengths]
         for max_parallel in (1, 2):
             cfg = config(max_parallel_items=max_parallel)
-            started, records = self.first_started(items, cfg, JsonFileCache(tmp_path / str(max_parallel)))
+            started, records = self.first_started(items, cfg, open_cache(tmp_path / str(max_parallel)))
             assert started == {f"len-{n}" for n in sorted(lengths, reverse=True)[: max_parallel + 1]}
             assert records == [it.id for it in items]
 
@@ -547,7 +547,7 @@ class TestAnnotateDataset:
         "max_parallel, shared", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "2-two-clients"]
     )
     @pytest.mark.concurrency
-    def test_provider_requests_on_the_wire_never_exceed_max_parallel(self, tmp_path, max_parallel, shared):
+    def test_provider_requests_on_the_wire_never_exceed_max_parallel(self, tmp_path, open_cache, max_parallel, shared):
         # the knowledge chain's requests count too, also when the knowledge service has its own
         # client; Wikipedia requests have a bound of their own
         items = self.make_items(8)
@@ -556,11 +556,11 @@ class TestAnnotateDataset:
         wiki = InFlightWikiSession(wiki_gets, search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "wiki text"})
         cfg = config(use_external=True, runs_n=4, max_parallel_items=max_parallel)
 
-        llm, svc = service(provider, JsonFileCache(tmp_path / "serial"), wiki_session=wiki)
+        llm, svc = service(provider, open_cache(tmp_path / "serial"), wiki_session=wiki)
         write_predictions([annotate_item(it, cfg, llm, svc) for it in items], tmp_path / "serial.jsonl")
         sends.peak = wiki_gets.peak = 0
 
-        llm, svc = service(provider, JsonFileCache(tmp_path / "batch"), wiki_session=wiki)
+        llm, svc = service(provider, open_cache(tmp_path / "batch"), wiki_session=wiki)
         if not shared:
             svc.llm = LLMClient(provider, cache=svc.cache, sleep=lambda _: None)
         write_predictions(annotate_dataset(items, cfg, llm, svc), tmp_path / "batch.jsonl")
@@ -569,7 +569,7 @@ class TestAnnotateDataset:
         assert (tmp_path / "batch.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
 
     @pytest.mark.concurrency
-    def test_two_batches_on_one_client_keep_their_own_slots(self, tmp_path):
+    def test_two_batches_on_one_client_keep_their_own_slots(self, tmp_path, open_cache):
         # a batch started from another's progress call shares its clients, and each batch has its
         # own bound: requests are counted per batch, by the item whose answer is in the prompt
         first = self.make_items(6)
@@ -583,11 +583,11 @@ class TestAnnotateDataset:
                 return mock.send(req)
 
         cfg_first, cfg_second = config(max_parallel_items=2), config(max_parallel_items=1)
-        llm, svc = service(FakeProvider(reply), JsonFileCache(tmp_path / "serial"))
+        llm, svc = service(FakeProvider(reply), open_cache(tmp_path / "serial"))
         serial = [annotate_item(it, cfg_first, llm, svc) for it in first + second]
         counters["it"].peak = counters["other"].peak = 0
 
-        llm, svc = service(FakeProvider(reply), JsonFileCache(tmp_path / "batch"))
+        llm, svc = service(FakeProvider(reply), open_cache(tmp_path / "batch"))
         nested_records = []
 
         def start_second(record):
@@ -685,12 +685,9 @@ def test_any_reply_yields_a_run(case, finish_reason):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as directory:
         mp.setenv("TEST_KEY", "sk-x")
         provider = OpenAIChatProvider(cfg.provider, session=session)
-        cache = JsonFileCache(directory)
-        try:
+        with closing(JsonFileCache(directory)) as cache:
             prompt = build_main_prompt(item, "expert", None)
             run = _execute_run(item, prompt, "run-0", cfg, LLMClient(provider, cache=cache))
-        finally:
-            cache.close()
     assert isinstance(run, AnnotationRun)
     assert all(0 <= s.start < s.end <= len(answer) for s in run.spans)
     if finish_reason == "length":
@@ -859,8 +856,7 @@ def rerun_batch(directory, at=None):
         return keywords.get(req.user_prompt) or mock.send(req)
 
     provider = FakeProvider(reply)
-    cache = JsonFileCache(directory)
-    try:
+    with closing(JsonFileCache(directory)) as cache:
         llm = LLMClient(provider, cache=cache, sleep=lambda _: None)
         wiki = WikipediaClient(session=InterruptibleWiki(interrupter, RERUN_PAGES), sleep=lambda _: None)
         svc = KnowledgeService(llm, wiki, "m", cache=cache)
@@ -869,8 +865,6 @@ def rerun_batch(directory, at=None):
             records = annotate_dataset(RERUN_ITEMS, cfg, llm, svc)
         except KeyboardInterrupt:
             return None, interrupter.sent
-    finally:
-        cache.close()
     out = Path(directory) / "pred.jsonl"
     write_predictions(records, out)
     return out.read_bytes(), interrupter.sent
