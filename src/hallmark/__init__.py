@@ -31,7 +31,7 @@ _HOMES = {
         "RateLimiter",
     ),
     "marking": ("ParsedMarking", "insert_markers", "parse_marked"),
-    "pipeline": ("PipelineConfig", "annotate_dataset", "annotate_item", "build_main_prompt"),
+    "pipeline": ("PipelineConfig", "annotate_dataset", "annotate_item", "build_main_prompt", "connect"),
     "scoring": ("evaluate", "expand_soft", "iou", "spearman"),
     "voting": ("AnnotationRun", "aggregate", "to_hard_labels", "to_soft_labels"),
 }

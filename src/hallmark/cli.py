@@ -20,14 +20,8 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, TypeVar, get_type_hints
 
 from .core import GoldRecord, PredictionRecord, SpanLabel, validate_spans
-from .errors import (
-    AuthError,
-    ConfigError,
-    EvaluationError,
-    HallmarkError,
-    SpanError,
-)
-from .jsonl import JSON_TYPES, is_json_type, json_value, load_json, read_gold, read_items, read_predictions, write_predictions
+from .errors import AuthError, ConfigError, EvaluationError, HallmarkError
+from .jsonl import JSON_TYPES, is_json_type, load_json, parse_span_pairs, read_gold, read_items, read_predictions, write_predictions
 
 # Each command imports the layers it runs, so that evaluate and inspect load no part of annotate.
 if TYPE_CHECKING:
@@ -150,9 +144,9 @@ def _provider_config(args: argparse.Namespace, file_provider: dict) -> ProviderC
 def _fixture_spans(raw, item) -> tuple[SpanLabel, ...]:
     """One fixture span list, checked to be sorted, disjoint and inside the answer."""
     try:
-        spans = tuple(SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw)
+        spans = parse_span_pairs(raw)
         validate_spans(spans, len(item.answer))
-    except SpanError as exc:
+    except ValueError as exc:
         raise ValueError(f"item {item.id!r}: {exc}") from exc
     return spans
 
@@ -206,9 +200,8 @@ def _check_writable(path: str) -> None:
 
 def cmd_annotate(args: argparse.Namespace) -> int:
     from .cache import JsonFileCache
-    from .knowledge import KnowledgeService, WikipediaClient
-    from .llm import LLMClient, MockProvider, OpenAIChatProvider, RateLimiter
-    from .pipeline import PipelineConfig, annotate_dataset
+    from .llm import MockProvider, OpenAIChatProvider
+    from .pipeline import PipelineConfig, annotate_dataset, connect
     from .prompts import validate_templates
 
     keys = {**config_keys(PipelineConfig), "provider": dict, "cache_dir": str}
@@ -227,14 +220,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     items = read_items(args.input)
     if provider_cfg.name == "mock":
         provider = MockProvider(rules=_load_mock_rules(args.mock_fixture, items, cfg.runs_n))
-        limiter = None
     else:
         provider = OpenAIChatProvider(provider_cfg)
-        limiter = RateLimiter(provider_cfg.requests_per_minute)
     cache = JsonFileCache(cache_dir)
-    llm = LLMClient(provider, cache=cache, limiter=limiter, max_retries=provider_cfg.max_retries)
-    wiki = WikipediaClient() if cfg.use_external else None  # building one loads the network stack
-    knowledge_svc = KnowledgeService(llm, wiki, cfg.model, cache=cache)
 
     total = len(items)
     done = 0
@@ -252,6 +240,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
     try:
         _check_writable(args.output)
+        llm, knowledge_svc = connect(cfg, provider, cache)
         records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
         write_predictions(records, args.output)
     finally:

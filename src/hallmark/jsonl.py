@@ -91,11 +91,14 @@ def _require(obj: dict, key: str, kind: type | None = None) -> Any:
     return obj[key]
 
 
-def _parse_hard_labels(raw: Any) -> tuple[SpanLabel, ...]:
+def parse_span_pairs(raw: Any) -> tuple[SpanLabel, ...]:
+    """The spans of an outside ``[[start, end], ...]`` list, such as ``hard_labels``. Any other shape is a
+    ValueError, and so is a span ``SpanLabel`` refuses (a SpanError)."""
     try:
-        return tuple(SpanLabel(json_value(s, int), json_value(e, int)) for s, e in raw)
+        pairs = [(json_value(s, int), json_value(e, int)) for s, e in raw]
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed hard_labels: {exc}") from exc
+        raise ValueError(f"malformed [start, end] list: {exc}") from exc
+    return tuple(SpanLabel(s, e) for s, e in pairs)
 
 
 def _parse_soft_labels(raw: Any) -> tuple[SpanLabel, ...]:
@@ -140,7 +143,7 @@ def read_gold(path: str | Path) -> list[GoldRecord]:
             answer=(answer := _require(obj, "model_output_text", str)),
             hard_labels=tuple(
                 SpanLabel(s.start, s.end)
-                for s in runs_of(coverage(_parse_hard_labels(obj.get("hard_labels", [])), len(answer)))
+                for s in runs_of(coverage(parse_span_pairs(obj.get("hard_labels", [])), len(answer)))
             ),
             soft_labels=_parse_soft_labels(obj.get("soft_labels", [])),
         ),
@@ -154,7 +157,7 @@ def read_predictions(path: str | Path) -> list[PredictionRecord]:
         lambda obj: PredictionRecord(
             id=_require(obj, "id", str),
             lang=_require(obj, "lang", str),
-            hard_labels=_parse_hard_labels(_require(obj, "hard_labels")),
+            hard_labels=parse_span_pairs(_require(obj, "hard_labels")),
             soft_labels=_parse_soft_labels(_require(obj, "soft_labels")),
             runs_used=_require(obj, "runs_used", int) if "runs_used" in obj else 0,
             answer=None if obj.get("model_output_text") is None else _require(obj, "model_output_text", str),

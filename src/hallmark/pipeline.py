@@ -18,10 +18,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .alignment import align, project_spans, validate_run
+from .cache import JsonFileCache
 from .core import PredictionRecord, QAItem
 from .errors import MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
-from .llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, LLMClient, ProviderConfig
+from .llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, LLMClient, Provider, ProviderConfig, RateLimiter
 from .marking import parse_marked
 from .prompts import (
     NO_KNOWLEDGE_SENTINEL,
@@ -52,6 +53,8 @@ class PipelineConfig:
     max_parallel_items: int = 1
 
     def __post_init__(self) -> None:
+        if not self.model:
+            raise ValueError("model name must not be empty")
         if self.runs_n < 1:
             raise ValueError("runs_n must be >= 1")
         if not 0.0 < self.threshold <= 1.0:
@@ -64,6 +67,19 @@ class PipelineConfig:
             raise ValueError("max_tokens must be > 0")
         if self.max_parallel_items < 1:
             raise ValueError("max_parallel_items must be >= 1")
+
+
+def connect(cfg: PipelineConfig, provider: Provider, cache: JsonFileCache) -> tuple[LLMClient, KnowledgeService]:
+    """The chat client and knowledge service a batch under ``cfg`` runs on, wired as ``hallmark annotate``
+    wires them. Both read through ``cache``, which the caller closes. The chat client sends to ``provider``
+    with ``cfg.provider``'s retries, and with its rate limit unless it is the mock. The service asks
+    ``cfg.model``, and gets a Wikipedia client only when ``cfg.use_external``."""
+    from .knowledge import WikipediaClient  # looked up at each call, so that a stand-in set on the module is built
+
+    limiter = None if cfg.provider.name == "mock" else RateLimiter(cfg.provider.requests_per_minute)
+    llm = LLMClient(provider, cache=cache, limiter=limiter, max_retries=cfg.provider.max_retries)
+    wiki = WikipediaClient() if cfg.use_external else None  # building one loads the network stack
+    return llm, KnowledgeService(llm, wiki, cfg.model, cache=cache)
 
 
 def build_main_prompt(item: QAItem, role: str, knowledge: str | None) -> str:
@@ -181,7 +197,8 @@ def annotate_dataset(
     knowledge_svc: KnowledgeService,
     progress: Callable[[PredictionRecord], None] | None = None,
 ) -> list[PredictionRecord]:
-    """Annotate a dataset, preserving input order in the output.
+    """Annotate a dataset, preserving input order in the output. ``connect`` builds ``llm`` and
+    ``knowledge_svc`` for ``cfg``.
 
     At most ``cfg.max_parallel_items`` provider requests are on the wire at
     once, counting the knowledge chain's, and as many Wikipedia requests,

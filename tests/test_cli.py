@@ -537,6 +537,8 @@ class TestAnnotateCommand:
             ([], {"provider": "deepseek"}, "config key 'provider' must be an object"),
             (["--provider", "x", "--model", "m"], None, "provider 'x' needs a base URL (--base-url or config)"),
             (["--provider", "deepseek"], None, "a model name is required (--model or config file)"),
+            (["--model", ""], None, "invalid setting: model name must not be empty"),
+            ([], {"model": ""}, "invalid setting: model name must not be empty"),
             (["--provider", ""], None, "provider name must not be empty"),
             ([], {"provider": {"name": ""}, "model": "deepseek-chat"}, "provider name must not be empty"),
         ],
@@ -545,7 +547,8 @@ class TestAnnotateCommand:
             "rpm-0", "retries-null", "cache_dir-int", "temperature-negative", "max_tokens-0",
             "base_url-int", "name-int", "retries-negative", "temperature-past-float",
             "base_url-no-scheme", "base_url-bad-scheme",
-            "config-not-object", "provider-not-object", "no-base-url", "no-model",
+            "config-not-object", "provider-not-object", "no-base-url", "no-model", "model-empty-flag",
+            "model-empty-in-file",
             "name-empty-flag", "name-empty-in-file",
         ],
     )

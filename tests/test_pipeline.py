@@ -21,10 +21,12 @@ from hallmark import (
     MockProvider,
     ProviderConfig,
     QAItem,
+    RateLimiter,
     SpanLabel,
     annotate_dataset,
     annotate_item,
     build_main_prompt,
+    connect,
     write_predictions,
 )
 from hallmark import pipeline
@@ -43,6 +45,7 @@ from .conftest import (
     FakeProvider,
     by_tag,
     cache_rows,
+    call_sites,
     nested,
     roles_replies,
     swimmer_spans,
@@ -652,6 +655,29 @@ class TestPipelineConfig:
             config(min_similarity=1.5)
         with pytest.raises(ValueError):
             config(max_parallel_items=0)
+        with pytest.raises(ValueError, match="model name must not be empty"):
+            config(model="")
+
+
+class TestConnect:
+    def test_only_connect_builds_the_clients(self):
+        # the CLI and library users take them from connect, so a batch is wired in one place
+        assert call_sites(r"\b(LLMClient|KnowledgeService|RateLimiter|WikipediaClient)\(") == {"pipeline.py:connect"}
+
+    def test_clients_follow_the_config(self, cache):
+        provider = FakeProvider("reply")
+        cfg = config(provider=ProviderConfig("mock", max_retries=0))
+        llm, svc = connect(cfg, provider, cache)
+        assert (llm.provider, llm.limiter, llm.max_retries) == (provider, None, 0)  # the mock is not rate-limited
+        assert (svc.llm, svc.wiki, svc.model) == (llm, None, "m")
+        assert svc.cache is llm.cache is cache
+
+        live = ProviderConfig("openai", base_url="http://127.0.0.1:9", requests_per_minute=7, max_retries=5)
+        llm, svc = connect(config(model="gpt", provider=live, use_external=True), provider, cache)
+        assert isinstance(llm.limiter, RateLimiter) and llm.limiter.requests_per_minute == 7
+        assert llm.max_retries == 5
+        assert isinstance(svc.wiki, WikipediaClient) and svc.model == "gpt"
+        assert svc.cache is llm.cache is cache
 
 
 # What replies are made of besides slices of the answer: every marker
