@@ -186,15 +186,20 @@ def _load_mock_rules(path: str | None, items, runs_n: int) -> list[MarkingRule]:
     return rules
 
 
-def _check_writable(path: str) -> None:
+def _check_writable(path: str, cache_dir: Path) -> None:
     """Fail if no file can replace ``path``: it is a directory, or its directory takes no new file. Checked
-    before any request, so that a bad ``--output`` fails at once."""
+    before any request and before the cache is opened, but after ``cache_dir`` is made, since ``path`` may lie
+    in it; a failure removes the directories made, so a bad ``--output`` fails at once and leaves no cache."""
     target = Path(path)
+    made = [d for d in (cache_dir, *cache_dir.parents) if not d.exists()]  # deepest first
+    cache_dir.mkdir(parents=True, exist_ok=True)
     try:
         if target.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         tempfile.TemporaryFile(dir=target.parent).close()  # a file with no name, so none is left behind
     except OSError as exc:  # name the output, not its directory
+        for directory in made:  # each still empty
+            directory.rmdir()
         raise OSError(exc.errno, exc.strerror, path) from exc
 
 
@@ -222,6 +227,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         provider = MockProvider(rules=_load_mock_rules(args.mock_fixture, items, cfg.runs_n))
     else:
         provider = OpenAIChatProvider(provider_cfg)
+    _check_writable(args.output, Path(cache_dir))
     cache = JsonFileCache(cache_dir)
 
     total = len(items)
@@ -239,7 +245,6 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         print(f"[{done}/{total}] {record.id} {status}")
 
     try:
-        _check_writable(args.output)
         llm, knowledge_svc = connect(cfg, provider, cache)
         records = annotate_dataset(items, cfg, llm, knowledge_svc, progress=progress)
         write_predictions(records, args.output)

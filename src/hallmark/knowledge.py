@@ -21,7 +21,7 @@ from .cache import JsonFileCache, make_key
 from .core import QAItem
 from .errors import ConfigError, KnowledgeError, ProviderError
 from .jsonl import is_json_type, json_value, load_json
-from .llm import WIKI_SLOTS, CompletionRequest, LLMClient, backoff, environment_reader, transient_checked, with_retries
+from .llm import BATCH, CompletionRequest, LLMClient, backoff, environment_reader, transient_checked, with_retries
 from .prompts import DEFAULT_ROLE, load_template, primary_subtag, render
 
 if TYPE_CHECKING:
@@ -113,7 +113,7 @@ class WikipediaClient:
 
         try:
             response = with_retries(
-                lambda: transient_checked(get, "wikipedia"), WIKI_SLOTS.get(), WIKIPEDIA_RETRIES, 1.0, self._sleep
+                lambda: transient_checked(get, "wikipedia"), BATCH.get().wiki, WIKIPEDIA_RETRIES, 1.0, self._sleep
             )
             if response.status_code != 200:
                 raise ValueError(f"HTTP {response.status_code}")
@@ -148,12 +148,10 @@ class KnowledgeService:
     replies deterministically, so a repeated call replays the same result.
     ``cache`` holds the answer to each Wikipedia request, the one step that
     goes to the network on its own. Each request reads through it
-    (``JsonFileCache.read_through``), and each attempt takes one of
-    ``WIKI_SLOTS`` (the batch's slots in its threads, an unbounded gate
-    elsewhere) by the rule of ``with_retries``, so once the batch's
-    ``STOPPED`` event is set, a backoff ends at once and nothing more is
-    sent. Retries of JSON prompts use distinct seed tags, or the cache would
-    replay a bad reply.
+    (``JsonFileCache.read_through``), and each attempt takes one of the
+    Wikipedia slots of ``BATCH`` by the rule of ``with_retries``, so once the
+    batch stops, a backoff ends at once and nothing more is sent. Retries of
+    JSON prompts use distinct seed tags, or the cache would replay a bad reply.
     """
 
     def __init__(

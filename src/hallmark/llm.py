@@ -58,22 +58,27 @@ def transient_checked(call: Callable[[], requests.Response], service: str) -> re
     return response
 
 
-# A batch's slots for each service and its stop event, set in every thread of its pool; elsewhere a request takes
-# an unbounded gate, and nothing stops it.
-CHAT_SLOTS: ContextVar[threading.Semaphore] = ContextVar("CHAT_SLOTS", default=threading.Semaphore(math.inf))
-WIKI_SLOTS: ContextVar[threading.Semaphore] = ContextVar("WIKI_SLOTS", default=threading.Semaphore(math.inf))
-STOPPED: ContextVar[threading.Event] = ContextVar("STOPPED", default=threading.Event())
+class Batch:
+    """One batch's ``parallel`` slots for each outside service and its stop event, held for its pool's threads."""
+
+    def __init__(self, parallel: float):
+        self.chat = threading.Semaphore(parallel)
+        self.wiki = threading.Semaphore(parallel)
+        self.stopped = threading.Event()
+
+
+BATCH: ContextVar[Batch] = ContextVar("BATCH", default=Batch(math.inf))  # outside a batch: unbounded, never stopped
 
 
 def check_stop() -> None:
     """Raise ``CancelledError`` once the batch has stopped."""
-    if STOPPED.get().is_set():
+    if BATCH.get().stopped.is_set():
         raise CancelledError("the batch has stopped")
 
 
 def backoff(seconds: float) -> None:
     """Wait ``seconds``, or less if the batch stops first: the default ``sleep`` of every client and limiter."""
-    STOPPED.get().wait(seconds)
+    BATCH.get().stopped.wait(seconds)
 
 
 def with_retries(
@@ -82,7 +87,7 @@ def with_retries(
     """``call()``, retried at most ``retries`` times, ``backoff_base·2ⁿ`` s after its n-th transient failure.
 
     The one place where a request to an outside service takes its slot: each attempt holds one of ``slots``,
-    and a backoff sleep holds none. Once the batch stops (``STOPPED``), no attempt starts, a retry included:
+    and a backoff sleep holds none. Once the batch stops (``BATCH``), no attempt starts, a retry included:
     the next one raises ``CancelledError``, and the default ``sleep``, ``backoff``, ends at the stop.
     """
     for attempt in itertools.count():
@@ -335,13 +340,12 @@ class LLMClient:
     so a failed call, or a row that holds no text, is asked again on the next
     request.
 
-    Each provider attempt takes one of ``CHAT_SLOTS`` (the batch's slots in
-    its threads, an unbounded gate elsewhere) by the rule of ``with_retries``,
-    and waits on the rate limiter and on the provider inside it. Cache reads
-    and writes and key hashing run outside it, so the slots stay busy while
-    the threads that hold none do that work. Once the batch's ``STOPPED``
-    event is set, a backoff or a wait for the rate window ends at once and
-    nothing more is sent.
+    Each provider attempt takes one of the chat slots of ``BATCH`` by the
+    rule of ``with_retries``, and waits on the rate limiter and on the
+    provider inside it. Cache reads and writes and key hashing run outside
+    it, so the slots stay busy while the threads that hold none do that
+    work. Once the batch stops, a backoff or a wait for the rate window ends
+    at once and nothing more is sent.
     """
 
     def __init__(
@@ -383,6 +387,6 @@ class LLMClient:
         return self.cache.read_through(
             self._cache_key(req),
             "text",
-            lambda: with_retries(attempt, CHAT_SLOTS.get(), self.max_retries, self.backoff_base, self._sleep),
+            lambda: with_retries(attempt, BATCH.get().chat, self.max_retries, self.backoff_base, self._sleep),
             lambda text: is_json_type(text, str),
         )

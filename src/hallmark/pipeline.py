@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -22,7 +21,7 @@ from .cache import JsonFileCache
 from .core import PredictionRecord, QAItem
 from .errors import MarkerError, ProviderError, TruncatedReplyError
 from .knowledge import KnowledgeService
-from .llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, LLMClient, Provider, ProviderConfig, RateLimiter
+from .llm import BATCH, Batch, CompletionRequest, LLMClient, Provider, ProviderConfig, RateLimiter
 from .marking import parse_marked
 from .prompts import (
     NO_KNOWLEDGE_SENTINEL,
@@ -208,9 +207,8 @@ def annotate_dataset(
     holds one only for each attempt on the wire (see ``with_retries``). So
     while one item hashes, reads the cache, parses or aligns, another item's
     request takes its slot. The slots and the batch's stop event belong to
-    its worker threads (``CHAT_SLOTS``, ``WIKI_SLOTS`` and ``STOPPED``), not
-    to the clients, so each batch bounds and stops its own requests, also
-    when batches share ``llm``.
+    its worker threads (``BATCH``), not to the clients, so each batch bounds
+    and stops its own requests, also when batches share ``llm``.
 
     Items are submitted longest answer first (ties in input order). Every
     reply copies the answer, so the longest items cost most, and starting
@@ -227,15 +225,8 @@ def annotate_dataset(
     order = sorted(range(len(items)), key=lambda i: len(items[i].answer), reverse=True)
     records: list[PredictionRecord | None] = [None] * len(items)
     reported = 0
-    slots, wiki_slots = threading.Semaphore(cfg.max_parallel_items), threading.Semaphore(cfg.max_parallel_items)
-    stopped = threading.Event()
-
-    def enter_batch() -> None:  # in each pool thread, which serves this batch only
-        CHAT_SLOTS.set(slots)
-        WIKI_SLOTS.set(wiki_slots)
-        STOPPED.set(stopped)
-
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1, initializer=enter_batch) as pool:
+    batch = Batch(cfg.max_parallel_items)
+    with ThreadPoolExecutor(max_workers=cfg.max_parallel_items + 1, initializer=BATCH.set, initargs=(batch,)) as pool:
         try:
             futures = {pool.submit(annotate_item, items[i], cfg, llm, knowledge_svc): i for i in order}
             # Completion order, so that any item's error stops the batch at once
@@ -247,7 +238,7 @@ def annotate_dataset(
                         progress(records[reported])
                     reported += 1
         except BaseException:
-            stopped.set()
+            batch.stopped.set()
             pool.shutdown(cancel_futures=True)
             raise
     return records

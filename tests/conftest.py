@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import random
 import re
 import sqlite3
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import hallmark.llm
 from hallmark import JsonFileCache, MarkingRule, MockProvider, QAItem, SpanLabel
 from hallmark.knowledge import JSON_ATTEMPTS
+from hallmark.llm import Batch
 
 SWIMMER_QUESTION = "What did Petra van Staveren win a gold medal for?"
 SWIMMER_ANSWER = (
@@ -100,6 +102,14 @@ def call_sites(pattern):
                 around = [f for f in functions if f.lineno <= line_no <= f.end_lineno]
                 sites.add(f"{path.name}:{max(around, key=lambda f: f.lineno).name if around else None}")
     return sites
+
+
+def batch_with(**fields) -> Batch:
+    """An unbounded ``Batch`` that holds the given ``chat``, ``wiki`` or ``stopped`` object in place of its own."""
+    batch = Batch(math.inf)
+    assert fields.keys() <= vars(batch).keys()
+    vars(batch).update(fields)
+    return batch
 
 
 def nested(depth: int) -> bytes:

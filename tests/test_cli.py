@@ -311,6 +311,7 @@ class TestAnnotateCommand:
         assert cli.main(args) == 1
         assert capsys.readouterr().err == f"error: {error}: '{output}'\n"
         assert [mock.call_count for mock in built_mocks] == [0]
+        assert not (tmp_path / "cache").exists()
 
     def test_failed_write_leaves_the_old_output_as_it_was(self, tmp_path, monkeypatch, capsys):
         output = tmp_path / "pred.jsonl"

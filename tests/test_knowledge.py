@@ -25,13 +25,14 @@ from hallmark import (
 from hallmark import __version__
 from hallmark.errors import AuthError, ConfigError, KnowledgeError, ProviderError
 from hallmark.knowledge import FALLBACK_CHARS, WIKIPEDIA_RETRIES, KnowledgeService, WikipediaClient
-from hallmark.llm import CHAT_SLOTS, STOPPED, WIKI_SLOTS, CompletionRequest, TransientProviderError
+from hallmark.llm import BATCH, CompletionRequest, TransientProviderError
 from hallmark.prompts import DEFAULT_ROLE, NO_KNOWLEDGE_SENTINEL, load_template, render
 
 from .conftest import (
     SWIMMER_ANSWER,
     SWIMMER_QUESTION,
     FakeProvider,
+    batch_with,
     by_tag,
     cache_rows,
     json_bodies,
@@ -244,12 +245,12 @@ class TestFetchWikipedia:
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         stopped = threading.Event()
         stopped.set()
-        token = STOPPED.set(stopped)
+        token = BATCH.set(batch_with(stopped=stopped))
         try:
             with pytest.raises(CancelledError):
                 svc.fetch_wikipedia("kw", "EN")
         finally:
-            STOPPED.reset(token)
+            BATCH.reset(token)
         assert session.calls == []
 
     @pytest.mark.concurrency
@@ -258,9 +259,9 @@ class TestFetchWikipedia:
         session = FakeWikiSession(search_results={"en": ["Hit"]}, extracts={("en", "Hit"): "t"})
         svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session))
         slots = threading.Semaphore(1)
-        token = WIKI_SLOTS.set(slots)
+        token = BATCH.set(batch_with(wiki=slots))
         batch_context = copy_context()  # what a thread of the batch sees
-        WIKI_SLOTS.reset(token)
+        BATCH.reset(token)
         with slots:
             fetch = threading.Thread(target=batch_context.run, args=(svc.fetch_wikipedia, "kw", "EN"))
             fetch.start()
@@ -336,18 +337,18 @@ class TestWikipediaRetries:
 
 
 def failing_chat_request(cache, sleep):
-    """A chat request whose every attempt fails with a 503: its service's slots, the call, and its count of sends."""
+    """A chat request whose every attempt fails with a 503: its service's ``Batch`` field, the call, and its count of sends."""
     provider = FakeProvider(TransientProviderError("HTTP 503"))
     client = LLMClient(provider, cache, max_retries=WIKIPEDIA_RETRIES, sleep=sleep)
     request = CompletionRequest(model="m", user_prompt="p", temperature=0.0, max_tokens=16, seed_tag="run-0")
-    return CHAT_SLOTS, lambda: client.complete(request), lambda: provider.call_count
+    return "chat", lambda: client.complete(request), lambda: provider.call_count
 
 
 def failing_wiki_request(cache, sleep):
     """The same for a Wikipedia lookup whose every attempt meets a connection error."""
     session = FakeWikiSession(fail=True)
     svc, _ = service_with_script({}, cache, wiki=WikipediaClient(session=session, sleep=sleep))
-    return WIKI_SLOTS, lambda: svc.fetch_wikipedia("kw", "EN"), lambda: len(session.calls)
+    return "wiki", lambda: svc.fetch_wikipedia("kw", "EN"), lambda: len(session.calls)
 
 
 class HeldSlots(threading.Semaphore):
@@ -373,23 +374,23 @@ class TestSlotPerAttempt:
     def test_batch_stopped_during_backoff_sends_no_retry(self, cache, failing_request):
         stopped = threading.Event()
         _, send, sent = failing_request(cache, lambda _: stopped.set())
-        token = STOPPED.set(stopped)
+        token = BATCH.set(batch_with(stopped=stopped))
         try:
             with pytest.raises(CancelledError):
                 send()
         finally:
-            STOPPED.reset(token)
+            BATCH.reset(token)
         assert sent() == 1
 
     def test_backoff_sleep_leaves_the_only_slot_free(self, cache, failing_request):
         slots, held = HeldSlots(1), []
-        var, send, sent = failing_request(cache, lambda _: held.append(slots.held))
-        token = var.set(slots)
+        field, send, sent = failing_request(cache, lambda _: held.append(slots.held))
+        token = BATCH.set(batch_with(**{field: slots}))
         try:
             with pytest.raises((ProviderError, KnowledgeError)):
                 send()
         finally:
-            var.reset(token)
+            BATCH.reset(token)
         assert (sent(), held) == (1 + WIKIPEDIA_RETRIES, [0] * WIKIPEDIA_RETRIES)
 
 

@@ -25,9 +25,18 @@ from hallmark import (
 )
 from hallmark.errors import AuthError, ConfigError, ProviderError
 from hallmark.knowledge import WikipediaClient
-from hallmark.llm import MOCK_ROLES, STOPPED, TransientProviderError, backoff, with_retries
+from hallmark.llm import BATCH, MOCK_ROLES, TransientProviderError, backoff, with_retries
 
-from .conftest import SWIMMER_ANSWER, FakeProvider, cache_rows, call_sites, json_bodies, swimmer_spans, wire_response
+from .conftest import (
+    SWIMMER_ANSWER,
+    FakeProvider,
+    batch_with,
+    cache_rows,
+    call_sites,
+    json_bodies,
+    swimmer_spans,
+    wire_response,
+)
 
 
 def req(prompt="hello", seed_tag="run-0", temperature=1.0):
@@ -526,12 +535,12 @@ def test_request_slots_hold_the_bound_under_contention():
     assert (len(finished), peak[0]) == (8, 2)
     stopped = threading.Event()
     stopped.set()
-    token = STOPPED.set(stopped)
+    token = BATCH.set(batch_with(stopped=stopped))
     try:
         with pytest.raises(CancelledError):
             with_retries(attempt, slots, 0, 0.0, time.sleep)
     finally:
-        STOPPED.reset(token)
+        BATCH.reset(token)
 
 
 @pytest.mark.concurrency
@@ -540,7 +549,7 @@ def test_request_slots_stopped_waiter_sends_nothing():
     slots, stopped, outcome, ran = threading.Semaphore(1), threading.Event(), [], []
 
     def waiter():
-        STOPPED.set(stopped)  # in this thread's own context, as a thread of the batch
+        BATCH.set(batch_with(stopped=stopped))  # in this thread's own context, as a thread of the batch
         try:
             with_retries(lambda: ran.append(True), slots, 0, 0.0, time.sleep)
         except CancelledError:
@@ -567,7 +576,7 @@ def test_stop_ends_a_backoff_at_once(tmp_path, open_cache):
     client = LLMClient(provider, cache=open_cache(tmp_path), backoff_base=60.0)
 
     def request():
-        STOPPED.set(stopped)  # in this thread's own context, as a thread of the batch
+        BATCH.set(batch_with(stopped=stopped))  # in this thread's own context, as a thread of the batch
         try:
             client.complete(req())
         except CancelledError:
@@ -595,11 +604,11 @@ def test_stop_during_a_wait_for_the_rate_window_sends_nothing(tmp_path, open_cac
 
     provider = FakeProvider("r")
     client = LLMClient(provider, cache=open_cache(tmp_path), limiter=RateLimiter(1, clock=vc.clock, sleep=wait))
-    token = STOPPED.set(stopped)
+    token = BATCH.set(batch_with(stopped=stopped))
     try:
         assert client.complete(req("first")) == "r"
         with pytest.raises(CancelledError):
             client.complete(req("second"))
     finally:
-        STOPPED.reset(token)
+        BATCH.reset(token)
     assert provider.call_count == 1

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from hallmark import (
     AnnotationRun,
+    CompletionRequest,
     JsonFileCache,
     OpenAIChatProvider,
     LLMClient,
@@ -546,6 +547,30 @@ class TestAnnotateDataset:
         _, late = self.interrupted_batch(cache, self.make_items(6), cfg)
         assert len(late) <= max_parallel
 
+    @pytest.mark.concurrency
+    def test_clients_stay_usable_after_a_batch_stops(self, cache):
+        # a stop ends its own batch only: outside any batch a request passes an unbounded gate that
+        # nothing stops, and a new batch on the same clients runs to its end
+        first = self.make_items(4)
+        second = [QAItem(id=f"new-{i}", lang="EN", question="q", answer=f"a new reply, {i} words.") for i in range(3)]
+        mock = MockProvider(rules=self.rules_for(first + second))
+        provider = FakeProvider(lambda req: "direct" if req.user_prompt == "a new prompt" else mock.send(req))
+        llm, svc = service(provider, cache)
+        cfg = config(use_roles=False, runs_n=2, max_parallel_items=1)
+
+        def interrupt(record):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            annotate_dataset(first, cfg, llm, svc, progress=interrupt)
+        sent = provider.call_count
+        request = CompletionRequest(model="m", user_prompt="a new prompt", temperature=0.0, max_tokens=16, seed_tag="x")
+        assert llm.complete(request) == "direct"
+        assert provider.call_count == sent + 1
+        records = annotate_dataset(second, cfg, llm, svc)
+        assert [(r.id, r.runs_used) for r in records] == [(it.id, cfg.runs_n) for it in second]
+        assert provider.call_count == sent + 1 + len(second) * cfg.runs_n
+
     @pytest.mark.parametrize(
         "max_parallel, shared", [(1, True), (2, True), (3, True), (2, False)], ids=["1", "2", "3", "2-two-clients"]
     )
@@ -663,6 +688,11 @@ class TestConnect:
     def test_only_connect_builds_the_clients(self):
         # the CLI and library users take them from connect, so a batch is wired in one place
         assert call_sites(r"\b(LLMClient|KnowledgeService|RateLimiter|WikipediaClient)\(") == {"pipeline.py:connect"}
+
+    def test_only_batch_builds_the_scope_of_a_batch(self):
+        # the slots and the stop event of a batch are made together, by the default scope and by annotate_dataset
+        assert call_sites(r"threading\.(Semaphore|Event)\(") == {"llm.py:__init__"}
+        assert call_sites(r"\bBatch\(") == {"llm.py:None", "pipeline.py:annotate_dataset"}
 
     def test_clients_follow_the_config(self, cache):
         provider = FakeProvider("reply")
